@@ -1,6 +1,6 @@
 """Run the sembench benchmark.
 
-    python3 perfbench/run.py --workload bp3-p7 --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload bp3-p7 --seed 1 --seconds 25 --trace 0
 
 Run from the root of a checkout; the library is imported from ./src.  With
 --trace 0 the run reports the end-to-end metrics, with --trace 1 the
@@ -42,7 +42,7 @@ def _parse(argv):
     ap.add_argument("--workload", default="all",
                     help="workload name, or 'all' (the default)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", default=str(ROOT / "perfbench" / "out"),
                     help="directory for the record and trace files")
