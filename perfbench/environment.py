@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import platform
 import time
+from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 from pathlib import Path
 
@@ -80,27 +81,64 @@ def environment(root: Path) -> dict:
 
 
 class HostReference:
-    """A fixed numpy kernel, independent of sembench, timed between runs.
+    """A fixed numpy kernel, independent of sembench, timed next to every run.
 
-    Its time moves only with the host, so a reader can tell a slow host
-    from slow code.
+    It does the kind of work the workloads do: 1D contractions of a small
+    matrix along each axis of 8^3 element fields, with a pointwise product
+    between, over batches of a few elements, so both arithmetic and per-call
+    overhead count.  With `threads` > 1 the elements are split into that
+    many shares, each contracted by a thread of its own, as a workload's
+    worker pool splits its partitions.  A busier or slower host slows the
+    kernel much as it slows the workloads, so a workload's time divided by
+    the kernel's time next to it cancels most of the host's drift.  Batches
+    stay small enough that their temporaries come from the heap, not from
+    fresh pages, so the kernel's time does not depend on what the process
+    allocated before.  Its own time is recorded so a reader can tell a slow
+    host from slow code.
     """
 
-    def __init__(self, size: int = 160, repeats: int = 32):
+    BATCHES = (16, 4)
+
+    def __init__(self, threads: int = 1, elements: int = 512,
+                 repeats: int = 4):
         rng = np.random.default_rng(0)
-        self._a = rng.standard_normal((size, size))
-        self._v = rng.standard_normal(size * size * 4)
+        self._b = rng.standard_normal((9, 8))
+        u = rng.standard_normal((elements, 8, 8, 8))
+        w = rng.standard_normal((elements, 9, 9, 9))
+        self._shares = list(zip(np.array_split(u, threads),
+                                np.array_split(w, threads)))
         self._repeats = repeats
         self.samples: list[float] = []
+        self.times: list[float] = []    # perf_counter at each sample's middle
+
+    def _contract(self, u: np.ndarray, w: np.ndarray) -> float:
+        v = u
+        for axis in (3, 2, 1):
+            v = np.moveaxis(np.moveaxis(v, axis, -1) @ self._b.T, -1, axis)
+        v = v * w
+        for axis in (3, 2, 1):
+            v = np.moveaxis(np.moveaxis(v, axis, -1) @ self._b, -1, axis)
+        return float(v[:, 0, 0, 0].sum())
+
+    def _share(self, share) -> float:
+        u, w = share
+        acc = 0.0
+        for _ in range(self._repeats):
+            for batch in self.BATCHES:
+                for i in range(0, len(u), batch):
+                    acc += self._contract(u[i:i + batch], w[i:i + batch])
+        return acc
 
     def sample(self) -> float:
         t0 = time.perf_counter()
-        acc = 0.0
-        for _ in range(self._repeats):
-            acc += float((self._a @ self._a).sum())
-            acc += float(np.sqrt(self._v * self._v + 1.0).sum())
-        dt = time.perf_counter() - t0
+        if len(self._shares) == 1:
+            acc = self._share(self._shares[0])
+        else:
+            with ThreadPoolExecutor(len(self._shares)) as pool:
+                acc = sum(pool.map(self._share, self._shares))
+        t1 = time.perf_counter()
         if not np.isfinite(acc):
             raise FloatingPointError("host reference kernel lost finiteness")
-        self.samples.append(dt)
-        return dt
+        self.samples.append(t1 - t0)
+        self.times.append(0.5 * (t0 + t1))
+        return t1 - t0

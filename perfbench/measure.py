@@ -5,6 +5,14 @@ The library is driven only through its public API.  The benchmark times
 RunResult and PcgRun they return.  A traced run passes the same ``run`` a
 problem whose operator and gather-scatter objects are timing proxies
 (spans.TracedProxy), so it follows the untraced path.
+
+The end-to-end times are reported in units of the host reference kernel
+(environment.HostReference), which is timed right after every run call:
+a trial's seconds are divided by the kernel's time at the trial's middle,
+interpolated linearly between the samples before and after its call.  On
+a shared host whose speed drifts by tens of percent
+between seconds, this ratio repeats from run to run where raw seconds do
+not.  The raw seconds go into the record alongside.
 """
 
 from __future__ import annotations
@@ -38,6 +46,11 @@ SETUP_REPEATS = 5
 SETUP_SECONDS = 2.0
 SETUP_MAX = 50
 MIN_PASSES = 3         # timed passes per run, at least, whatever --seconds
+# The first WARMUP_SECONDS of the timed loop, and at most WARMUP_SHARE of
+# it, are run and checked but not timed: a fresh process runs slower while
+# its memory and caches fill.
+WARMUP_SECONDS = 3.0
+WARMUP_SHARE = 0.2
 TAIL_BEYOND = 10       # samples the tail percentile must have beyond it
 
 # Strategy whose apply the gate compares against.  For the mass operator
@@ -158,6 +171,32 @@ class Outcome:
     end: float
     ok: bool
     run_id: int | None = None
+    # (perf_counter, seconds) of the host reference samples before (if
+    # any) and after the call
+    refs: tuple = ()
+
+    def ref_at(self, t: float) -> float:
+        """Host reference seconds at `t`, interpolated between refs."""
+        (t1, y1) = self.refs[-1]
+        if len(self.refs) == 1:
+            return y1
+        (t0, y0) = self.refs[0]
+        return y0 + min(max((t - t0) / (t1 - t0), 0.0), 1.0) * (y1 - y0)
+
+    def per_iter(self, relative: bool) -> list:
+        """Per-iteration time of each trial, in seconds or in host-reference
+        units."""
+        iters = self.result.config.iterations
+        windows = trial_windows(self.result, self.end)
+        return [(w1 - w0) / iters
+                / (self.ref_at(0.5 * (w0 + w1)) if relative else 1.0)
+                for (w0, w1) in windows]
+
+    def point(self, relative: bool) -> float:
+        """Wall time of the whole call, in seconds or host-reference units."""
+        if not relative:
+            return self.wall
+        return self.wall / self.ref_at(self.end - 0.5 * self.wall)
 
 
 @dataclass
@@ -165,17 +204,19 @@ class Pass:
     """One run of every config of the workload, in a seeded order."""
 
     outcomes: list
-    wall: float
     traced: bool
 
-    def samples(self) -> list:
-        """Seconds per iteration; sample j sums trial j over the configs."""
-        results = [o.result for o in self.outcomes]
-        if any(r is None for r in results):
+    def samples(self, relative: bool = True) -> list:
+        """Time per iteration; sample j sums trial j over the configs."""
+        if any(o.result is None for o in self.outcomes):
             return []
-        trials = min(len(r.trial_seconds) for r in results)
-        return [sum(r.trial_seconds[j] / r.config.iterations for r in results)
-                for j in range(trials)]
+        per_iter = [o.per_iter(relative) for o in self.outcomes]
+        trials = min(len(t) for t in per_iter)
+        return [sum(t[j] for t in per_iter) for j in range(trials)]
+
+    def point(self, relative: bool = True) -> float:
+        """Mean wall time of one run call of the pass."""
+        return statistics.mean(o.point(relative) for o in self.outcomes)
 
 
 def traced_problem(problem, tracer: spans.Tracer):
@@ -205,52 +246,66 @@ def run_point(index: int, point: Point, tracer=None) -> Outcome:
     return Outcome(index, result, end - t0, end, ok, run_id)
 
 
-def run_pass(points, order, tracer=None) -> Pass:
-    t0 = time.perf_counter()
-    outcomes = [run_point(i, points[i], tracer) for i in order]
-    return Pass(outcomes, time.perf_counter() - t0, tracer is not None)
+def run_pass(points, order, host: HostReference, tracer=None) -> Pass:
+    """Run every point in `order`, timing the host reference after each."""
+    outcomes = []
+    for i in order:
+        before = tuple(zip(host.times[-1:], host.samples[-1:]))
+        o = run_point(i, points[i], tracer)
+        host.sample()
+        o.refs = before + ((host.times[-1], host.samples[-1]),)
+        outcomes.append(o)
+    return Pass(outcomes, tracer is not None)
 
 
 def timed_passes(points, rng: random.Random, seconds: float,
-                 host: HostReference, tracer=None) -> list:
-    """Passes for about `seconds`, and at least MIN_PASSES rounds.
+                 host: HostReference, tracer=None) -> tuple[list, list]:
+    """Passes for about `seconds`: (warm-up passes, timed passes).
 
-    A new round starts only while more than half the last round's time is
-    left, so a run ends within half a round of `seconds`.  With a tracer,
-    every round makes one untraced and one traced pass, in a seeded order,
-    so host drift falls on both alike.
+    Passes that start in the warm-up (see WARMUP_*) are returned apart.
+    At least MIN_PASSES rounds are timed, and a new round starts only while
+    more than half the last round's time is left, so a run ends within half
+    a round of `seconds`.  With a tracer, every round makes one untraced
+    and one traced pass, in a seeded order, so host drift falls on both
+    alike.
     """
-    passes = []
-    deadline = time.perf_counter() + seconds
+    warm, passes = [], []
+    start = time.perf_counter()
+    deadline = start + seconds
+    warm_until = start + min(WARMUP_SECONDS, WARMUP_SHARE * seconds)
     rounds = 0
     last = 0.0
     while rounds < MIN_PASSES or time.perf_counter() + last / 2 < deadline:
         t0 = time.perf_counter()
-        host.sample()
         tracers = [None] if tracer is None else [None, tracer]
         rng.shuffle(tracers)
+        done = warm if t0 < warm_until else passes
         for tr in tracers:
             order = rng.sample(range(len(points)), len(points))
-            passes.append(run_pass(points, order, tr))
-        rounds += 1
+            done.append(run_pass(points, order, host, tr))
+        if done is passes:
+            rounds += 1
         last = time.perf_counter() - t0
-    return passes
+    return warm, passes
 
 
-def rate_summary(points, passes):
-    """metrics.group_metrics over one row per config at its median trial."""
-    trials = {i: [] for i in range(len(points))}
+def rate_summary(points, passes, relative: bool = True):
+    """metrics.group_metrics over one row per config at its median trial.
+
+    Rates are points x iterations per rank per second, or per host
+    reference unit if `relative`.
+    """
+    per_iter = {i: [] for i in range(len(points))}
     for ps in passes:
         for o in ps.outcomes:
             if o.result is not None:
-                trials[o.index].extend(o.result.trial_seconds)
+                per_iter[o.index].extend(o.per_iter(relative))
     rows = []
     for i, pt in enumerate(points):
-        if not trials[i]:
+        if not per_iter[i]:
             continue
         cfg = pt.config
-        rate = cfg.iterations * cfg.n / (cfg.ranks
-                                         * statistics.median(trials[i]))
+        rate = cfg.n / (cfg.ranks * statistics.median(per_iter[i]))
         rows.append({"bp_id": cfg.bp, "p": cfg.p,
                      "n_per_rank": cfg.n / cfg.ranks, "dofs_rate": rate})
     if not rows:
@@ -272,30 +327,45 @@ def _median_or_zero(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def end_to_end(workload, points, setup_samples, passes) -> tuple[dict, dict]:
-    """End-to-end metrics and the sample facts behind them."""
-    samples = [s for ps in passes if not ps.traced for s in ps.samples()]
-    attempted, failed = tally(passes)
-    summary = rate_summary(points, [ps for ps in passes if not ps.traced])
-    tail, pct = (tail_percentile(samples) if len(samples) > TAIL_BEYOND
-                 else (0.0, 0.0))
-    n_configs = len(workload.configs)
+def _tail(samples) -> tuple[float, float]:
+    return (tail_percentile(samples) if len(samples) > TAIL_BEYOND
+            else (0.0, 0.0))
+
+
+def end_to_end(points, setup_samples, passes, attempted: int,
+               failed: int) -> tuple[dict, dict]:
+    """End-to-end metrics and the sample facts behind them.
+
+    Times are in host-reference units; `facts` holds them in seconds too.
+    """
+    untraced = [ps for ps in passes if not ps.traced]
+    samples = [s for ps in untraced for s in ps.samples()]
+    seconds = [s for ps in untraced for s in ps.samples(relative=False)]
+    summary = rate_summary(points, untraced)
+    raw = rate_summary(points, untraced, relative=False)
+    tail, pct = _tail(samples)
     values = {
-        "iter_s_p50": _median_or_zero(samples),
-        "iter_s_tail": tail,
+        "iter_ref_p50": _median_or_zero(samples),
+        "iter_ref_tail": tail,
         "setup_s": statistics.median(setup_samples),
-        "point_s": _median_or_zero([ps.wall / n_configs for ps in passes
-                                    if not ps.traced]),
+        "point_ref": _median_or_zero([ps.point() for ps in untraced]),
         "peak_rss_mb": peak_rss_mb(),
         "success_rate": 1.0 - failed / attempted,
-        "r_max": summary.r_max if summary else 0.0,
+        "r_max_ref": summary.r_max if summary else 0.0,
     }
     facts = {"iter_samples": len(samples), "tail_percentile": pct,
-             "iter_samples_s": samples,
+             "iter_samples_ref": samples,
+             "iter_samples_s": seconds,
+             "seconds": {
+                 "iter_s_p50": _median_or_zero(seconds),
+                 "iter_s_tail": _tail(seconds)[0],
+                 "point_s": _median_or_zero([ps.point(relative=False)
+                                             for ps in untraced]),
+                 "r_max": raw.r_max if raw else None,
+                 "n_08": raw.n_08 if raw else None,
+                 "t_08": raw.t_08 if raw else None},
              "setup_samples": setup_samples,
-             "passes": sum(1 for ps in passes if not ps.traced),
-             "n_08": summary.n_08 if summary else None,
-             "t_08": summary.t_08 if summary else None}
+             "passes": len(untraced)}
     return values, facts
 
 
@@ -466,7 +536,7 @@ def per_layer(workload, points, passes, tracer, parts, setup_s,
     first = next((o.result for ps in untraced for o in ps.outcomes
                   if o.result is not None
                   and points[o.index] is primary), None)
-    summary = rate_summary(points, untraced)
+    summary = rate_summary(points, untraced, relative=False)
     bp = primary.config.mode == "bp"
 
     phase = wall = 0.0
@@ -554,15 +624,16 @@ class Measurement:
 def measure(workload, seed: int, seconds: float, trace: bool) -> Measurement:
     """Measure `workload` for about `seconds`; traced if `trace`."""
     rng = random.Random(seed)
-    host = HostReference()
+    # The reference uses as many threads as the workload's worker pool.
+    host = HostReference(max(min(c.resolved_threads(), c.ranks)
+                             for c in workload.configs))
     tracer = spans.Tracer() if trace else None
-    host.sample()
     parts = setup_part_medians(workload) if trace else None
     points, setup_samples = build_points(workload, seed)
-    passes = timed_passes(points, rng, seconds, host, tracer)
-    host.sample()
+    warm, passes = timed_passes(points, rng, seconds, host, tracer)
+    attempted, failed = tally(warm + passes)
 
-    e2e, facts = end_to_end(workload, points, setup_samples, passes)
+    e2e, facts = end_to_end(points, setup_samples, passes, attempted, failed)
     if trace:
         contraction = contraction_us(workload.primary)
         values = per_layer(workload, points, passes, tracer, parts,
@@ -570,7 +641,6 @@ def measure(workload, seed: int, seconds: float, trace: bool) -> Measurement:
         facts["untraced"] = e2e
     else:
         values = e2e
-    attempted, failed = tally(passes)
     facts.update({
         "gate": [{"k": pt.config.k, "strategy": pt.config.strategy,
                   "reference": reference_strategy(pt.config),
@@ -579,6 +649,7 @@ def measure(workload, seed: int, seconds: float, trace: bool) -> Measurement:
                   "residual_history": None if pt.history is None
                   else [float(x).hex() for x in pt.history]}
                  for pt in points],
+        "warmup_passes": len(warm),
         "host_ref_s": statistics.median(host.samples),
         "host_ref_samples": host.samples,
     })

@@ -4,9 +4,12 @@
 
 Run from the root of a checkout; the library is imported from ./src.  With
 --trace 0 the run reports the end-to-end metrics, with --trace 1 the
-per-layer metrics of a traced run (see spec.py).  Without --workload every
-workload runs untraced, each in its own process.  The last line of standard
-output is one JSON object: {"correct", "attempted", "failed", "metrics"}.
+per-layer metrics of a traced run (see spec.py).  End-to-end times are
+in units of a host reference kernel timed next to every run call, which
+cancels most of a shared host's drift; the seconds are printed too.
+Without --workload every workload runs untraced, each in its own process.
+The last line of standard output is one JSON object: {"correct",
+"attempted", "failed", "metrics"}.
 The full record (environment, host reference, samples, gate) goes to the
 line before it and, with the trace's spans, to a file under --out.
 """
@@ -93,6 +96,10 @@ def run_one(args) -> int:
     print(f"{workload.name:10s} correct={m.correct} attempted={m.attempted} "
           f"failed={m.failed} samples={m.record['iter_samples']} "
           f"host_ref_s={m.record['host_ref_s']:.6g}")
+    if not args.trace:
+        print(f"{workload.name:10s} in seconds: " + " ".join(
+            f"{k}={v:.6g}" for k, v in m.record["seconds"].items()
+            if v is not None))
     print("record " + json.dumps(record))
     print(_result_line(m.correct, m.attempted, m.failed, m.values, unit_of))
     return 0

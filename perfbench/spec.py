@@ -13,19 +13,21 @@ import re
 NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
 # End-to-end metrics, measured with tracing off.  (name, unit, better, bound)
+# Times of the timed loop are in "ref", the time of the host reference
+# kernel run next to them (see measure.py); their seconds are in the record.
 END_TO_END = (
-    ("iter_s_p50", "s", "lower", 0.25),
-    ("iter_s_tail", "s", "lower", 0.25),
+    ("iter_ref_p50", "ref", "lower", 0.25),
+    ("iter_ref_tail", "ref", "lower", 0.25),
     ("setup_s", "s", "lower", 0.25),
-    ("point_s", "s", "lower", 0.25),
+    ("point_ref", "ref", "lower", 0.25),
     ("peak_rss_mb", "MiB", "lower", 0.05),
     ("success_rate", "ratio", "higher", 0.01),
-    ("r_max", "pt.it/rank/s", "higher", 0.25),
+    ("r_max_ref", "pt.it/rank/ref", "higher", 0.25),
 )
 
 # Per-layer metrics of the traced run: (name, unit, better, moves, on).
 PER_LAYER = (
-    ("bakeoff.overhead_s", "s", "lower", "point_s",
+    ("bakeoff.overhead_s", "s", "lower", "point_ref",
      "all; largest share on bp1-sweep"),
     ("bakeoff.phase_coverage", "ratio", "higher", "none (observability)",
      "BP workloads"),
@@ -35,40 +37,40 @@ PER_LAYER = (
     ("mesh.geom_s", "s", "lower", "setup_s", "bp3-p7"),
     ("mesh.geom_mb", "MiB", "lower", "peak_rss_mb", "bp3-p7"),
     ("assembly.plan_s", "s", "lower", "setup_s", "bp5-p3-r2"),
-    ("assembly.gs_s", "s/call", "lower", "iter_s_p50",
+    ("assembly.gs_s", "s/call", "lower", "iter_ref_p50",
      "bp5-p3-r2, bp1-sweep; zero calls on bk2-p5"),
-    ("assembly.mask_s", "s/call", "lower", "iter_s_p50",
+    ("assembly.mask_s", "s/call", "lower", "iter_ref_p50",
      "bp3-p7, bp5-p3-r2"),
-    ("assembly.dot_s", "s/call", "lower", "iter_s_p50", "bp1-sweep"),
-    ("assembly.gs_calls_per_iter", "count", "lower", "iter_s_p50",
+    ("assembly.dot_s", "s/call", "lower", "iter_ref_p50", "bp1-sweep"),
+    ("assembly.gs_calls_per_iter", "count", "lower", "iter_ref_p50",
      "BP workloads"),
-    ("assembly.messages_per_iter", "count", "lower", "iter_s_p50",
+    ("assembly.messages_per_iter", "count", "lower", "iter_ref_p50",
      "bp5-p3-r2 (0 elsewhere)"),
-    ("assembly.reductions_per_iter", "count", "lower", "iter_s_p50",
+    ("assembly.reductions_per_iter", "count", "lower", "iter_ref_p50",
      "BP workloads"),
     ("assembly.share", "ratio", "lower", "bounds any assembly gain",
      "BP workloads"),
-    ("assembly.gs_gbps_computed", "GB/s", "higher", "iter_s_p50",
+    ("assembly.gs_gbps_computed", "GB/s", "higher", "iter_ref_p50",
      "bp5-p3-r2"),
-    ("operators.apply_s", "s/call", "lower", "iter_s_p50",
+    ("operators.apply_s", "s/call", "lower", "iter_ref_p50",
      "bp3-p7, bk2-p5, bp5-p3-r2"),
     ("operators.share", "ratio", "lower", "bounds any kernel gain", "all"),
-    ("operators.concurrency", "ratio", "higher", "iter_s_p50",
+    ("operators.concurrency", "ratio", "higher", "iter_ref_p50",
      "bp5-p3-r2 (1.0 elsewhere)"),
-    ("operators.flops_per_apply", "count", "lower", "iter_s_p50", "all"),
+    ("operators.flops_per_apply", "count", "lower", "iter_ref_p50", "all"),
     ("operators.flop_model_ratio", "ratio", "lower", "none (model check)",
      "all"),
-    ("operators.gflops", "GF/s", "higher", "iter_s_p50", "bp3-p7, bk2-p5"),
-    ("operators.gbps_computed", "GB/s", "higher", "iter_s_p50", "bk2-p5"),
+    ("operators.gflops", "GF/s", "higher", "iter_ref_p50", "bp3-p7, bk2-p5"),
+    ("operators.gbps_computed", "GB/s", "higher", "iter_ref_p50", "bk2-p5"),
     ("operators.flops_per_byte", "ratio", "higher", "none", "all"),
     ("operators.rhs_s", "s", "lower", "setup_s", "all"),
-    ("tensors.contract_us_single", "us", "lower", "iter_s_p50",
+    ("tensors.contract_us_single", "us", "lower", "iter_ref_p50",
      "bp5-p3-r2 most, bp3-p7 less"),
-    ("tensors.contract_us_per_elem_batched", "us", "lower", "iter_s_p50",
+    ("tensors.contract_us_per_elem_batched", "us", "lower", "iter_ref_p50",
      "bp5-p3-r2 most, bp3-p7 less; the gap to single is dispatch cost"),
     ("krylov.precond_s", "s", "lower", "setup_s",
      "BP workloads (0 on bk2-p5)"),
-    ("krylov.self_s_per_iter", "s", "lower", "iter_s_p50", "bp1-sweep"),
+    ("krylov.self_s_per_iter", "s", "lower", "iter_ref_p50", "bp1-sweep"),
     ("krylov.iterations", "count", "lower", "none", "BP workloads"),
     ("krylov.residual_reduction", "ratio", "lower",
      "none (must repeat bitwise)", "BP workloads"),

@@ -1,4 +1,6 @@
 import dataclasses
+import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,52 @@ def test_tail_percentile_keeps_ten_samples_beyond():
     assert value == 0 and pct == pytest.approx(100 / 11)
     with pytest.raises(ValueError):
         measure.tail_percentile(range(10))
+
+
+def _outcome(iterations, trial_seconds, ref, wall):
+    result = SimpleNamespace(config=SimpleNamespace(iterations=iterations),
+                             trial_seconds=trial_seconds)
+    return measure.Outcome(0, result, wall, 0.0, True, refs=((0.0, ref),))
+
+
+def test_samples_are_divided_by_the_host_reference_of_their_call():
+    ps = measure.Pass([_outcome(2, (4.0, 6.0), 0.5, 11.0),
+                       _outcome(1, (1.0, 3.0), 2.0, 5.0)], False)
+    assert ps.samples(relative=False) == [2.0 + 1.0, 3.0 + 3.0]
+    assert ps.samples() == [4.0 + 0.5, 6.0 + 1.5]
+    assert ps.point(relative=False) == 8.0
+    assert ps.point() == statistics.mean([22.0, 2.5])
+
+
+def test_reference_is_interpolated_to_the_middle_of_each_trial():
+    o = _outcome(1, (1.0, 1.0), None, 3.0)
+    o.end = 4.0
+    o.refs = ((0.0, 1.0), (4.0, 3.0))       # trials run 2..3 and 3..4
+    assert o.per_iter(relative=True) == [1 / 2.25, 1 / 2.75]
+    assert o.point(relative=True) == 3.0 / 2.25
+    assert o.ref_at(-1.0) == 1.0 and o.ref_at(9.0) == 3.0
+
+
+class _Host:
+    """Host reference stand-in whose samples read 1, 2, 3, ... at times
+    10, 20, 30, ..."""
+
+    def __init__(self):
+        self.samples, self.times = [], []
+
+    def sample(self):
+        self.samples.append(len(self.samples) + 1.0)
+        self.times.append(10.0 * len(self.samples))
+        return self.samples[-1]
+
+
+def test_each_call_sits_between_the_samples_before_and_after_it():
+    cfg = RunConfig(bp=3, p=2, k=3, threads=1, iterations=2, trials=2)
+    point = measure.gate(bakeoff.build_problem(cfg))
+    ps = measure.run_pass([point, point], [1, 0], _Host())
+    assert [o.index for o in ps.outcomes] == [1, 0]
+    assert [o.refs for o in ps.outcomes] == [((10.0, 1.0),),
+                                             ((10.0, 1.0), (20.0, 2.0))]
 
 
 def _corrupt(problem):

@@ -37,6 +37,9 @@ class Workload:
         return max(self.configs, key=lambda c: (c.n, c.k))
 
 
+# Each run call makes few trials, so the host reference timed after the
+# call (see measure.py) is close in time to all of them; the sweep's calls
+# are short, so it makes more.
 WORKLOADS = (
     Workload(
         "bp3-p7",
@@ -44,7 +47,7 @@ WORKLOADS = (
         "of a PCG iteration, so kernel work shows here and threading or "
         "exchange changes should not.",
         (RunConfig(bp=3, p=7, k=9, ranks=1, threads=1, iterations=1,
-                   trials=10),),
+                   trials=2),),
     ),
     Workload(
         "bp5-p3-r2",
@@ -52,7 +55,7 @@ WORKLOADS = (
         "workload with a real exchange, a worker pool and a two-partition "
         "gather-scatter plan.",
         (RunConfig(bp=5, p=3, k=10, ranks=2, threads=2, iterations=1,
-                   trials=10),),
+                   trials=3),),
     ),
     Workload(
         "bk2-p5",
@@ -60,15 +63,15 @@ WORKLOADS = (
         "only, three components; shows a stiffness-only gain that slows "
         "mass or vector fields.",
         (RunConfig(bp=2, p=5, k=9, mode="bk", ranks=1, threads=1,
-                   iterations=1, trials=10),),
+                   iterations=1, trials=2),),
     ),
     Workload(
         "bp1-sweep",
         "The paper's rate-versus-size pipeline (r_max, n_0.8, t_0.8) at "
         "n = 108 to 6,912, where fixed per-iteration costs of the harness, "
         "pcg and dots are a visible share.",
-        tuple(RunConfig(bp=1, p=3, k=k, ranks=1, threads=1, iterations=10,
-                        trials=10) for k in (2, 4, 6, 8)),
+        tuple(RunConfig(bp=1, p=3, k=k, ranks=1, threads=1, iterations=5,
+                        trials=4) for k in (2, 4, 6, 8)),
     ),
 )
 
