@@ -8,8 +8,8 @@ never formed here, only in the verification oracles.
 Partitioned operation simulates distributed ranks: elements are split into
 contiguous blocks, each block condenses its own contributions first, and
 shared sums are completed by a pairwise exchange between adjacent partitions.
-The exchange accumulates in ascending partition order, so results are
-independent of thread count; message and reduction counters feed the
+The exchange accumulates in ascending partition order, so every copy of a
+shared node holds the same float; message and reduction counters feed the
 benchmark harness.
 """
 
@@ -89,9 +89,9 @@ class GatherScatter:
     """QQ^T summation, Dirichlet masking, and weighted dot products.
 
     Immutable after construction except for the instrumentation counters.
-    deterministic=True pins a fixed accumulation order (ascending global id,
-    ascending local index, ascending partition) so outputs are bitwise
-    independent of thread count.
+    deterministic=True sums a single partition with reduceat in ascending
+    global id and local index order; False uses bincount instead.
+    Partitioned sums always use a fixed order.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -194,8 +194,7 @@ class GatherScatter:
         return np.bincount(self.numbering.local_to_global, weights=u,
                            minlength=self.numbering.n_global)
 
-    def gather_scatter(self, u: np.ndarray, count: bool = True,
-                       executor=None) -> np.ndarray:
+    def gather_scatter(self, u: np.ndarray, count: bool = True) -> np.ndarray:
         """Return QQ^T u: coincident local values replaced by their sum.
 
         Accepts shape (n_local,) or (ncomp, n_local).  With more than one
@@ -204,8 +203,7 @@ class GatherScatter:
         """
         u = np.asarray(u)
         if u.ndim == 2:
-            rows = [self.gather_scatter(c, count=(count and i == 0),
-                                        executor=executor)
+            rows = [self.gather_scatter(c, count=(count and i == 0))
                     for i, c in enumerate(u)]
             return np.stack(rows)
         if u.shape != (self.n_local,):
@@ -216,14 +214,8 @@ class GatherScatter:
             return sums[self.numbering.local_to_global]
 
         # Phase 1: per-partition condense.
-        def condense(plan):
-            lo, hi, order, starts, _, _ = plan
-            return np.add.reduceat(u[lo:hi][order], starts)
-
-        if executor is None:
-            partials = [condense(pl) for pl in self._part_plan]
-        else:
-            partials = list(executor.map(condense, self._part_plan))
+        partials = [np.add.reduceat(u[lo:hi][order], starts)
+                    for (lo, hi, order, starts, _, _) in self._part_plan]
 
         # Phase 2: pairwise exchange; shared totals accumulate in ascending
         # partition order so every copy of a node computes the same float.
@@ -238,18 +230,8 @@ class GatherScatter:
             self.counters.messages += self._adjacent_pairs
 
         out = np.empty_like(u)
-
-        def scatter(args):
-            pr, plan = args
-            lo, hi, _, _, _, inv = plan
-            out[lo:hi] = totals[pr][inv]
-
-        jobs = list(enumerate(self._part_plan))
-        if executor is None:
-            for j in jobs:
-                scatter(j)
-        else:
-            list(executor.map(scatter, jobs))
+        for (lo, hi, _, _, _, inv), total in zip(self._part_plan, totals):
+            out[lo:hi] = total[inv]
         return out
 
     def apply_mask(self, u: np.ndarray) -> np.ndarray:

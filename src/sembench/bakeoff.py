@@ -29,7 +29,7 @@ import numpy as np
 
 from .assembly import GatherScatter, build_gather_scatter
 from .basis import Basis1D, make_basis
-from .krylov import PcgRun, make_preconditioner, pcg
+from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
 from .mesh import (MAX_K, BoxMesh, GeomFactors, build_box_mesh,
                    compute_geometric_factors)
 from .operators import STRATEGIES, MassOperator, StiffnessOperator
@@ -222,46 +222,6 @@ def build_problem(config: RunConfig) -> Problem:
     return Problem(config, mesh, basis, geom, gs, op, b, minv)
 
 
-class PartitionedApplier:
-    """mask . QQ^T . A_L with element work fanned out over rank partitions.
-
-    With local_only=True (BK mode) only A_L is applied: no exchange, no mask,
-    nothing counted.
-    """
-
-    def __init__(self, op, gs: GatherScatter, executor=None,
-                 local_only: bool = False):
-        self.op = op
-        self.gs = gs
-        self.executor = executor
-        self.local_only = local_only
-        self.phases = {"operator": 0.0, "gather_scatter": 0.0}
-
-    def apply_local(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        parts = self.gs.partitions
-        # Instrumented counters are plain ints; keep their updates serial.
-        if self.executor is None or len(parts) == 1 or self.op.instrument:
-            return self.op.apply_local(u, out=out)
-        futures = [self.executor.submit(self.op.apply_local, u, out, part)
-                   for part in parts]
-        for fut in futures:
-            fut.result()
-        return out
-
-    def __call__(self, u: np.ndarray, count: bool = True) -> np.ndarray:
-        t0 = time.perf_counter()
-        w = self.apply_local(u)
-        t1 = time.perf_counter()
-        self.phases["operator"] += t1 - t0
-        if self.local_only:
-            return w
-        w = self.gs.gather_scatter(w, count=count, executor=self.executor)
-        w = self.gs.apply_mask(w)
-        self.phases["gather_scatter"] += time.perf_counter() - t1
-        return w
-
-
 def measure_apply_flops(problem: Problem) -> int:
     """Counted flops of one full local operator apply (all components)."""
     cfg = problem.config
@@ -286,13 +246,12 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     executor = None
     if threads > 1 and config.ranks > 1:
         executor = ThreadPoolExecutor(max_workers=min(threads, config.ranks))
-    applier = PartitionedApplier(op, gs, executor,
-                                 local_only=(config.mode == "bk"))
+    applier = SystemApplier(op, gs, executor)
     try:
         flops_measured = measure_apply_flops(problem)
 
         def bp_trial():
-            m0, r0 = gs.counters.messages, gs.counters.reductions
+            m0 = gs.counters.messages
             t0 = time.perf_counter()
             _, rec = pcg(applier, gs, b, max_iters=config.iterations,
                          minv=problem.minv)
@@ -302,7 +261,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         def bk_trial():
             t0 = time.perf_counter()
             for _ in range(config.iterations):
-                applier(b, count=False)
+                applier.apply_local(b)
             return time.perf_counter() - t0, 0, None
 
         trial = bp_trial if config.mode == "bp" else bk_trial

@@ -4,7 +4,7 @@ The CLI is a thin shell over the library; every behavior here is a direct
 call into bakeoff, metrics, or verify.  Config files use `key = value` lines
 (# comments allowed) with the same keys as the flags; flags win over the
 file, the file wins over defaults.  Exit codes: 0 success, 1 runtime
-failure, 2 configuration error.
+failure, 2 configuration error (a point too large for memory included).
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, metrics.MetricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (MeshError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

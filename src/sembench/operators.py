@@ -266,12 +266,12 @@ class StiffnessOperator:
                 corresponding slice of the output is written.
 
         Returns:
-            w with w^e = A^e u^e.  Other elements' slots are zero when a
-            range is given and out is None.
+            w with w^e = A^e u^e; each row of a 2D input bitwise-equals
+            the apply of that row alone.  Other elements' slots are zero
+            when a range is given and out is None.
         """
         u = np.asarray(u)
-        vector = u.ndim == 2
-        comps = u.shape[0] if vector else 1
+        comps = u.shape[0] if u.ndim == 2 else 1
         if u.shape[-1] != self.n_local:
             raise ValueError(f"expected local vector of length {self.n_local}")
         if out is None:
@@ -292,13 +292,6 @@ class StiffnessOperator:
             for c in range(comps):
                 wf[c, b0:b1] = self._apply_block(uf[c, b0:b1], g, ct)
         return out
-
-    def apply_vector_local(self, u3, out=None, elements=None):
-        """Three-component apply; each component bitwise-equals the scalar apply."""
-        u3 = np.asarray(u3)
-        if u3.ndim != 2 or u3.shape[0] != 3:
-            raise ValueError("expected a 3-component local field")
-        return self.apply_local(u3, out=out, elements=elements)
 
 
 class MassOperator:
@@ -395,12 +388,6 @@ class MassOperator:
                     ct.mul += uq.size
                 wf[c, b0:b1] = self._interp(uq, ct, transpose=True)
         return out
-
-    def apply_vector_local(self, u3, out=None, elements=None):
-        u3 = np.asarray(u3)
-        if u3.ndim != 2 or u3.shape[0] != 3:
-            raise ValueError("expected a 3-component local field")
-        return self.apply_local(u3, out=out, elements=elements)
 
 
 def _kron3(a, b, c):

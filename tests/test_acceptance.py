@@ -3,12 +3,13 @@
 Every test records a single `ACCEPTANCE <n> <PASS|WARN|FAIL>` line; the
 conftest terminal-summary hook echoes all of them after the run, so the
 verdicts stay visible under pytest's output capture.  Criterion 10 is a
-soft, hardware-dependent shape check: it warns instead of failing on
-machines that cannot exercise real parallelism (a single-core host serializes
-the simulated ranks, so time per iteration tracks total points rather than
-points per rank).
+soft, hardware-dependent shape check: it warns instead of failing when time
+per iteration does not collapse onto points per rank, and its warning states
+what was measured (worst spread, cores, worker threads, largest rank count)
+rather than a presumed cause.
 """
 
+import os
 import time
 import warnings
 
@@ -17,7 +18,7 @@ import pytest
 
 from sembench.bakeoff import RunConfig, build_problem, sweep
 from sembench.basis import even_odd_apply, make_basis
-from sembench.krylov import pcg
+from sembench.krylov import SystemApplier, pcg
 from sembench.metrics import extract_metrics, latency_floor
 from sembench.operators import MassOperator, StiffnessOperator, flop_model
 from sembench.tensors import OpCounters
@@ -137,8 +138,9 @@ def test_criterion_07_assembly_oracle():
 
 def test_criterion_08_pcg_invariants():
     problem = build_problem(RunConfig(bp=5, p=4, k=6, iterations=100))
-    _, run = pcg(problem.op, problem.gs, problem.b, max_iters=100,
-                 minv=problem.minv, record_energy=True, diagnostics=True)
+    _, run = pcg(SystemApplier(problem.op, problem.gs), problem.gs,
+                 problem.b, max_iters=100, minv=problem.minv,
+                 record_energy=True, diagnostics=True)
     rises = float(np.diff(run.quadratic_history).max())
     monotone = rises <= 1e-14
     gap_ok = run.residual_gap <= 1e-8 * run.b_norm
@@ -196,9 +198,11 @@ def test_criterion_10_scaling_shape_soft():
     else:
         detail = (f"BP5 p=7 data collapse not observed: worst "
                   f"seconds/iter spread {worst:.2f}x > 1.25x over "
-                  f"{len(spreads)} group(s); single-core hosts serialize "
-                  f"simulated ranks, so this soft criterion downgrades "
-                  f"to a warning")
+                  f"{len(spreads)} group(s), measured with "
+                  f"{os.cpu_count()} core(s), "
+                  f"{max(r.threads for r in rows)} worker thread(s) and "
+                  f"up to {max(r.config.ranks for r in rows)} simulated "
+                  f"ranks; this soft criterion downgrades to a warning")
         announce(10, "WARN", detail)
         warnings.warn(detail)
 
@@ -212,7 +216,7 @@ def test_criterion_11_vector_components():
         op, gs = problem.op, problem.gs
         rng = np.random.default_rng(bp)
         u3 = rng.standard_normal((3, op.n_local))
-        w3 = op.apply_vector_local(u3)
+        w3 = op.apply_local(u3)
         for c in range(3):
             bitwise_ok &= bool(np.array_equal(w3[c], op.apply_local(u3[c])))
         # Assembled pipeline, deterministic mode: still bitwise.

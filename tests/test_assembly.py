@@ -1,7 +1,5 @@
 """Global numbering, gather-scatter summation, masks, weighted dots."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -125,16 +123,6 @@ class TestPartitioned:
         a = ref_gs.gather_scatter(u)
         b = par_gs.gather_scatter(u)
         assert np.max(np.abs(a - b)) <= 1e-13 * (np.max(np.abs(a)) + 1.0)
-
-    def test_threaded_is_bitwise_deterministic(self, rng):
-        mesh = build_box_mesh(3, 3)
-        gs = build_gather_scatter(mesh, ranks=4)
-        u = rng.standard_normal(gs.n_local)
-        seq = gs.gather_scatter(u, count=False)
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            for _ in range(3):
-                par = gs.gather_scatter(u, count=False, executor=ex)
-                assert np.array_equal(seq, par)
 
     def test_fast_mode_close_to_deterministic(self, rng):
         mesh = build_box_mesh(3, 3)

@@ -1,10 +1,12 @@
 """Benchmark definitions, run configurations, and the measurement loop."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from sembench.bakeoff import (BP_TABLE, ConfigError, PartitionedApplier,
-                              RunConfig, build_problem, default_threads,
+from sembench.bakeoff import (BP_TABLE, ConfigError, RunConfig,
+                              build_problem, default_threads,
                               measure_apply_flops, run, sweep)
 from sembench.krylov import SystemApplier
 
@@ -103,26 +105,22 @@ class TestProblem:
         assert build_problem(RunConfig(bp=3, p=2, k=1)).minv is not None
 
 
-class TestPartitionedApplier:
-    def test_matches_system_applier(self, rng):
+class TestSystemApplier:
+    def test_partitioned_executor_matches_serial(self, rng):
         problem = build_problem(RunConfig(bp=3, p=3, k=3, ranks=4))
-        ref = SystemApplier(problem.op, problem.gs)
-        par = PartitionedApplier(problem.op, problem.gs)
+        serial = SystemApplier(problem.op, problem.gs)
         u = rng.standard_normal(problem.op.n_local)
-        a = ref(u, count=False)
-        b = par(u, count=False)
-        assert np.max(np.abs(a - b)) <= 1e-12 * (np.max(np.abs(a)) + 1.0)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            par = SystemApplier(problem.op, problem.gs, ex)
+            assert np.array_equal(par.apply_local(u), serial.apply_local(u))
+            assert np.array_equal(par(u, count=False), serial(u, count=False))
 
-    def test_local_only_output(self, rng):
-        problem = build_problem(RunConfig(bp=1, p=3, k=2, mode="bk"))
-        applier = PartitionedApplier(problem.op, problem.gs, local_only=True)
-        u = rng.standard_normal(problem.op.n_local)
-        assert np.array_equal(applier(u), problem.op.apply_local(u))
-
-    def test_local_only_counts_nothing(self, rng):
+    def test_apply_local_is_unassembled_and_uncounted(self, rng):
         problem = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk", ranks=2))
-        applier = PartitionedApplier(problem.op, problem.gs, local_only=True)
-        applier(rng.standard_normal(problem.op.n_local))
+        applier = SystemApplier(problem.op, problem.gs)
+        u = rng.standard_normal(problem.op.n_local)
+        assert np.array_equal(applier.apply_local(u),
+                              problem.op.apply_local(u))
         assert problem.gs.counters.messages == 0
         assert problem.gs.counters.reductions == 0
 
@@ -180,6 +178,14 @@ class TestRun:
         # gather_scatter per counted matvec.
         assert result.messages == cfg.iterations
         assert result.reductions == 2 * cfg.iterations + 1
+
+    def test_solver_timings_cover_the_last_trial_only(self):
+        # The applier outlives the warm-up and every trial; the reported
+        # phase times must still belong to the solve that produced them.
+        cfg = RunConfig(bp=5, p=3, k=6, ranks=2, threads=2, iterations=5,
+                        trials=2)
+        result = run(cfg)
+        assert sum(result.solver.timings.values()) <= result.trial_seconds[-1]
 
     def test_instrumented_counting_is_repeatable(self):
         cfg = RunConfig(bp=3, p=3, k=1, iterations=3, trials=1,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sembench import bakeoff
 from sembench.bakeoff import ConfigError
 from sembench.cli import load_config, main, parse_int_list
 from sembench.metrics import CSV_COLUMNS, read_csv
@@ -112,6 +113,16 @@ class TestRunCommand:
         assert main(["run", "--bp", "1", "--p", "2", "--k", "1",
                      "--ranks", "4"]) == 2
         assert "at least one element per rank" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(bakeoff, "run", exhausted)
+        assert main(RUN_ARGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "64.0 GiB" in err
 
     def test_config_file_provides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "point.cfg"

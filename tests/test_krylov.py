@@ -1,5 +1,7 @@
 """Operator diagonals, Jacobi preconditioning, and the PCG loop."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -69,17 +71,17 @@ def poisson_setup(stack, p=3, k=2):
     op = make_op("stiffness", s)
     b = build_rhs(s.mesh, s.basis, s.geom, s.gs, components=1)
     minv = make_preconditioner(op, s.gs)
-    return s, op, b, minv
+    return s, SystemApplier(op, s.gs), b, minv
 
 
 class TestPcg:
     def test_solves_against_direct_factorization(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        x, run = pcg(op, s.gs, b, max_iters=500, tol=1e-12, minv=minv)
+        s, A, b, minv = poisson_setup(stack)
+        x, run = pcg(A, s.gs, b, max_iters=500, tol=1e-12, minv=minv)
         assert run.converged
 
         num = s.gs.numbering
-        csr = assemble_reference_csr(op, s.gs)
+        csr = assemble_reference_csr(A.op, s.gs)
         gmask = s.gs.global_mask()
         free = np.nonzero(gmask)[0]
         bg = np.zeros(num.n_global)
@@ -89,36 +91,36 @@ class TestPcg:
         assert rel_err(x, xg[num.local_to_global]) <= 1e-8
 
     def test_fixed_iteration_protocol(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        x, run = pcg(op, s.gs, b, max_iters=25, minv=minv)
+        s, A, b, minv = poisson_setup(stack)
+        x, run = pcg(A, s.gs, b, max_iters=25, minv=minv)
         assert run.iterations == 25
         assert not run.converged
         assert run.residual_history.shape == (26,)
 
     def test_reduction_count_is_two_per_iteration_plus_one(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        _, run = pcg(op, s.gs, b, max_iters=30, minv=minv,
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=30, minv=minv,
                      record_energy=True, diagnostics=True)
         assert run.reductions == 2 * 30 + 1
 
     def test_energy_is_monotone_nonincreasing(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        _, run = pcg(op, s.gs, b, max_iters=40, minv=minv, record_energy=True)
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=40, minv=minv, record_energy=True)
         assert run.quadratic_history.shape == (41,)
         assert np.all(np.diff(run.quadratic_history) <= 1e-15)
 
     def test_diagnostics_residual_gap_is_tiny(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        _, run = pcg(op, s.gs, b, max_iters=50, minv=minv, diagnostics=True)
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=50, minv=minv, diagnostics=True)
         assert run.residual_gap <= 1e-12 * run.b_norm
         # Unpreconditioned history norm equals the true residual norm.
-        _, run2 = pcg(op, s.gs, b, max_iters=50, diagnostics=True)
+        _, run2 = pcg(A, s.gs, b, max_iters=50, diagnostics=True)
         assert run2.true_residual_norm == pytest.approx(
             run2.residual_history[-1], rel=1e-6)
 
     def test_early_exit_on_tolerance(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        _, run = pcg(op, s.gs, b, max_iters=500, tol=1e-6, minv=minv)
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=500, tol=1e-6, minv=minv)
         assert run.converged
         assert run.iterations < 500
         assert run.residual_history[-1] <= 1e-6 * run.residual_history[0]
@@ -130,7 +132,8 @@ class TestPcg:
         op = make_op("mass", s)
         b = build_rhs(s.mesh, s.basis, s.geom, s.gs, components=1)
         minv = make_preconditioner(op, s.gs)
-        x, run = pcg(op, s.gs, b, max_iters=10, tol=1e-12, minv=minv)
+        x, run = pcg(SystemApplier(op, s.gs), s.gs, b, max_iters=10,
+                     tol=1e-12, minv=minv)
         assert run.converged
         assert run.iterations == 1
 
@@ -139,46 +142,48 @@ class TestPcg:
         op = make_op("stiffness", s)
         b = build_rhs(s.mesh, s.basis, s.geom, s.gs, components=3)
         minv = make_preconditioner(op, s.gs)
-        x, run = pcg(op, s.gs, b, max_iters=20, minv=minv)
+        x, run = pcg(SystemApplier(op, s.gs), s.gs, b, max_iters=20,
+                     minv=minv)
         assert x.shape == b.shape
         # Identical component loads produce bitwise identical solutions.
         assert np.array_equal(x[0], x[1])
         assert np.array_equal(x[0], x[2])
 
     def test_nan_rhs_raises(self, stack):
-        s, op, b, minv = poisson_setup(stack)
+        s, A, b, minv = poisson_setup(stack)
         bad = b.copy()
         bad[0] = np.nan
         with pytest.raises(DivergenceError):
-            pcg(op, s.gs, bad, max_iters=5)
+            pcg(A, s.gs, bad, max_iters=5)
 
     def test_negated_operator_raises_curvature_error(self, stack):
-        s, op, b, minv = poisson_setup(stack)
+        s, A, b, minv = poisson_setup(stack)
 
         def negated(u, count=True):
-            w = op.apply_local(u)
-            w = s.gs.gather_scatter(w, count=count)
-            return -s.gs.apply_mask(w)
+            return -A(u, count=count)
 
         with pytest.raises(DivergenceError, match="curvature"):
             pcg(negated, s.gs, b, max_iters=5)
 
-    def test_callable_apply_matches_operator_path(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        x1, _ = pcg(op, s.gs, b, max_iters=15, minv=minv)
-        applier = SystemApplier(op, s.gs)
-        x2, _ = pcg(applier, s.gs, b, max_iters=15, minv=minv)
-        assert np.array_equal(x1, x2)
-
     def test_timing_keys(self, stack):
-        s, op, b, minv = poisson_setup(stack)
-        _, run = pcg(op, s.gs, b, max_iters=5, minv=minv)
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=5, minv=minv)
         assert set(run.timings) == {"dots", "axpy", "operator",
                                     "gather_scatter"}
         assert all(v >= 0.0 for v in run.timings.values())
 
+    def test_timings_cover_only_their_own_solve(self, stack):
+        # One applier reused across solves: each run reports the phase
+        # time of its own solve, not the applier's running totals.
+        s, A, b, minv = poisson_setup(stack, k=4)
+        for _ in range(2):
+            t0 = time.perf_counter()
+            _, run = pcg(A, s.gs, b, max_iters=20, minv=minv)
+            wall = time.perf_counter() - t0
+            assert sum(run.timings.values()) <= wall
+
     def test_identity_preconditioner_default(self, stack):
-        s, op, b, _ = poisson_setup(stack)
-        x1, _ = pcg(op, s.gs, b, max_iters=10)
-        x2, _ = pcg(op, s.gs, b, max_iters=10, minv=np.ones(b.shape[-1]))
+        s, A, b, _ = poisson_setup(stack)
+        x1, _ = pcg(A, s.gs, b, max_iters=10)
+        x2, _ = pcg(A, s.gs, b, max_iters=10, minv=np.ones(b.shape[-1]))
         assert np.array_equal(x1, x2)

@@ -276,15 +276,13 @@ class TestApplyMechanics:
         for system in ("stiffness", "mass"):
             op = make_op(system, s)
             u3 = rng.standard_normal((3, op.n_local))
-            w3 = op.apply_vector_local(u3)
+            w3 = op.apply_local(u3)
             for c in range(3):
                 assert np.array_equal(w3[c], op.apply_local(u3[c]))
 
     def test_vector_apply_shape_validation(self, stack):
         s = stack(2, "GL", 1)
         op = make_op("stiffness", s)
-        with pytest.raises(ValueError):
-            op.apply_vector_local(np.zeros((2, op.n_local)))
         with pytest.raises(ValueError):
             op.apply_local(np.zeros(op.n_local + 1))
 
@@ -303,7 +301,7 @@ class TestInstrumentation:
         s = stack(3, "GL", 2)
         op = make_op("stiffness", s, instrument=True)
         q, p1, E = s.basis.q, s.basis.p1, s.mesh.E
-        op.apply_vector_local(rng.standard_normal((3, op.n_local)))
+        op.apply_local(rng.standard_normal((3, op.n_local)))
         assert op.counters.g_read_words == 6 * q ** 3 * E
         assert op.counters.read_words == 3 * p1 ** 3 * E
 
