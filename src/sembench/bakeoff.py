@@ -19,6 +19,7 @@ vector problems report their extra work as a rate change at fixed n.
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import time
@@ -236,7 +237,9 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
 
     BP mode times the full fixed-iteration PCG solve; BK mode times
     `iterations` repeated local applies.  Setup (mesh, geometric factors,
-    RHS, diagonal) is excluded from the timing.
+    RHS, diagonal) is excluded from the timing.  The cyclic garbage
+    collector is paused over the trials, as timeit does, so a collection of
+    the caller's heap does not land in or between them.
     """
     if problem is None:
         problem = build_problem(config)
@@ -265,8 +268,14 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
             return time.perf_counter() - t0, 0, None
 
         trial = bp_trial if config.mode == "bp" else bk_trial
-        trial()                                   # warm-up, discarded
-        outcomes = [trial() for _ in range(config.trials)]
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trial()                               # warm-up, discarded
+            outcomes = [trial() for _ in range(config.trials)]
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     finally:
         if executor is not None:
             executor.shutdown(wait=True)

@@ -1,10 +1,12 @@
 """Benchmark definitions, run configurations, and the measurement loop."""
 
+import gc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sembench import bakeoff
 from sembench.bakeoff import (BP_TABLE, ConfigError, RunConfig,
                               build_problem, default_threads,
                               measure_apply_flops, run, sweep)
@@ -115,12 +117,21 @@ class TestSystemApplier:
             assert np.array_equal(par.apply_local(u), serial.apply_local(u))
             assert np.array_equal(par(u, count=False), serial(u, count=False))
 
-    def test_apply_local_is_unassembled_and_uncounted(self, rng):
-        problem = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk", ranks=2))
+
+class TestPartitionedApplier:
+    """SystemApplier.apply_local, the local-only apply of BK mode."""
+
+    def test_local_only_output(self, rng):
+        problem = build_problem(RunConfig(bp=1, p=3, k=2, mode="bk"))
         applier = SystemApplier(problem.op, problem.gs)
         u = rng.standard_normal(problem.op.n_local)
         assert np.array_equal(applier.apply_local(u),
                               problem.op.apply_local(u))
+
+    def test_local_only_counts_nothing(self, rng):
+        problem = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk", ranks=2))
+        applier = SystemApplier(problem.op, problem.gs)
+        applier.apply_local(rng.standard_normal(problem.op.n_local))
         assert problem.gs.counters.messages == 0
         assert problem.gs.counters.reductions == 0
 
@@ -186,6 +197,31 @@ class TestRun:
                         trials=2)
         result = run(cfg)
         assert sum(result.solver.timings.values()) <= result.trial_seconds[-1]
+
+    def test_collector_is_paused_over_the_trials(self, monkeypatch):
+        # A collection of the caller's heap must not stall a trial or the
+        # gap between two; the collector's state is restored afterwards.
+        enabled = []
+        solve = bakeoff.pcg
+
+        def spy(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bakeoff, "pcg", spy)
+        cfg = RunConfig(bp=3, p=2, k=2, iterations=2, trials=2)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            run(cfg)
+            assert enabled == [False] * 3       # warm-up and two trials
+            assert gc.isenabled()
+            gc.disable()
+            run(cfg)
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_instrumented_counting_is_repeatable(self):
         cfg = RunConfig(bp=3, p=3, k=1, iterations=3, trials=1,
