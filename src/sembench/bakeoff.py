@@ -218,28 +218,38 @@ def build_problem(config: RunConfig) -> Problem:
                               deterministic=config.deterministic)
     op = make_operator(spec, basis, geom, config.strategy, config.block,
                        instrument=config.instrument)
+    if config.mode == "bp" and not np.any(gs.mask):
+        raise ConfigError(
+            f"bp{config.bp} p={config.p} k={config.k} has no free degree "
+            "of freedom; every node is on the Dirichlet boundary")
     b = build_rhs(mesh, basis, geom, gs, spec.components)
     minv = make_preconditioner(op, gs) if config.mode == "bp" else None
     return Problem(config, mesh, basis, geom, gs, op, b, minv)
 
 
 def measure_apply_flops(problem: Problem) -> int:
-    """Counted flops of one full local operator apply (all components)."""
+    """Counted flops of one full local operator apply (all components).
+
+    Every counter increment is proportional to the element count, so one
+    element is applied and its count scaled by E.
+    """
     cfg = problem.config
     probe = make_operator(cfg.spec, problem.basis, problem.geom,
                           cfg.strategy, cfg.block, instrument=True)
-    probe.apply_local(problem.b)
-    return probe.counters.total_flops
+    probe.apply_local(problem.b, elements=(0, 1))
+    return probe.counters.total_flops * cfg.E
 
 
 def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     """Execute one benchmark point: warm-up, timed trials, median seconds.
 
-    BP mode times the full fixed-iteration PCG solve; BK mode times
-    `iterations` repeated local applies.  Setup (mesh, geometric factors,
-    RHS, diagonal) is excluded from the timing.  The cyclic garbage
-    collector is paused over the trials, as timeit does, so a collection of
-    the caller's heap does not land in or between them.
+    BP mode times the full fixed-iteration PCG solve, which stops early
+    only when the residual reaches exactly zero (the rate then counts the
+    iterations run); BK mode times `iterations` repeated local applies.
+    Setup (mesh, geometric factors, RHS, diagonal) is excluded from the
+    timing.  The cyclic garbage collector is paused over the trials, as
+    timeit does, so a collection of the caller's heap does not land in or
+    between them.
     """
     if problem is None:
         problem = build_problem(config)
@@ -284,9 +294,11 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     seconds = statistics.median(times)
     _, messages, solver = outcomes[-1]
     reductions = solver.reductions if solver is not None else 0
+    # A solve that reaches r = 0 exactly stops early; rate its own steps.
+    iterations = solver.iterations if solver is not None else config.iterations
 
     n = config.n
-    rate = config.iterations * n / (config.ranks * seconds)
+    rate = iterations * n / (config.ranks * seconds)
     return RunResult(
         config=config,
         n=n,
@@ -294,7 +306,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         n_per_rank=n / config.ranks,
         threads=threads,
         seconds_total=seconds,
-        seconds_per_iter=seconds / config.iterations,
+        seconds_per_iter=seconds / iterations,
         dofs_rate=rate,
         flops_measured=flops_measured,
         messages=messages,

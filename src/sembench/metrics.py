@@ -149,7 +149,8 @@ def result_row(result: RunResult) -> dict:
         "ranks": cfg.ranks,
         "threads": result.threads,
         "strategy": cfg.strategy,
-        "iterations": cfg.iterations,
+        "iterations": (result.solver.iterations if result.solver is not None
+                       else cfg.iterations),
         "n": result.n,
         "n_per_rank": result.n_per_rank,
         "seconds_total": result.seconds_total,

@@ -7,14 +7,17 @@ quadrature point), and the transposed gradient accumulating the result.
 
 Four interchangeable contraction strategies are provided:
 
-* sumfact:     per-element dense 1D contractions, sharing the common
-               interpolation subexpressions between directions.
+* sumfact:     dense 1D contractions, sharing the common interpolation
+               subexpressions between directions.
 * interpfirst: interpolate to the quadrature grid once, differentiate there
                with a q x q matrix, and interpolate back.
 * evenodd:     sumfact dataflow with every 1D contraction in even-odd
                factored form (about half the multiplies).
-* blocked:     sumfact arithmetic batched over blocks of 4 or 8 elements;
-               bitwise-identical to per-element application.
+* blocked:     sumfact with a fixed batch of 4 or 8 elements.
+
+Every strategy applies a batch of elements per contraction; all but blocked
+take batch_size(q) elements, a working set of about WORKING_SET_WORDS words
+per field.  The output is bitwise-identical to per-element application.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -32,6 +35,15 @@ STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
 
 # Matvec-equivalence budget between any two strategies.
 STRATEGY_RTOL = 1e-12
+
+# Words of one field batch (elements x q^3 quadrature points) that the
+# default batch targets; a 2^10..2^19 scan found a broad optimum 2^13..2^16.
+WORKING_SET_WORDS = 2 ** 15
+
+
+def batch_size(q: int) -> int:
+    """Default elements per batch: max(1, WORKING_SET_WORDS // q^3)."""
+    return max(1, WORKING_SET_WORDS // q ** 3)
 
 
 def _check_strategy(strategy: str) -> None:
@@ -112,18 +124,14 @@ def bytes_model(p: int, q: int, components: int = 1,
     raise ValueError(f"unknown system {system!r}")
 
 
-class StiffnessOperator:
-    """Matrix-free local stiffness apply w^e = A^e u^e per element.
+class _LocalOperator:
+    """Validation, element batching and counting shared by both operators.
 
-    Args:
-        basis: 1D operator matrices.
-        geom: geometric factors on the matching quadrature grid.
-        strategy: one of sumfact, interpfirst, evenodd, blocked.
-        block: elements per batch for the blocked strategy (4 or 8).
-        instrument: when True, counters accumulate on every apply.
+    Subclasses provide _element_data(b0, b1, ct), which returns the stored
+    per-element factors of a batch and counts their reads, and
+    _apply_block(U, data, ct), which applies the operator to one batch U of
+    shape (B, p1, p1, p1).
     """
-
-    system = "stiffness"
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
                  strategy: str = "sumfact", block: int = 8,
@@ -136,14 +144,20 @@ class StiffnessOperator:
         self.basis = basis
         self.geom = geom
         self.strategy = strategy
-        self.block = block if strategy == "blocked" else 1
+        self.block = block if strategy == "blocked" else batch_size(basis.q)
         self.instrument = instrument
         self.counters = OpCounters()
+        # The 1D matrices of the sumfact dataflow and the contraction that
+        # applies them: even-odd factors for evenodd, dense otherwise.
         if strategy == "evenodd":
-            self._jf = basis.J_even_odd
-            self._df = basis.D_even_odd
-            self._jft = even_odd_split(np.ascontiguousarray(basis.J_hat.T), +1)
-            self._dft = even_odd_split(np.ascontiguousarray(basis.D_hat.T), -1)
+            self._contract = eo_contract_dir
+            self._j, self._d = basis.J_even_odd, basis.D_even_odd
+            self._jt = even_odd_split(np.ascontiguousarray(basis.J_hat.T), +1)
+            self._dt = even_odd_split(np.ascontiguousarray(basis.D_hat.T), -1)
+        else:
+            self._contract = contract_dir
+            self._j, self._d = basis.J_hat, basis.D_hat
+            self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
     @property
     def E(self) -> int:
@@ -153,59 +167,84 @@ class StiffnessOperator:
     def n_local(self) -> int:
         return self.E * self.basis.p1 ** 3
 
+    def apply_local(self, u, out=None, elements=None):
+        """Apply the unassembled operator batch by batch.
+
+        Args:
+            u: local vector, shape (n_local,) or (ncomp, n_local).
+            out: optional output array of the same shape.
+            elements: optional (start, stop) element range; only the
+                corresponding slice of the output is written.
+
+        Returns:
+            w with w^e = A^e u^e; each row of a 2D input bitwise-equals
+            the apply of that row alone.  Other elements' slots are zero
+            when a range is given and out is None.
+        """
+        u = np.asarray(u)
+        comps = u.shape[0] if u.ndim == 2 else 1
+        if u.shape[-1] != self.n_local:
+            raise ValueError(f"expected local vector of length {self.n_local}")
+        if out is None:
+            out = np.zeros_like(u)
+        p1 = self.basis.p1
+        e0, e1 = elements if elements is not None else (0, self.E)
+        ct = self.counters if self.instrument else None
+        uf = u.reshape(comps, self.E, p1, p1, p1)
+        wf = out.reshape(comps, self.E, p1, p1, p1)
+        for b0 in range(e0, e1, self.block):
+            b1 = min(b0 + self.block, e1)
+            # Element data is read once per batch, shared by the components.
+            data = self._element_data(b0, b1, ct)
+            if ct is not None:
+                ct.read_words += comps * (b1 - b0) * p1 ** 3
+                ct.write_words += comps * (b1 - b0) * p1 ** 3
+            for c in range(comps):
+                wf[c, b0:b1] = self._apply_block(uf[c, b0:b1], data, ct)
+        return out
+
+
+class StiffnessOperator(_LocalOperator):
+    """Matrix-free local stiffness apply w^e = A^e u^e per element.
+
+    Args:
+        basis: 1D operator matrices.
+        geom: geometric factors on the matching quadrature grid.
+        strategy: one of sumfact, interpfirst, evenodd, blocked.
+        block: elements per batch for the blocked strategy (4 or 8).
+        instrument: when True, counters accumulate on every apply.
+    """
+
+    system = "stiffness"
+
     def model_flops(self, components: int = 1) -> float:
         return components * flop_model(self.strategy, self.basis.p, self.basis.q)
 
     def model_bytes(self, components: int = 1):
         return bytes_model(self.basis.p, self.basis.q, components, "stiffness")
 
-    # Contraction kernels.  U is (B, n, n, n); c() threads the counters.
+    # Contraction kernels.  U is (B, n, n, n); ct threads the counters.
 
     def _grad_sumfact(self, U, ct):
-        J, D = self.basis.J_hat, self.basis.D_hat
-        a = contract_dir(D, U, 0, ct)
-        a = contract_dir(J, a, 1, ct)
-        ur = contract_dir(J, a, 2, ct)
-        b = contract_dir(J, U, 0, ct)       # shared between us and ut
-        by = contract_dir(J, b, 1, ct)
-        us = contract_dir(J, contract_dir(D, b, 1, ct), 2, ct)
-        ut = contract_dir(D, by, 2, ct)
+        c, J, D = self._contract, self._j, self._d
+        a = c(D, U, 0, ct)
+        a = c(J, a, 1, ct)
+        ur = c(J, a, 2, ct)
+        b = c(J, U, 0, ct)                  # shared between us and ut
+        by = c(J, b, 1, ct)
+        us = c(J, c(D, b, 1, ct), 2, ct)
+        ut = c(D, by, 2, ct)
         return ur, us, ut
 
     def _grad_t_sumfact(self, wr, ws, wt, ct):
-        JT = self.basis.J_hat.T
-        DT = self.basis.D_hat.T
-        z1 = contract_dir(JT, wr, 2, ct)
-        z1 = contract_dir(JT, z1, 1, ct)
-        w = contract_dir(DT, z1, 0, ct)
-        z2 = contract_dir(DT, contract_dir(JT, ws, 2, ct), 1, ct)
-        z3 = contract_dir(JT, contract_dir(DT, wt, 2, ct), 1, ct)
+        c, JT, DT = self._contract, self._jt, self._dt
+        z1 = c(JT, wr, 2, ct)
+        z1 = c(JT, z1, 1, ct)
+        w = c(DT, z1, 0, ct)
+        z2 = c(DT, c(JT, ws, 2, ct), 1, ct)
+        z3 = c(JT, c(DT, wt, 2, ct), 1, ct)
         shared = z2 + z3                    # one Jx^T pass serves both
-        w += contract_dir(JT, shared, 0, ct)
-        if ct is not None:
-            ct.add += shared.size + w.size
-        return w
-
-    def _grad_evenodd(self, U, ct):
-        jf, df = self._jf, self._df
-        a = eo_contract_dir(df, U, 0, ct)
-        a = eo_contract_dir(jf, a, 1, ct)
-        ur = eo_contract_dir(jf, a, 2, ct)
-        b = eo_contract_dir(jf, U, 0, ct)
-        by = eo_contract_dir(jf, b, 1, ct)
-        us = eo_contract_dir(jf, eo_contract_dir(df, b, 1, ct), 2, ct)
-        ut = eo_contract_dir(df, by, 2, ct)
-        return ur, us, ut
-
-    def _grad_t_evenodd(self, wr, ws, wt, ct):
-        jft, dft = self._jft, self._dft
-        z1 = eo_contract_dir(jft, wr, 2, ct)
-        z1 = eo_contract_dir(jft, z1, 1, ct)
-        w = eo_contract_dir(dft, z1, 0, ct)
-        z2 = eo_contract_dir(dft, eo_contract_dir(jft, ws, 2, ct), 1, ct)
-        z3 = eo_contract_dir(jft, eo_contract_dir(dft, wt, 2, ct), 1, ct)
-        shared = z2 + z3
-        w += eo_contract_dir(jft, shared, 0, ct)
+        w += c(JT, shared, 0, ct)
         if ct is not None:
             ct.add += shared.size + w.size
         return w
@@ -245,56 +284,19 @@ class StiffnessOperator:
 
     def _apply_block(self, U, g, ct):
         if self.strategy == "interpfirst":
-            ur, us, ut = self._grad_interpfirst(U, ct)
-            wr, ws, wt = self._apply_g(ur, us, ut, g, ct)
-            return self._grad_t_interpfirst(wr, ws, wt, ct)
-        if self.strategy == "evenodd":
-            ur, us, ut = self._grad_evenodd(U, ct)
-            wr, ws, wt = self._apply_g(ur, us, ut, g, ct)
-            return self._grad_t_evenodd(wr, ws, wt, ct)
-        ur, us, ut = self._grad_sumfact(U, ct)
-        wr, ws, wt = self._apply_g(ur, us, ut, g, ct)
-        return self._grad_t_sumfact(wr, ws, wt, ct)
+            grad, grad_t = self._grad_interpfirst, self._grad_t_interpfirst
+        else:
+            grad, grad_t = self._grad_sumfact, self._grad_t_sumfact
+        wr, ws, wt = self._apply_g(*grad(U, ct), g, ct)
+        return grad_t(wr, ws, wt, ct)
 
-    def apply_local(self, u, out=None, elements=None):
-        """Apply the unassembled operator element by element.
-
-        Args:
-            u: local vector, shape (n_local,) or (ncomp, n_local).
-            out: optional output array of the same shape.
-            elements: optional (start, stop) element range; only the
-                corresponding slice of the output is written.
-
-        Returns:
-            w with w^e = A^e u^e; each row of a 2D input bitwise-equals
-            the apply of that row alone.  Other elements' slots are zero
-            when a range is given and out is None.
-        """
-        u = np.asarray(u)
-        comps = u.shape[0] if u.ndim == 2 else 1
-        if u.shape[-1] != self.n_local:
-            raise ValueError(f"expected local vector of length {self.n_local}")
-        if out is None:
-            out = np.zeros_like(u)
-        p1, q = self.basis.p1, self.basis.q
-        e0, e1 = elements if elements is not None else (0, self.E)
-        ct = self.counters if self.instrument else None
-        uf = u.reshape(comps, self.E, p1, p1, p1)
-        wf = out.reshape(comps, self.E, p1, p1, p1)
-        for b0 in range(e0, e1, self.block):
-            b1 = min(b0 + self.block, e1)
-            g = self.geom.G[b0:b1]
-            if ct is not None:
-                # Metric reads are amortized across components of one block.
-                ct.g_read_words += 6 * q ** 3 * (b1 - b0)
-                ct.read_words += comps * (b1 - b0) * p1 ** 3
-                ct.write_words += comps * (b1 - b0) * p1 ** 3
-            for c in range(comps):
-                wf[c, b0:b1] = self._apply_block(uf[c, b0:b1], g, ct)
-        return out
+    def _element_data(self, b0, b1, ct):
+        if ct is not None:
+            ct.g_read_words += 6 * self.basis.q ** 3 * (b1 - b0)
+        return self.geom.G[b0:b1]
 
 
-class MassOperator:
+class MassOperator(_LocalOperator):
     """Matrix-free local mass apply w^e = J3^T (beta B~) J3 u^e.
 
     With collocated GLL quadrature (q = p + 1) the interpolation J3 is the
@@ -306,31 +308,12 @@ class MassOperator:
     def __init__(self, basis: Basis1D, geom: GeomFactors, beta: float = 1.0,
                  strategy: str = "sumfact", block: int = 8,
                  instrument: bool = False):
-        _check_strategy(strategy)
-        if basis.q != geom.q:
-            raise ValueError("basis and geometric factors disagree on q")
-        self.basis = basis
-        self.geom = geom
+        super().__init__(basis, geom, strategy, block, instrument)
         self.beta = beta
-        self.strategy = strategy
-        self.block = block if strategy == "blocked" else 1
-        self.instrument = instrument
-        self.counters = OpCounters()
         self.collocated = basis.collocated
         # beta is folded into the stored diagonal once; beta = 1 keeps the
         # exact mass_diag values so the collocated apply is exact scaling.
         self._diag = geom.mass_diag if beta == 1.0 else beta * geom.mass_diag
-        if strategy == "evenodd":
-            self._jf = basis.J_even_odd
-            self._jft = even_odd_split(np.ascontiguousarray(basis.J_hat.T), +1)
-
-    @property
-    def E(self) -> int:
-        return self.geom.E
-
-    @property
-    def n_local(self) -> int:
-        return self.E * self.basis.p1 ** 3
 
     def model_flops(self, components: int = 1) -> float:
         return components * mass_flop_model(self.basis.p, self.basis.q,
@@ -341,53 +324,24 @@ class MassOperator:
                            self.collocated)
 
     def _interp(self, U, ct, transpose=False):
-        if self.strategy == "evenodd":
-            f = self._jft if transpose else self._jf
-            U = eo_contract_dir(f, U, 0, ct)
-            U = eo_contract_dir(f, U, 1, ct)
-            return eo_contract_dir(f, U, 2, ct)
-        J = self.basis.J_hat.T if transpose else self.basis.J_hat
-        U = contract_dir(J, U, 0, ct)
-        U = contract_dir(J, U, 1, ct)
-        return contract_dir(J, U, 2, ct)
+        J = self._jt if transpose else self._j
+        for direction in range(3):
+            U = self._contract(J, U, direction, ct)
+        return U
 
-    def apply_local(self, u, out=None, elements=None):
-        """Apply the local mass operator; see StiffnessOperator.apply_local."""
-        u = np.asarray(u)
-        comps = u.shape[0] if u.ndim == 2 else 1
-        if u.shape[-1] != self.n_local:
-            raise ValueError(f"expected local vector of length {self.n_local}")
-        if out is None:
-            out = np.zeros_like(u)
-        p1, q = self.basis.p1, self.basis.q
-        e0, e1 = elements if elements is not None else (0, self.E)
-        ct = self.counters if self.instrument else None
+    def _element_data(self, b0, b1, ct):
+        if ct is not None:
+            ct.read_words += self.basis.q ** 3 * (b1 - b0)
+        return self._diag[b0:b1]
 
+    def _apply_block(self, U, d, ct):
+        if ct is not None:
+            ct.mul += d.size
         if self.collocated:
-            lo, hi = e0 * p1 ** 3, e1 * p1 ** 3
-            d = self._diag.reshape(-1)[lo:hi]
-            out[..., lo:hi] = u[..., lo:hi] * d
-            if ct is not None:
-                ct.mul += comps * (hi - lo)
-                ct.read_words += (comps + 1) * (hi - lo)
-                ct.write_words += comps * (hi - lo)
-            return out
-
-        uf = u.reshape(comps, self.E, p1, p1, p1)
-        wf = out.reshape(comps, self.E, p1, p1, p1)
-        for b0 in range(e0, e1, self.block):
-            b1 = min(b0 + self.block, e1)
-            d = self._diag[b0:b1]
-            if ct is not None:
-                ct.read_words += q ** 3 * (b1 - b0) + comps * (b1 - b0) * p1 ** 3
-                ct.write_words += comps * (b1 - b0) * p1 ** 3
-            for c in range(comps):
-                uq = self._interp(uf[c, b0:b1], ct)
-                uq *= d
-                if ct is not None:
-                    ct.mul += uq.size
-                wf[c, b0:b1] = self._interp(uq, ct, transpose=True)
-        return out
+            return U * d
+        uq = self._interp(U, ct)
+        uq *= d
+        return self._interp(uq, ct, transpose=True)
 
 
 def _kron3(a, b, c):

@@ -5,10 +5,12 @@ three axes are the z, y, x directions of the reference cube.  A contraction
 applies a small dense (or even-odd factored) matrix along one of those axes
 for every element in the leading batch dimensions.
 
-All contractions route through numpy matmul with the batch axes leading, so
-the per-element arithmetic is the same sequence of GEMM slices whether the
-batch holds one element or a block of them.  That is what makes blocked
-application bitwise-reproducible against per-element application.
+Each dense contraction is one numpy matmul with the batch axes leading and
+no transposed copies: direction 0 is u @ a.T, direction 1 is a @ u, and
+direction 2 is a @ u with the y and x axes merged.  numpy runs the same GEMM
+slices for an element whether the batch holds one element or many, which
+makes batched application bitwise-reproducible against per-element
+application.
 """
 
 from __future__ import annotations
@@ -61,8 +63,14 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
     Returns:
         Field with the contracted axis resized from n to m.
     """
-    axis = u.ndim - 1 - direction
-    v = np.moveaxis(np.moveaxis(u, axis, -1) @ a.T, -1, axis)
+    if direction == 0:
+        v = u @ a.T
+    elif direction == 1:
+        v = a @ u
+    else:
+        lead, (n3, n2, n1) = u.shape[:-3], u.shape[-3:]
+        v = (a @ u.reshape(lead + (n3, n2 * n1))).reshape(
+            lead + (a.shape[0], n2, n1))
     if counters is not None:
         m, n = a.shape
         counters.fma += m * n * (u.size // n)

@@ -100,16 +100,26 @@ def check_csr_equivalence(pairs=((2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
                        f"max rel err {worst:.3e} ({worst_case}), tol {rtol:g}")
 
 
+def per_element_apply(op, u: np.ndarray) -> np.ndarray:
+    """op.apply_local(u) one element at a time, the batch-free reference."""
+    out = np.zeros_like(u)
+    for e in range(op.E):
+        op.apply_local(u, out=out, elements=(e, e + 1))
+    return out
+
+
 def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
                                k: int = 3, n_inputs: int = 20,
                                rtol: float = STRATEGY_RTOL) -> CheckResult:
     """All evaluation strategies agree on random inputs.
 
     The sum-factorized kernel is the reference; interp-first, even-odd, and
-    both blocked batch sizes must match it to rtol on every input.
+    both blocked batch sizes must match it to rtol on every input.  Each
+    strategy's batched apply must also bitwise-equal its per-element apply.
     """
     worst = 0.0
     worst_case = ""
+    batch_mismatch = ""
     rng = np.random.default_rng(42)
     for p in p_list:
         for kind in kinds:
@@ -132,9 +142,16 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
                     if err > worst:
                         worst = err
                         worst_case = f"{op.strategy} p={p} {kind}"
-    passed = worst <= rtol
+            for op in [ref_op] + others:
+                if not np.array_equal(op.apply_local(inputs),
+                                      per_element_apply(op, inputs)):
+                    batch_mismatch = f"{op.strategy} p={p} {kind}"
+    passed = worst <= rtol and not batch_mismatch
+    batch = (f"differs for {batch_mismatch}" if batch_mismatch
+             else "bitwise equal")
     return CheckResult("strategy-equivalence", passed,
-                       f"max rel err {worst:.3e} ({worst_case}), tol {rtol:g}")
+                       f"max rel err {worst:.3e} ({worst_case}), tol {rtol:g}; "
+                       f"batched vs per-element {batch}")
 
 
 def check_quadrature_exactness(tol: float = 1e-12) -> CheckResult:

@@ -11,6 +11,7 @@ from sembench.bakeoff import (BP_TABLE, ConfigError, RunConfig,
                               build_problem, default_threads,
                               measure_apply_flops, run, sweep)
 from sembench.krylov import SystemApplier
+from sembench.operators import STRATEGIES
 
 
 class TestBpTable:
@@ -102,6 +103,12 @@ class TestProblem:
         assert np.array_equal(problem.b[0], problem.b[1])
         assert np.array_equal(problem.b[0], problem.b[2])
 
+    def test_no_free_dof_rejected_in_bp_mode(self):
+        # p = 1, k = 2: every node of the 2x1x2 mesh is on the boundary.
+        with pytest.raises(ConfigError, match="no free degree of freedom"):
+            build_problem(RunConfig(bp=3, p=1, k=2))
+        assert build_problem(RunConfig(bp=3, p=1, k=2, mode="bk")).minv is None
+
     def test_bk_mode_skips_preconditioner(self):
         assert build_problem(RunConfig(bp=3, p=2, k=1, mode="bk")).minv is None
         assert build_problem(RunConfig(bp=3, p=2, k=1)).minv is not None
@@ -143,6 +150,17 @@ class TestMeasureApplyFlops:
         assert f1 == measure_apply_flops(prob1)
         prob3 = build_problem(RunConfig(bp=4, p=3, k=2))
         assert measure_apply_flops(prob3) == 3 * f1
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("bp", sorted(BP_TABLE))
+    def test_one_element_count_equals_full_apply(self, bp, strategy):
+        problem = build_problem(RunConfig(bp=bp, p=2, k=3, mode="bk",
+                                          strategy=strategy))
+        cfg = problem.config
+        probe = bakeoff.make_operator(cfg.spec, problem.basis, problem.geom,
+                                      strategy, cfg.block, instrument=True)
+        probe.apply_local(problem.b)
+        assert measure_apply_flops(problem) == probe.counters.total_flops
 
     def test_close_to_model(self):
         problem = build_problem(RunConfig(bp=3, p=5, k=2))
@@ -223,6 +241,20 @@ class TestRun:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("kwargs,iterations", [
+        (dict(bp=5, p=2, k=0), 1),     # one free node: exact in one step
+        (dict(bp=3, p=2, k=3), 99),    # residual underflows to 0.0
+    ])
+    def test_exact_solve_stops_early(self, kwargs, iterations):
+        result = run(RunConfig(iterations=100, trials=1, **kwargs))
+        history = result.solver.residual_history
+        assert result.solver.iterations == iterations
+        assert history[-1] == 0.0
+        assert np.all(np.diff(history) <= 0.0)
+        assert result.seconds_per_iter == result.seconds_total / iterations
+        assert result.dofs_rate == pytest.approx(
+            iterations * result.n / result.seconds_total)
+
     def test_instrumented_counting_is_repeatable(self):
         cfg = RunConfig(bp=3, p=3, k=1, iterations=3, trials=1,
                         instrument=True)
@@ -241,6 +273,12 @@ class TestSweep:
         assert len(failures) == 1
         assert failures[0].p == 2 and failures[0].k == 1
         assert "rank" in failures[0].error
+
+    def test_no_free_dof_point_becomes_failure(self):
+        results, failures = sweep(3, [1], [2, 3], iterations=2, trials=1)
+        assert [r.config.k for r in results] == [3]
+        assert [(f.p, f.k) for f in failures] == [(1, 2)]
+        assert "no free degree of freedom" in failures[0].error
 
     def test_results_sorted_by_size(self):
         results, failures = sweep(1, [2, 3], [1, 2], iterations=2, trials=1)

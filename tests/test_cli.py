@@ -114,6 +114,11 @@ class TestRunCommand:
                      "--ranks", "4"]) == 2
         assert "at least one element per rank" in capsys.readouterr().err
 
+    def test_no_free_dof_exits_2(self, capsys):
+        assert main(["run", "--bp", "3", "--p", "1", "--k", "2",
+                     "--trials", "1"]) == 2
+        assert "no free degree of freedom" in capsys.readouterr().err
+
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError("Unable to allocate 64.0 GiB")

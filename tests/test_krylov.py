@@ -149,6 +149,12 @@ class TestPcg:
         assert np.array_equal(x[0], x[1])
         assert np.array_equal(x[0], x[2])
 
+    def test_zero_rhs_is_solved_without_iterating(self, stack):
+        s, A, b, minv = poisson_setup(stack)
+        x, run = pcg(A, s.gs, np.zeros_like(b), max_iters=5, minv=minv)
+        assert run.converged and run.iterations == 0
+        assert not x.any()
+
     def test_nan_rhs_raises(self, stack):
         s, A, b, minv = poisson_setup(stack)
         bad = b.copy()

@@ -8,8 +8,9 @@ from sembench.mesh import build_box_mesh, compute_geometric_factors
 from sembench.assembly import build_gather_scatter, build_numbering
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, assemble_reference_csr,
-                                bytes_model, flop_model, mass_flop_model,
-                                single_contraction_flops)
+                                batch_size, bytes_model, flop_model,
+                                mass_flop_model, single_contraction_flops)
+from sembench.verify import per_element_apply
 
 from conftest import rel_err
 
@@ -205,6 +206,22 @@ class TestStrategies:
         for block in (4, 8):
             op = make_op("stiffness", s, strategy="blocked", block=block)
             assert np.array_equal(op.apply_local(u), ref)
+        # Every strategy at its default batch on E = 64 elements, more than
+        # and not a multiple of batch_size(9) = 44, and on an element range
+        # that starts and ends inside a batch.
+        s = stack(7, "GL", 6)
+        assert batch_size(s.basis.q) == 44
+        slab = s.basis.p1 ** 3
+        lo, hi = 5 * slab, 50 * slab
+        for system in ("stiffness", "mass"):
+            for strategy in STRATEGIES:
+                op = make_op(system, s, strategy=strategy)
+                u = rng.standard_normal(op.n_local)
+                ref = per_element_apply(op, u)
+                assert np.array_equal(op.apply_local(u), ref)
+                part = op.apply_local(u, elements=(5, 50))
+                assert np.array_equal(part[lo:hi], ref[lo:hi])
+                assert not part[:lo].any() and not part[hi:].any()
 
     def test_mass_strategies_agree(self, stack, rng):
         s = stack(3, "GL", 2)

@@ -35,6 +35,23 @@ class TestContractDir:
         ref = np.einsum("qp,cezpx->cezqx", a, u)
         assert np.allclose(got, ref, atol=1e-13, rtol=0)
 
+    @pytest.mark.parametrize("direction,spec", [
+        (0, "qp,ezyp->ezyq"),
+        (1, "qp,ezpx->ezqx"),
+        (2, "qp,epyx->eqyx"),
+    ])
+    def test_non_contiguous_input(self, direction, spec, rng):
+        # A metric slot G[:, slot], as compute_diagonal passes it, and a
+        # transposed view whose merged axes cannot be reshaped in place.
+        a = rng.standard_normal((6, 4))
+        g = rng.standard_normal((3, 6, 4, 4, 4))
+        for u in (g[:, 2], g[:, 1].transpose(0, 3, 2, 1)):
+            got = contract_dir(a, u, direction)
+            assert np.array_equal(got,
+                                  contract_dir(a, np.ascontiguousarray(u),
+                                               direction))
+            assert np.allclose(got, np.einsum(spec, a, u), atol=1e-13, rtol=0)
+
     def test_fma_count_is_exact(self):
         # m*n FMAs per point of the remaining axes.
         a = np.ones((6, 4))

@@ -5,6 +5,8 @@ import functools
 import numpy as np
 import pytest
 
+from sembench.operators import StiffnessOperator
+
 from sembench.verify import (CHECKS, check_csr_equivalence, check_even_odd,
                              check_qtq_multiplicity,
                              check_quadrature_exactness,
@@ -50,6 +52,21 @@ class TestFaultSensitivity:
         result = check_csr_equivalence(pairs=((3, 5),), ks=(1,),
                                        geom_override=fault)
         assert not result.passed
+
+    def test_batch_dependent_kernel_is_detected(self, monkeypatch):
+        # A relative change of 1e-15 on multi-element batches stays inside
+        # the 1e-12 tolerance; only the per-element comparison sees it.
+        apply_block = StiffnessOperator._apply_block
+
+        def batch_dependent(self, U, g, ct):
+            w = apply_block(self, U, g, ct)
+            return w * (1.0 + 1e-15) if len(U) > 1 else w
+
+        monkeypatch.setattr(StiffnessOperator, "_apply_block",
+                            batch_dependent)
+        result = check_strategy_equivalence(p_list=[2], k=2, n_inputs=2)
+        assert not result.passed
+        assert "differs" in result.detail
 
     def test_identity_override_passes(self):
         result = check_csr_equivalence(pairs=((3, 5),), ks=(1,),
