@@ -11,9 +11,8 @@ from .assembly import (ExchangeCounters, GatherScatter, GlobalNumbering,
                        build_gather_scatter, build_numbering)
 from .bakeoff import (BP_TABLE, BPSpec, ConfigError, RunConfig, RunResult,
                       build_problem, build_rhs, run, sweep)
-from .basis import (Basis1D, BasisError, EvenOddFactor, even_odd_apply,
-                    even_odd_split, lagrange_deriv_matrix,
-                    lagrange_interp_matrix, make_basis)
+from .basis import (Basis1D, BasisError, EvenOddFactor, even_odd_split,
+                    lagrange_deriv_matrix, lagrange_interp_matrix, make_basis)
 from .krylov import (DivergenceError, PcgRun, SystemApplier, compute_diagonal,
                      make_preconditioner, pcg)
 from .mesh import (BoxMesh, GeomFactors, MeshError, box_dims, build_box_mesh,
@@ -40,8 +39,7 @@ __all__ = [
     "SystemApplier", "assemble_reference_csr", "box_dims",
     "build_gather_scatter", "build_numbering", "build_problem", "build_rhs",
     "bytes_model", "compute_diagonal", "compute_geometric_factors",
-    "contract_dir", "emit_csv", "emit_plot_data", "even_odd_apply",
-    "even_odd_split", "extract_metrics", "flop_model", "gauss_legendre",
+    "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split", "extract_metrics", "flop_model", "gauss_legendre",
     "gauss_lobatto_legendre", "group_metrics", "lagrange_deriv_matrix",
     "lagrange_interp_matrix", "latency_floor", "legendre_eval", "make_basis",
     "make_preconditioner", "make_rule", "mass_flop_model",

@@ -6,16 +6,17 @@ coincident values by their sum (the QQ^T operation); the explicit Q matrix is
 never formed here, only in the verification oracles.
 
 Partitioned operation simulates distributed ranks: elements are split into
-contiguous blocks, each block condenses its own contributions first, and
-shared sums are completed by a pairwise exchange between adjacent partitions.
-The exchange accumulates in ascending partition order, so every copy of a
-shared node holds the same float; message and reduction counters feed the
+contiguous blocks.  One precomputed plan serves every rank count.  Each block
+first condenses its own contributions, left to right in local order, and the
+shared sums are then completed left to right in ascending partition order,
+so every copy of a shared node holds the same float.  A single rank is the
+same two sums with one block.  Message and reduction counters feed the
 benchmark harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,18 +86,41 @@ def _partition_elements(E: int, ranks: int):
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(ranks)]
 
 
+def _count_sharing_pairs(slot_part: np.ndarray, slot_gid: np.ndarray,
+                         ranks: int) -> int:
+    """Number of partition pairs that both hold a copy of some global id.
+
+    Sorting the slots by global id (stably, so partitions stay ascending)
+    puts every shared id's copies next to each other; a node has at most
+    eight copies, so the loop over offsets d is short.  Distinct pairs are
+    counted by sorting: plain np.unique imports numpy.ma, about 1 MiB of
+    resident memory.
+    """
+    order = np.argsort(slot_gid, kind="stable")
+    gid, part = slot_gid[order], slot_part[order]
+    pairs = [np.empty(0, dtype=np.int64)]
+    for d in range(1, gid.size):
+        same = gid[d:] == gid[:-d]
+        if not same.any():
+            break
+        pairs.append(part[:-d][same] * ranks + part[d:][same])
+    keys = np.sort(np.concatenate(pairs))
+    return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 class GatherScatter:
     """QQ^T summation, Dirichlet masking, and weighted dot products.
 
     Immutable after construction except for the instrumentation counters.
-    deterministic=True sums a single partition with reduceat in ascending
-    global id and local index order; False uses bincount instead.
-    Partitioned sums always use a fixed order.
+    One plan serves every rank count: a slot per (partition, global id)
+    pair, ordered by partition and then by global id.  gather_scatter sums
+    each partition's locals into its slots left to right in local order,
+    then each global id's slots in ascending partition order, and reads the
+    totals back to every local copy.  A single partition is the same code.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
-                 bc: str = "neumann", ranks: int = 1,
-                 deterministic: bool = True):
+                 bc: str = "neumann", ranks: int = 1):
         if bc not in ("neumann", "dirichlet"):
             raise ValueError(f"unknown boundary condition {bc!r}")
         if ranks < 1 or ranks > mesh.E:
@@ -104,24 +128,22 @@ class GatherScatter:
         self.numbering = numbering
         self.bc = bc
         self.ranks = ranks
-        self.deterministic = deterministic
         self.counters = ExchangeCounters()
 
         l2g = numbering.local_to_global
+        n_global = numbering.n_global
         self.weight = 1.0 / numbering.multiplicity[l2g]
         self.mask = self._build_mask(mesh, l2g)
         self.node_slab = mesh.p1 ** 3
-
-        # Global accumulation plan: sort locals by global id once.
-        self._order = np.argsort(l2g, kind="stable")
-        sorted_gids = l2g[self._order]
-        starts = np.nonzero(np.r_[True, np.diff(sorted_gids) > 0])[0]
-        if starts.size != numbering.n_global:
-            raise AssertionError("every global node must own a local copy")
-        self._starts = starts
-
         self.partitions = _partition_elements(mesh.E, ranks)
-        self._build_exchange_plan(l2g)
+
+        sizes = [(e1 - e0) * self.node_slab for (e0, e1) in self.partitions]
+        part = np.repeat(np.arange(ranks, dtype=np.int64), sizes)
+        slot_key, self._slot = np.unique(part * n_global + l2g,
+                                         return_inverse=True)
+        self._slot_gid = slot_key % n_global
+        self._adjacent_pairs = _count_sharing_pairs(
+            slot_key // n_global, self._slot_gid, ranks)
 
     def _build_mask(self, mesh, l2g):
         if self.bc == "neumann":
@@ -137,69 +159,17 @@ class GatherScatter:
                        (gz == 0) | (gz == nz - 1))
         return np.where(on_boundary, 0.0, 1.0)
 
-    def _build_exchange_plan(self, l2g):
-        # Per partition: sorted order, segment starts, unique gids, and the
-        # inverse map used to scatter totals back to the local slots.
-        self._part_plan = []
-        slab = self.node_slab
-        for (e0, e1) in self.partitions:
-            lo, hi = e0 * slab, e1 * slab
-            g = l2g[lo:hi]
-            order = np.argsort(g, kind="stable")
-            sg = g[order]
-            starts = np.nonzero(np.r_[True, np.diff(sg) > 0])[0]
-            unique = sg[starts]
-            inv = np.searchsorted(unique, g)
-            self._part_plan.append((lo, hi, order, starts, unique, inv))
-
-        # For every global id touched by more than one partition, derive
-        # (a) the pairwise message graph and (b) per-partition add lists,
-        # ordered by ascending source partition.
-        self._recv_plan = [[] for _ in self.partitions]
-        self._shared_rows = [np.empty(0, dtype=np.int64)
-                             for _ in self.partitions]
-        self._adjacent_pairs = 0
-        self._merge_plan = [[] for _ in self.partitions]
-        if self.ranks == 1:
-            return
-        uniques = [plan[4] for plan in self._part_plan]
-        vals, cnt = np.unique(np.concatenate(uniques), return_counts=True)
-        shared = vals[cnt >= 2]
-        part_shared = [u[np.isin(u, shared)] for u in uniques]
-        for a in range(self.ranks):
-            self._shared_rows[a] = np.searchsorted(uniques[a], part_shared[a])
-        for a in range(self.ranks):
-            for b in range(a + 1, self.ranks):
-                common = np.intersect1d(part_shared[a], part_shared[b],
-                                        assume_unique=True)
-                if not common.size:
-                    continue
-                self._adjacent_pairs += 1
-                rows_a = np.searchsorted(uniques[a], common)
-                rows_b = np.searchsorted(uniques[b], common)
-                self._recv_plan[a].append((b, rows_a, rows_b))
-                self._recv_plan[b].append((a, rows_b, rows_a))
-        for a in range(self.ranks):
-            own = (a, self._shared_rows[a], self._shared_rows[a])
-            self._merge_plan[a] = sorted(self._recv_plan[a] + [own],
-                                         key=lambda t: t[0])
-
     @property
     def n_local(self) -> int:
         return self.numbering.n_local
 
-    def _sum_per_gid(self, u: np.ndarray) -> np.ndarray:
-        if self.deterministic:
-            return np.add.reduceat(u[self._order], self._starts)
-        return np.bincount(self.numbering.local_to_global, weights=u,
-                           minlength=self.numbering.n_global)
-
     def gather_scatter(self, u: np.ndarray, count: bool = True) -> np.ndarray:
         """Return QQ^T u: coincident local values replaced by their sum.
 
-        Accepts shape (n_local,) or (ncomp, n_local).  With more than one
-        partition the sum is completed by the two-phase exchange and the
-        message counter advances by the number of adjacent partition pairs.
+        Accepts shape (n_local,) or (ncomp, n_local).  Each partition
+        condenses its locals, the partials of a shared id are added in
+        ascending partition order, and the message counter advances by the
+        number of partition pairs that share a node.
         """
         u = np.asarray(u)
         if u.ndim == 2:
@@ -208,31 +178,13 @@ class GatherScatter:
             return np.stack(rows)
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
-
-        if self.ranks == 1:
-            sums = self._sum_per_gid(u)
-            return sums[self.numbering.local_to_global]
-
-        # Phase 1: per-partition condense.
-        partials = [np.add.reduceat(u[lo:hi][order], starts)
-                    for (lo, hi, order, starts, _, _) in self._part_plan]
-
-        # Phase 2: pairwise exchange; shared totals accumulate in ascending
-        # partition order so every copy of a node computes the same float.
-        totals = [part.copy() for part in partials]
-        for a in range(self.ranks):
-            rows = self._shared_rows[a]
-            if rows.size:
-                totals[a][rows] = 0.0
-            for (src, rows_dst, rows_src) in self._merge_plan[a]:
-                totals[a][rows_dst] += partials[src][rows_src]
+        partials = np.bincount(self._slot, weights=u,
+                               minlength=self._slot_gid.size)
+        sums = np.bincount(self._slot_gid, weights=partials,
+                           minlength=self.numbering.n_global)
         if count:
             self.counters.messages += self._adjacent_pairs
-
-        out = np.empty_like(u)
-        for (lo, hi, _, _, _, inv), total in zip(self._part_plan, totals):
-            out[lo:hi] = total[inv]
-        return out
+        return sums[self.numbering.local_to_global]
 
     def apply_mask(self, u: np.ndarray) -> np.ndarray:
         """Zero Dirichlet boundary values (identity under Neumann)."""
@@ -269,7 +221,11 @@ class GatherScatter:
 def build_gather_scatter(mesh: BoxMesh, numbering: GlobalNumbering | None = None,
                          bc: str = "neumann", ranks: int = 1,
                          deterministic: bool = True) -> GatherScatter:
+    """GatherScatter for mesh; deterministic is accepted and has no effect.
+
+    Every rank count already sums in one fixed order, so repeated calls are
+    bitwise equal.
+    """
     if numbering is None:
         numbering = build_numbering(mesh)
-    return GatherScatter(mesh, numbering, bc=bc, ranks=ranks,
-                         deterministic=deterministic)
+    return GatherScatter(mesh, numbering, bc=bc, ranks=ranks)

@@ -95,7 +95,7 @@ class RunConfig:
     strategy: str = "sumfact"
     block: int = 8
     threads: int | None = None
-    deterministic: bool = True
+    deterministic: bool = True  # accepted, no effect
     trials: int = 3
     instrument: bool = False
 
@@ -214,8 +214,7 @@ def build_problem(config: RunConfig) -> Problem:
     basis = make_basis(config.p, spec.quad)
     mesh = build_box_mesh(config.k, config.p)
     geom = compute_geometric_factors(mesh, basis)
-    gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks,
-                              deterministic=config.deterministic)
+    gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks)
     op = make_operator(spec, basis, geom, config.strategy, config.block,
                        instrument=config.instrument)
     if config.mode == "bp" and not np.any(gs.mask):

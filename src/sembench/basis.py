@@ -198,56 +198,6 @@ def even_odd_split(matrix: np.ndarray, sign: int, tol: float = 1e-12) -> EvenOdd
     return EvenOddFactor((q, p1), sign, s_plus, s_minus)
 
 
-def even_odd_apply(factor: EvenOddFactor, u: np.ndarray, counters=None) -> np.ndarray:
-    """Apply the factored operator to a vector of length p1.
-
-    Decomposes u into even/odd halves, multiplies by S_plus/S_minus, and
-    recombines.  The multiply count is exactly |S_plus| + |S_minus| FMAs;
-    the decompose/recombine adds are lower order.
-
-    Args:
-        factor: the compressed operator.
-        u: input vector, length p1.
-        counters: optional object with fma/add attributes to increment.
-
-    Returns:
-        The product M @ u, length q.
-    """
-    q, p1 = factor.source_shape
-    u = np.asarray(u, dtype=float)
-    if u.shape != (p1,):
-        raise ValueError(f"expected input of length {p1}, got {u.shape}")
-    qh, ph = q // 2, p1 // 2
-
-    u_plus = np.empty(p1 - ph)
-    u_plus[:ph] = u[:ph] + u[p1 - ph:][::-1]
-    if p1 % 2:
-        u_plus[ph] = u[ph]
-    u_minus = u[:ph] - u[p1 - ph:][::-1]
-
-    if factor.sign > 0:
-        a = factor.S_plus @ u_plus                 # ceil(q/2) results
-    else:
-        a = np.empty(q - qh)
-        a[:qh] = factor.S_plus[:qh] @ u_plus
-        if q % 2:
-            # Derivative middle row pairs with the odd input half.
-            um_pad = np.zeros(p1 - ph)
-            um_pad[:ph] = u_minus
-            a[qh] = factor.S_plus[qh] @ um_pad
-    b = factor.S_minus @ u_minus
-
-    v = np.empty(q)
-    v[:qh] = a[:qh] + b
-    v[q - qh:] = (factor.sign * (a[:qh] - b))[::-1]
-    if q % 2:
-        v[qh] = a[qh]
-    if counters is not None:
-        counters.fma += factor.S_plus.size + factor.S_minus.size
-        counters.add += 2 * ph + 2 * qh
-    return v
-
-
 @dataclass(frozen=True)
 class Basis1D:
     """Nodal basis of order p with its quadrature-coupled operator matrices.

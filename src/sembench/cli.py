@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads (default: SEMBENCH_THREADS "
                              "or hardware count)")
         sp.add_argument("--deterministic", action="store_true", default=None,
-                        help="bitwise-reproducible reductions (default on; "
-                             "a config file may turn it off)")
+                        help="accepted and ignored: every run sums in one "
+                             "fixed order and is bitwise reproducible")
         sp.add_argument("--instrument", action="store_true", default=None,
                         help="accumulate flop/byte counters during timed runs")
         sp.add_argument("--trials", type=int,

@@ -15,11 +15,12 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import build_gather_scatter, build_numbering
-from .basis import even_odd_apply, even_odd_split, make_basis
+from .basis import even_odd_split, make_basis
 from .mesh import GeomFactors, build_box_mesh, compute_geometric_factors
 from .operators import (STRATEGY_RTOL, MassOperator, StiffnessOperator,
                         assemble_reference_csr)
 from .quadrature import MAX_POINTS, gauss_legendre, gauss_lobatto_legendre
+from .tensors import eo_contract_dir
 
 CHECKS = ("csr-equivalence", "strategy-equivalence", "quadrature-exactness",
           "even-odd", "qtq-multiplicity")
@@ -201,7 +202,7 @@ def check_even_odd(p_list=range(1, 11), kinds=("GL", "GLL"),
                     worst, worst_case = err, f"{name} dense p={p} {kind}"
                 for _ in range(3):
                     u = rng.standard_normal(m.shape[1])
-                    err = _rel_err(even_odd_apply(factor, u), m @ u)
+                    err = _rel_err(eo_contract_dir(factor, u, 0), m @ u)
                     if err > worst:
                         worst, worst_case = err, f"{name} apply p={p} {kind}"
     passed = worst <= tol
@@ -210,42 +211,51 @@ def check_even_odd(p_list=range(1, 11), kinds=("GL", "GLL"),
 
 
 def check_qtq_multiplicity(cases=((0, 1), (1, 2), (3, 3), (6, 3)),
-                           tol: float = 1e-13) -> CheckResult:
+                           ranks=(1, 4, 8), tol: float = 1e-13) -> CheckResult:
     """Q^T Q = diag(multiplicity), gather_scatter = QQ^T, weighted dots.
 
     The explicit sparse Q built here is the oracle; E up to 64, p up to 3.
+    Every case runs at each rank count in `ranks` (capped at E); at k = 6
+    and 8 ranks, partitions that are not neighbours in rank order share
+    nodes.  Every local copy of a node must hold the bitwise-same sum.
     """
     worst = 0.0
     worst_case = ""
+    split_case = ""
     rng = np.random.default_rng(99)
     for (k, p) in cases:
         mesh = build_box_mesh(k, p)
         numbering = build_numbering(mesh)
+        l2g = numbering.local_to_global
         q_mat = build_q_matrix(numbering)
         qtq = (q_mat.T @ q_mat).toarray()
         mult_err = float(np.max(np.abs(qtq - np.diag(numbering.multiplicity))))
         if mult_err > worst:
             worst, worst_case = mult_err, f"QtQ k={k} p={p}"
-        gs = build_gather_scatter(mesh, numbering)
-        for ranks in (1, min(4, mesh.E)):
-            gsr = (gs if ranks == 1 else
-                   build_gather_scatter(mesh, numbering, ranks=ranks))
+        for n_ranks in sorted({min(r, mesh.E) for r in ranks}):
+            gs = build_gather_scatter(mesh, numbering, ranks=n_ranks)
             u = rng.standard_normal(numbering.n_local)
-            got = gsr.gather_scatter(u, count=False)
-            ref = q_mat @ (q_mat.T @ u)
-            err = _rel_err(got, ref)
+            got = gs.gather_scatter(u, count=False)
+            err = _rel_err(got, q_mat @ (q_mat.T @ u))
             if err > worst:
-                worst, worst_case = err, f"QQt k={k} p={p} ranks={ranks}"
+                worst, worst_case = err, f"QQt k={k} p={p} ranks={n_ranks}"
+            one_copy = np.empty(numbering.n_global)
+            one_copy[l2g] = got
+            if not split_case and not np.array_equal(got, one_copy[l2g]):
+                split_case = f"k={k} p={p} ranks={n_ranks}"
             ug = rng.standard_normal(numbering.n_global)
             vg = rng.standard_normal(numbering.n_global)
-            got = gsr.local_dot(q_mat @ ug, q_mat @ vg, count=False)
+            got = gs.local_dot(q_mat @ ug, q_mat @ vg, count=False)
             ref = float(ug @ vg)
             err = abs(got - ref) / max(abs(ref), 1.0)
             if err > worst:
-                worst, worst_case = err, f"dot k={k} p={p} ranks={ranks}"
-    passed = worst <= tol
+                worst, worst_case = err, f"dot k={k} p={p} ranks={n_ranks}"
+    passed = worst <= tol and not split_case
+    copies = (f"differ for {split_case}" if split_case
+              else "bitwise equal")
     return CheckResult("qtq-multiplicity", passed,
-                       f"max err {worst:.3e} ({worst_case}), tol {tol:g}")
+                       f"max err {worst:.3e} ({worst_case}), tol {tol:g}; "
+                       f"copies of each node {copies}")
 
 
 _LIGHT_ARGS = {

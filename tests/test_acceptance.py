@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from sembench.bakeoff import RunConfig, build_problem, sweep
-from sembench.basis import even_odd_apply, make_basis
+from sembench.basis import make_basis
 from sembench.krylov import SystemApplier, pcg
 from sembench.metrics import extract_metrics, latency_floor
 from sembench.operators import MassOperator, StiffnessOperator, flop_model
-from sembench.tensors import OpCounters
+from sembench.tensors import OpCounters, eo_contract_dir
 from sembench.verify import (check_csr_equivalence, check_even_odd,
                              check_qtq_multiplicity,
                              check_quadrature_exactness,
@@ -102,7 +102,7 @@ def test_criterion_04_even_odd():
         assert q % 2 == 0
         for factor in (basis.J_even_odd, basis.D_even_odd):
             ct = OpCounters()
-            even_odd_apply(factor, np.zeros(p1), ct)
+            eo_contract_dir(factor, np.zeros(p1), 0, ct)
             fma_ok &= ct.fma == (p + 1) * q // 2
             add_ok &= ct.add == 2 * (p1 // 2) + 2 * (q // 2)
     ok = result.passed and fma_ok and add_ok
@@ -219,7 +219,7 @@ def test_criterion_11_vector_components():
         w3 = op.apply_local(u3)
         for c in range(3):
             bitwise_ok &= bool(np.array_equal(w3[c], op.apply_local(u3[c])))
-        # Assembled pipeline, deterministic mode: still bitwise.
+        # Assembled pipeline: still bitwise.
         g3 = gs.apply_mask(gs.gather_scatter(w3, count=False))
         for c in range(3):
             ref = gs.apply_mask(

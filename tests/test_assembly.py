@@ -2,18 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sembench.assembly import (GatherScatter, build_gather_scatter,
                                build_numbering)
 from sembench.mesh import build_box_mesh
-
-
-def q_matrix(numbering):
-    n_local = numbering.n_local
-    return sp.csr_matrix(
-        (np.ones(n_local), (np.arange(n_local), numbering.local_to_global)),
-        shape=(n_local, numbering.n_global))
+from sembench.verify import build_q_matrix
 
 
 class TestNumbering:
@@ -34,7 +29,7 @@ class TestNumbering:
     def test_qtq_is_multiplicity_diagonal(self):
         mesh = build_box_mesh(2, 2)
         num = build_numbering(mesh)
-        q = q_matrix(num)
+        q = build_q_matrix(num)
         qtq = (q.T @ q).toarray()
         assert np.array_equal(qtq, np.diag(num.multiplicity))
 
@@ -57,7 +52,7 @@ class TestGatherScatter:
         mesh = build_box_mesh(3, 3)
         num = build_numbering(mesh)
         gs = build_gather_scatter(mesh, num)
-        q = q_matrix(num)
+        q = build_q_matrix(num)
         u = rng.standard_normal(num.n_local)
         got = gs.gather_scatter(u)
         ref = q @ (q.T @ u)
@@ -124,14 +119,63 @@ class TestPartitioned:
         b = par_gs.gather_scatter(u)
         assert np.max(np.abs(a - b)) <= 1e-13 * (np.max(np.abs(a)) + 1.0)
 
-    def test_fast_mode_close_to_deterministic(self, rng):
+    def test_single_partition_sums_left_to_right(self, rng):
         mesh = build_box_mesh(3, 3)
-        det = build_gather_scatter(mesh, deterministic=True)
-        fast = build_gather_scatter(mesh, deterministic=False)
-        u = rng.standard_normal(det.n_local)
-        a = det.gather_scatter(u)
-        b = fast.gather_scatter(u)
-        assert np.allclose(a, b, atol=1e-12, rtol=1e-12)
+        gs = build_gather_scatter(mesh)
+        l2g = gs.numbering.local_to_global
+        u = rng.standard_normal(gs.n_local)
+        ref = np.bincount(l2g, weights=u, minlength=gs.numbering.n_global)
+        assert np.array_equal(gs.gather_scatter(u), ref[l2g])
+
+    @pytest.mark.parametrize("ranks", [2, 3, 8])
+    def test_partials_merge_in_ascending_partition_order(self, ranks, rng):
+        mesh = build_box_mesh(3, 3)
+        gs = build_gather_scatter(mesh, ranks=ranks)
+        l2g, n_global = gs.numbering.local_to_global, gs.numbering.n_global
+        u = rng.standard_normal(gs.n_local)
+        total = np.zeros(n_global)
+        for (e0, e1) in gs.partitions:
+            lo, hi = e0 * gs.node_slab, e1 * gs.node_slab
+            total = total + np.bincount(l2g[lo:hi], weights=u[lo:hi],
+                                        minlength=n_global)
+        assert np.array_equal(gs.gather_scatter(u), total[l2g])
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_deterministic_flag_changes_nothing(self, ranks, rng):
+        mesh = build_box_mesh(3, 3)
+        u = rng.standard_normal(mesh.E * mesh.p1 ** 3)
+        a = build_gather_scatter(mesh, ranks=ranks).gather_scatter(u)
+        b = build_gather_scatter(mesh, ranks=ranks,
+                                 deterministic=False).gather_scatter(u)
+        assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property_against_q_matrix(self, data):
+        k = data.draw(st.integers(0, 5), label="k")
+        p = data.draw(st.integers(1, 4), label="p")
+        mesh = build_box_mesh(k, p)
+        ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        num = build_numbering(mesh)
+        gs = build_gather_scatter(mesh, num, ranks=ranks)
+        l2g = num.local_to_global
+        u = np.random.default_rng(seed).standard_normal(num.n_local)
+        got = gs.gather_scatter(u)
+
+        q = build_q_matrix(num)
+        ref = q @ (q.T @ u)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        one_copy = np.empty(num.n_global)
+        one_copy[l2g] = got
+        assert np.array_equal(got, one_copy[l2g])
+
+        slab = gs.node_slab
+        held = [set(l2g[e0 * slab:e1 * slab].tolist())
+                for (e0, e1) in gs.partitions]
+        pairs = sum(1 for a in range(ranks) for b in range(a + 1, ranks)
+                    if held[a] & held[b])
+        assert gs.counters.messages == pairs
 
     def test_message_counting(self, rng):
         # k=3 split into 2 partitions: one adjacent pair, one message

@@ -5,11 +5,10 @@ import pytest
 
 import sembench as sb
 from sembench.basis import (Basis1D, BasisError, EvenOddFactor,
-                            even_odd_apply, even_odd_split,
-                            lagrange_deriv_matrix, lagrange_interp_matrix,
-                            make_basis)
+                            even_odd_split, lagrange_deriv_matrix,
+                            lagrange_interp_matrix, make_basis)
 from sembench.quadrature import gauss_legendre, gauss_lobatto_legendre
-from sembench.tensors import OpCounters
+from sembench.tensors import OpCounters, eo_contract_dir
 
 
 def random_poly(rng, degree):
@@ -89,7 +88,7 @@ class TestEvenOdd:
             for _ in range(5):
                 u = rng.standard_normal(p + 1)
                 ref = matrix @ u
-                got = even_odd_apply(factor, u)
+                got = eo_contract_dir(factor, u, 0)
                 assert np.linalg.norm(got - ref) <= 1e-12 * (
                     np.linalg.norm(ref) + 1.0)
 
@@ -112,7 +111,7 @@ class TestEvenOdd:
         for factor in (basis.J_even_odd, basis.D_even_odd):
             assert factor.fma_count == expect
             ct = OpCounters()
-            even_odd_apply(factor, np.zeros(p1), ct)
+            eo_contract_dir(factor, np.zeros(p1), 0, ct)
             assert ct.fma == expect
         if q % 2 == 0:
             # The headline halving: (p+1) q / 2 FMAs for even q.
@@ -138,7 +137,7 @@ class TestEvenOdd:
     def test_apply_rejects_wrong_length(self):
         factor = make_basis(3, "GL").J_even_odd
         with pytest.raises(ValueError):
-            even_odd_apply(factor, np.zeros(7))
+            eo_contract_dir(factor, np.zeros(7), 0)
 
 
 class TestBasis1D:
