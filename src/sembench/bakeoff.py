@@ -31,8 +31,8 @@ import numpy as np
 from .assembly import GatherScatter, build_gather_scatter
 from .basis import Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
-from .mesh import (MAX_K, BoxMesh, GeomFactors, build_box_mesh,
-                   compute_geometric_factors)
+from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
+                   build_box_mesh, compute_geometric_factors)
 from .operators import STRATEGIES, MassOperator, StiffnessOperator
 
 THREADS_ENV = "SEMBENCH_THREADS"
@@ -208,8 +208,48 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
     return b
 
 
+def estimate_bytes(config: RunConfig) -> int:
+    """Resident bytes of a built problem and its solve, from the config alone.
+
+    Setup runs in element batches, so its temporaries are small; what stays
+    is the stored geometric factors, the mesh, the plan and the vectors.
+    """
+    # Words per local node (E p1^3 of them) besides the factors: the mesh
+    # coordinates (3), the gather-scatter plan (ids, slots, weights, mask
+    # and the global-length arrays, about 6), and per component the PCG
+    # vectors with one step's temporaries (about 8).
+    p1 = config.p + 1
+    node_words = 3 + 6 + 8 * config.spec.components
+    per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
+    return 8 * config.E * per_element
+
+
+def mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return 1024 * int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def build_problem(config: RunConfig) -> Problem:
-    """Construct mesh, operators, RHS, and preconditioner (all untimed)."""
+    """Construct mesh, operators, RHS, and preconditioner (all untimed).
+
+    Raises:
+        ConfigError: before anything is allocated, when estimate_bytes
+            exceeds the memory available; or when a BP problem has no
+            free degree of freedom.
+    """
+    need, available = estimate_bytes(config), mem_available_bytes()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"bp{config.bp} p={config.p} k={config.k} needs about "
+            f"{need / 2 ** 30:.2f} GiB, more than the "
+            f"{available / 2 ** 30:.2f} GiB available")
     spec = config.spec
     basis = make_basis(config.p, spec.quad)
     mesh = build_box_mesh(config.k, config.p)

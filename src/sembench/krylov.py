@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter
-from .tensors import contract_dir
+from .tensors import batch_size, contract_dir
 
 
 class DivergenceError(RuntimeError):
@@ -32,38 +32,51 @@ def compute_diagonal(op) -> np.ndarray:
     contractions of the metric entries with products of squared (or
     cross-multiplied) rows of J_hat/D_hat; for the mass operator it is the
     J3-squared contraction of the diagonal weights, which collapses to the
-    stored mass_diag itself in the collocated case.
+    stored mass_diag itself in the collocated case.  Both are computed
+    batch_size(q) elements at a time, like the operator applies.
     """
     basis = op.basis
     J, D = basis.J_hat, basis.D_hat
-    if op.system == "mass":
-        if op.collocated:
-            return op.beta * op.geom.mass_diag.reshape(-1).copy()
-        pj = (J * J).T
-        d = op.beta * op.geom.mass_diag
-        d = contract_dir(pj, d, 0)
-        d = contract_dir(pj, d, 1)
-        d = contract_dir(pj, d, 2)
-        return d.reshape(-1)
+    if op.system == "mass" and op.collocated:
+        return (op.beta * op.geom.mass_diag).reshape(-1)
 
+    p1 = basis.p1
+    E = op.geom.E
+    out = np.empty((E, p1, p1, p1))
     pj = np.ascontiguousarray((J * J).T)
-    pd = np.ascontiguousarray((D * D).T)
-    px = np.ascontiguousarray((J * D).T)
-    g = op.geom.G
+    if op.system == "mass":
+        def block(b0, b1):
+            d = op.beta * op.geom.mass_diag[b0:b1]
+            d = contract_dir(pj, d, 0)
+            d = contract_dir(pj, d, 1)
+            return contract_dir(pj, d, 2)
+    else:
+        pd = np.ascontiguousarray((D * D).T)
+        px = np.ascontiguousarray((J * D).T)
 
-    def term(mx, my, mz, slot, factor):
-        t = contract_dir(mx, g[:, slot], 0)
-        t = contract_dir(my, t, 1)
-        t = contract_dir(mz, t, 2)
-        return factor * t
+        def block(b0, b1):
+            g = op.geom.G[b0:b1]
 
-    d = term(pd, pj, pj, 0, 1.0)      # G11 pairs with D in x
-    d += term(pj, pd, pj, 3, 1.0)     # G22
-    d += term(pj, pj, pd, 5, 1.0)     # G33
-    d += term(px, px, pj, 1, 2.0)     # G12 cross term
-    d += term(px, pj, px, 2, 2.0)     # G13
-    d += term(pj, px, px, 4, 2.0)     # G23
-    return d.reshape(-1)
+            def term(mx, my, mz, slot, factor):
+                t = contract_dir(mx, np.ascontiguousarray(g[:, slot]), 0)
+                t = contract_dir(my, t, 1)
+                t = contract_dir(mz, t, 2)
+                t *= factor
+                return t
+
+            d = term(pd, pj, pj, 0, 1.0)      # G11 pairs with D in x
+            d += term(pj, pd, pj, 3, 1.0)     # G22
+            d += term(pj, pj, pd, 5, 1.0)     # G33
+            d += term(px, px, pj, 1, 2.0)     # G12 cross term
+            d += term(px, pj, px, 2, 2.0)     # G13
+            d += term(pj, px, px, 4, 2.0)     # G23
+            return d
+
+    step = batch_size(basis.q)
+    for b0 in range(0, E, step):
+        b1 = min(b0 + step, E)
+        out[b0:b1] = block(b0, b1)
+    return out.reshape(-1)
 
 
 def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:

@@ -10,7 +10,9 @@ Geometric factors are stored per element, per quadrature point: the six
 distinct entries of the symmetric metric tensor G, the diagonal mass weight
 rho_i rho_j rho_k J, and the Jacobian determinant J.  That is 8 q^3 reals per
 element; the global tensor-product layout of the element array is never
-exploited downstream.
+exploited downstream.  They are computed batch_size(q) elements at a time,
+like the operator applies, so setup holds the stored factors plus one batch
+of temporaries.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import numpy as np
 
 from .basis import Basis1D
 from .quadrature import gauss_lobatto_legendre
-from .tensors import contract_dir
+from .tensors import batch_size, contract_dir
 
 MAX_K = 21
 MAX_P = 15
+
+# Stored reals per quadrature point: six G entries, mass weight, Jacobian.
+FACTORS_PER_POINT = 8
 
 # G entry order: (11, 12, 13, 22, 23, 33).
 G_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
@@ -194,7 +199,7 @@ class GeomFactors:
 
     @property
     def words_per_element(self) -> int:
-        return 8 * self.q ** 3
+        return FACTORS_PER_POINT * self.q ** 3
 
 
 def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
@@ -204,59 +209,74 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
     coordinates, inverted in closed form (3x3 adjugate), and combined with
     the determinant and quadrature weights into
     G_mm' = sum_l (dr_m/dx_l)(dr_m'/dx_l) * J * rho_i rho_j rho_k.
+    Elements are processed batch_size(q) at a time, one contraction chain
+    per reference direction and coordinate of the batch.
 
     Raises:
         MeshError: if any quadrature point has a non-positive or nearly
-            singular Jacobian determinant (inverted element).
+            singular Jacobian determinant (inverted element); the message
+            names the global element index.
     """
     if basis.p != mesh.p:
         raise MeshError("basis order must match mesh geometry order")
-    q = basis.q
+    q, E = basis.q, mesh.E
     w = basis.quad.weights
     w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
-
-    # dxdr[l][m] = d x_l / d r_m at every quadrature point, shape (E,q,q,q).
-    dxdr = [[None] * 3 for _ in range(3)]
-    for m in range(3):
-        ops = [basis.J_hat] * 3
-        ops[m] = basis.D_hat
-        for l in range(3):
-            t = contract_dir(ops[0], mesh.elem_coords[:, l], 0)
-            t = contract_dir(ops[1], t, 1)
-            t = contract_dir(ops[2], t, 2)
-            dxdr[l][m] = t
-
-    (xr, xs, xt), (yr, ys, yt), (zr, zs, zt) = dxdr
-    det = (xr * (ys * zt - yt * zs)
-           - xs * (yr * zt - yt * zr)
-           + xt * (yr * zs - ys * zr))
-
     hx, hy, hz = mesh.element_widths
-    scale3 = abs(hx * hy * hz)
-    bad = det <= 1e-14 * scale3
-    if np.any(bad):
-        e, iz, iy, ix = (int(i[0]) for i in np.nonzero(bad))
-        raise MeshError(
-            f"inverted element {e} at quadrature point ({iz},{iy},{ix}): "
-            f"jacobian determinant {det[bad][0]:.3e}")
+    floor = 1e-14 * abs(hx * hy * hz)
 
-    # Closed-form adjugate rows: drdx[m][l] = d r_m / d x_l.
-    inv_det = 1.0 / det
-    drdx = [
-        [(ys * zt - yt * zs) * inv_det, (xt * zs - xs * zt) * inv_det,
-         (xs * yt - xt * ys) * inv_det],
-        [(yt * zr - yr * zt) * inv_det, (xr * zt - xt * zr) * inv_det,
-         (xt * yr - xr * yt) * inv_det],
-        [(yr * zs - ys * zr) * inv_det, (xs * zr - xr * zs) * inv_det,
-         (xr * ys - xs * yr) * inv_det],
-    ]
-
-    wj = w3[None, :, :, :] * det
-    E = mesh.E
     G = np.empty((E, 6, q, q, q))
-    for (m, mp), slot in G_INDEX.items():
-        acc = drdx[m][0] * drdx[mp][0]
-        acc += drdx[m][1] * drdx[mp][1]
-        acc += drdx[m][2] * drdx[mp][2]
-        G[:, slot] = acc * wj
-    return GeomFactors(q, G, wj.copy(), det)
+    mass_diag = np.empty((E, q, q, q))
+    jac_det = np.empty((E, q, q, q))
+    step = batch_size(q)
+    for b0 in range(0, E, step):
+        b1 = min(b0 + step, E)
+        # Coordinate-major, so each coordinate is a contiguous batch field.
+        # One chain per coordinate keeps every GEMM the size of an apply's:
+        # a chain over all three crosses OpenBLAS's threading threshold,
+        # and its threads ran setup 2x slower on a busy host.
+        coords = np.ascontiguousarray(
+            mesh.elem_coords[b0:b1].swapaxes(0, 1))   # (3, B, p1, p1, p1)
+        # dxdr[m][l] = d x_l / d r_m at every quadrature point.
+        dxdr = [[None] * 3 for _ in range(3)]
+        for m in range(3):
+            ops = [basis.J_hat] * 3
+            ops[m] = basis.D_hat
+            for l in range(3):
+                t = contract_dir(ops[0], coords[l], 0)
+                t = contract_dir(ops[1], t, 1)
+                dxdr[m][l] = contract_dir(ops[2], t, 2)
+        (xr, yr, zr), (xs, ys, zs), (xt, yt, zt) = dxdr
+        det = (xr * (ys * zt - yt * zs)
+               - xs * (yr * zt - yt * zr)
+               + xt * (yr * zs - ys * zr))
+
+        bad = det <= floor
+        if np.any(bad):
+            e, iz, iy, ix = (int(i[0]) for i in np.nonzero(bad))
+            raise MeshError(
+                f"inverted element {b0 + e} at quadrature point "
+                f"({iz},{iy},{ix}): jacobian determinant {det[bad][0]:.3e}")
+
+        # Closed-form adjugate rows: drdx[m][l] = d r_m / d x_l.
+        inv_det = 1.0 / det
+        drdx = [
+            [(ys * zt - yt * zs) * inv_det, (xt * zs - xs * zt) * inv_det,
+             (xs * yt - xt * ys) * inv_det],
+            [(yt * zr - yr * zt) * inv_det, (xr * zt - xt * zr) * inv_det,
+             (xt * yr - xr * yt) * inv_det],
+            [(yr * zs - ys * zr) * inv_det, (xs * zr - xr * zs) * inv_det,
+             (xr * ys - xs * yr) * inv_det],
+        ]
+
+        # The Jacobian entries are not needed past here; dropping them
+        # before the G products lowers the batch's peak memory.
+        del dxdr, xr, yr, zr, xs, ys, zs, xt, yt, zt, inv_det
+        wj = np.multiply(w3, det, out=mass_diag[b0:b1])
+        jac_det[b0:b1] = det
+        for (m, mp), slot in G_INDEX.items():
+            acc = drdx[m][0] * drdx[mp][0]
+            acc += drdx[m][1] * drdx[mp][1]
+            acc += drdx[m][2] * drdx[mp][2]
+            np.multiply(acc, wj, out=G[b0:b1, slot])
+    return GeomFactors(q, G, mass_diag, jac_det)

@@ -15,9 +15,17 @@ Four interchangeable contraction strategies are provided:
                factored form (about half the multiplies).
 * blocked:     sumfact with a fixed batch of 4 or 8 elements.
 
+With collocated GLL quadrature (q = p + 1) J_hat is the identity, and every
+strategy runs the same six-contraction dataflow instead: ur, us, ut are the
+three D contractions of u, and w = D_x^T wr + D_y^T ws + D_z^T wt.  evenodd
+keeps its factored D and blocked its batch.  The dense output equals the
+interpfirst dataflow's bitwise, since that adds the transposed terms in the
+same order and its identity contractions are exact.
+
 Every strategy applies a batch of elements per contraction; all but blocked
 take batch_size(q) elements, a working set of about WORKING_SET_WORDS words
-per field.  The output is bitwise-identical to per-element application.
+per field.  The output is bitwise-identical to per-element application,
+which the verify suite checks.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -29,21 +37,15 @@ import numpy as np
 
 from .basis import Basis1D, even_odd_split
 from .mesh import GeomFactors
-from .tensors import OpCounters, contract_dir, eo_contract_dir
+# WORKING_SET_WORDS and batch_size are re-exported: the batch rule lives in
+# tensors, where setup shares it.
+from .tensors import (WORKING_SET_WORDS, OpCounters,  # noqa: F401
+                      batch_size, contract_dir, eo_contract_dir)
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
 
 # Matvec-equivalence budget between any two strategies.
 STRATEGY_RTOL = 1e-12
-
-# Words of one field batch (elements x q^3 quadrature points) that the
-# default batch targets; a 2^10..2^19 scan found a broad optimum 2^13..2^16.
-WORKING_SET_WORDS = 2 ** 15
-
-
-def batch_size(q: int) -> int:
-    """Default elements per batch: max(1, WORKING_SET_WORDS // q^3)."""
-    return max(1, WORKING_SET_WORDS // q ** 3)
 
 
 def _check_strategy(strategy: str) -> None:
@@ -75,12 +77,6 @@ def flop_model(strategy: str, p: int, q: int) -> float:
     if strategy == "interpfirst":
         return 4.0 * p1 ** 4 * (3 * g ** 4 + g ** 3 + g ** 2 + g) + pointwise
     # evenodd: count the ten sumfact-stage contractions with halved FMAs.
-    def eo_fma(m, n, rest):
-        return ((-(-m // 2)) * (-(-n // 2)) + (m // 2) * (n // 2)) * rest
-
-    def eo_add(m, n, rest):
-        return (2 * (n // 2) + 2 * (m // 2)) * rest
-
     fma = add = 0
     # Forward: Dx,Jy,Jz chain; Jx; Jy; Dy,Jz; Dz (see _grad_sumfact).
     stages = [(q, p1, p1 * p1), (q, p1, p1 * q), (q, p1, q * q),
@@ -93,10 +89,36 @@ def flop_model(strategy: str, p: int, q: int) -> float:
                (p1, q, q * q), (p1, q, p1 * q),
                (p1, q, p1 * p1)]
     for (m, n, rest) in stages:
-        fma += eo_fma(m, n, rest)
-        add += eo_add(m, n, rest)
+        fma += _eo_fma(m, n, rest)
+        add += _eo_add(m, n, rest)
     add += q * p1 * p1 + p1 ** 3  # transpose-phase accumulations
     return 2.0 * fma + add + pointwise
+
+
+def _eo_fma(m, n, rest):
+    """FMAs of one even-odd contraction of an m x n matrix over rest points."""
+    return ((-(-m // 2)) * (-(-n // 2)) + (m // 2) * (n // 2)) * rest
+
+
+def _eo_add(m, n, rest):
+    """Decompose/recombine adds of the same contraction."""
+    return (2 * (n // 2) + 2 * (m // 2)) * rest
+
+
+def collocated_flop_model(strategy: str, p: int) -> float:
+    """Per-element flops of one scalar stiffness apply at GLL collocation.
+
+    Six D contractions (p1^4 FMAs each, even-odd counted for evenodd), the
+    pointwise metric (15 p1^3) and the two transposed-gradient sums
+    (2 p1^3): 12 p1^4 + 17 p1^3 for the dense strategies.
+    """
+    _check_strategy(strategy)
+    p1 = p + 1
+    sums = 17.0 * p1 ** 3
+    if strategy != "evenodd":
+        return 12.0 * p1 ** 4 + sums
+    stage = (p1, p1, p1 * p1)
+    return 6 * (2.0 * _eo_fma(*stage) + _eo_add(*stage)) + sums
 
 
 def mass_flop_model(p: int, q: int, collocated: bool) -> float:
@@ -217,7 +239,26 @@ class StiffnessOperator(_LocalOperator):
 
     system = "stiffness"
 
+    def __init__(self, basis: Basis1D, geom: GeomFactors,
+                 strategy: str = "sumfact", block: int = 8,
+                 instrument: bool = False):
+        super().__init__(basis, geom, strategy, block, instrument)
+        # Plain functions, not bound methods: a bound method kept on the
+        # instance is a reference cycle, which would keep the operator and
+        # its geometric factors alive until the cyclic collector runs.
+        cls = StiffnessOperator
+        if basis.collocated:
+            self._grad, self._grad_t = cls._grad_colloc, cls._grad_t_colloc
+        elif strategy == "interpfirst":
+            self._grad = cls._grad_interpfirst
+            self._grad_t = cls._grad_t_interpfirst
+        else:
+            self._grad, self._grad_t = cls._grad_sumfact, cls._grad_t_sumfact
+
     def model_flops(self, components: int = 1) -> float:
+        if self.basis.collocated:
+            return components * collocated_flop_model(self.strategy,
+                                                      self.basis.p)
         return components * flop_model(self.strategy, self.basis.p, self.basis.q)
 
     def model_bytes(self, components: int = 1):
@@ -272,23 +313,40 @@ class StiffnessOperator(_LocalOperator):
         w = contract_dir(JT, w, 1, ct)
         return contract_dir(JT, w, 0, ct)
 
+    def _grad_colloc(self, U, ct):
+        c, D = self._contract, self._d
+        return c(D, U, 0, ct), c(D, U, 1, ct), c(D, U, 2, ct)
+
+    def _grad_t_colloc(self, wr, ws, wt, ct):
+        c, DT = self._contract, self._dt
+        w = c(DT, wr, 0, ct)
+        w += c(DT, ws, 1, ct)
+        w += c(DT, wt, 2, ct)
+        if ct is not None:
+            ct.add += 2 * w.size
+        return w
+
     def _apply_g(self, ur, us, ut, g, ct):
+        # Each row is ga*ur + gb*us + gc*ut, added left to right; the second
+        # and third products go through one scratch buffer per batch.
+        tmp = np.empty_like(ur)
+
+        def row(ga, gb, gc):
+            w = ga * ur
+            w += np.multiply(gb, us, out=tmp)
+            w += np.multiply(gc, ut, out=tmp)
+            return w
+
         g11, g12, g13, g22, g23, g33 = (g[:, i] for i in range(6))
-        wr = g11 * ur + g12 * us + g13 * ut
-        ws = g12 * ur + g22 * us + g23 * ut
-        wt = g13 * ur + g23 * us + g33 * ut
+        wr, ws, wt = row(g11, g12, g13), row(g12, g22, g23), row(g13, g23, g33)
         if ct is not None:
             ct.mul += 9 * ur.size
             ct.add += 6 * ur.size
         return wr, ws, wt
 
     def _apply_block(self, U, g, ct):
-        if self.strategy == "interpfirst":
-            grad, grad_t = self._grad_interpfirst, self._grad_t_interpfirst
-        else:
-            grad, grad_t = self._grad_sumfact, self._grad_t_sumfact
-        wr, ws, wt = self._apply_g(*grad(U, ct), g, ct)
-        return grad_t(wr, ws, wt, ct)
+        wr, ws, wt = self._apply_g(*self._grad(self, U, ct), g, ct)
+        return self._grad_t(self, wr, ws, wt, ct)
 
     def _element_data(self, b0, b1, ct):
         if ct is not None:

@@ -6,11 +6,20 @@ applies a small dense (or even-odd factored) matrix along one of those axes
 for every element in the leading batch dimensions.
 
 Each dense contraction is one numpy matmul with the batch axes leading and
-no transposed copies: direction 0 is u @ a.T, direction 1 is a @ u, and
-direction 2 is a @ u with the y and x axes merged.  numpy runs the same GEMM
-slices for an element whether the batch holds one element or many, which
-makes batched application bitwise-reproducible against per-element
-application.
+no transposed copies: direction 0 is one tall (rows, n1) @ (n1, m) GEMM over
+every x-line of the batch, direction 1 is a @ u, and direction 2 is a @ u
+with the y and x axes merged.  Callers pass C-contiguous fields, so the
+direction-0 reshape is a view.
+
+Batched application is bitwise-reproducible against per-element application
+only as far as the GEMM computes each output entry the same way whatever its
+row count: every entry is one length-n1 dot product, but the direction-0 row
+count grows with the batch, and BLAS promises nothing about that.  The
+verify suite's batched-versus-per-element `array_equal` check is the guard.
+
+Every batched loop (the operators, the geometric factors and the operator
+diagonal) takes batch_size(q) elements at a time, so one field of a batch
+holds about WORKING_SET_WORDS words and setup temporaries stay that small.
 """
 
 from __future__ import annotations
@@ -18,6 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Words of one field batch (elements x q^3 quadrature points) that the
+# default batch targets; a 2^10..2^19 scan found a broad optimum 2^13..2^16.
+WORKING_SET_WORDS = 2 ** 15
+
+
+def batch_size(q: int) -> int:
+    """Default elements per batch: max(1, WORKING_SET_WORDS // q^3)."""
+    return max(1, WORKING_SET_WORDS // q ** 3)
 
 
 @dataclass
@@ -56,23 +74,25 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
     Args:
         a: (m, n) operator matrix.
         u: (..., n3, n2, n1) field; the axis for `direction` must have
-            length n.  direction 0 is x (last axis), 1 is y, 2 is z.
+            length n.  direction 0 is x (last axis), 1 is y, 2 is z.  A
+            field that is not C-contiguous is copied by the reshapes.
         counters: optional OpCounters; m*n FMAs are counted per point of
             the remaining axes.
 
     Returns:
         Field with the contracted axis resized from n to m.
     """
+    m = a.shape[0]
     if direction == 0:
-        v = u @ a.T
+        v = (u.reshape(-1, u.shape[-1]) @ a.T).reshape(u.shape[:-1] + (m,))
     elif direction == 1:
         v = a @ u
     else:
         lead, (n3, n2, n1) = u.shape[:-3], u.shape[-3:]
         v = (a @ u.reshape(lead + (n3, n2 * n1))).reshape(
-            lead + (a.shape[0], n2, n1))
+            lead + (m, n2, n1))
     if counters is not None:
-        m, n = a.shape
+        n = a.shape[1]
         counters.fma += m * n * (u.size // n)
     return v
 

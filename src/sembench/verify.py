@@ -109,14 +109,29 @@ def per_element_apply(op, u: np.ndarray) -> np.ndarray:
     return out
 
 
+class SumfactDataflow(StiffnessOperator):
+    """The generic sumfact dataflow, J contractions included, at any q.
+
+    At GLL collocation every strategy runs the six-contraction collocated
+    dataflow, so this is the independent reference they are held to there.
+    """
+
+    def __init__(self, basis, geom):
+        super().__init__(basis, geom, strategy="sumfact")
+        self._grad = StiffnessOperator._grad_sumfact
+        self._grad_t = StiffnessOperator._grad_t_sumfact
+
+
 def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
                                k: int = 3, n_inputs: int = 20,
                                rtol: float = STRATEGY_RTOL) -> CheckResult:
     """All evaluation strategies agree on random inputs.
 
     The sum-factorized kernel is the reference; interp-first, even-odd, and
-    both blocked batch sizes must match it to rtol on every input.  Each
-    strategy's batched apply must also bitwise-equal its per-element apply.
+    both blocked batch sizes must match it to rtol on every input.  At GLL
+    collocation all five operators must also match the generic sumfact
+    dataflow (SumfactDataflow) to rtol.  Each strategy's batched apply must
+    also bitwise-equal its per-element apply.
     """
     worst = 0.0
     worst_case = ""
@@ -137,12 +152,18 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
             n = ref_op.n_local
             inputs = rng.standard_normal((n_inputs, n))
             refs = [ref_op.apply_local(u) for u in inputs]
-            for op in others:
-                for u, ref in zip(inputs, refs):
+            cases = [(op, refs, "") for op in others]
+            if basis.collocated:
+                generic = SumfactDataflow(basis, geom)
+                grefs = [generic.apply_local(u) for u in inputs]
+                cases += [(op, grefs, " vs generic sumfact")
+                          for op in [ref_op] + others]
+            for op, want, against in cases:
+                for u, ref in zip(inputs, want):
                     err = _rel_err(op.apply_local(u), ref)
                     if err > worst:
                         worst = err
-                        worst_case = f"{op.strategy} p={p} {kind}"
+                        worst_case = f"{op.strategy} p={p} {kind}{against}"
             for op in [ref_op] + others:
                 if not np.array_equal(op.apply_local(inputs),
                                       per_element_apply(op, inputs)):

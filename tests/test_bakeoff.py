@@ -114,6 +114,41 @@ class TestProblem:
         assert build_problem(RunConfig(bp=3, p=2, k=1)).minv is not None
 
 
+class TestMemoryCheck:
+    def test_estimate_covers_what_setup_keeps(self):
+        for cfg in (RunConfig(bp=3, p=3, k=3), RunConfig(bp=4, p=2, k=2),
+                    RunConfig(bp=1, p=4, k=3)):
+            pr = build_problem(cfg)
+            kept = (pr.geom.G.nbytes + pr.geom.mass_diag.nbytes
+                    + pr.geom.jac_det.nbytes + pr.mesh.elem_coords.nbytes
+                    + pr.b.nbytes)
+            assert kept < bakeoff.estimate_bytes(cfg)
+
+    def test_too_large_fails_before_any_allocation(self, monkeypatch):
+        cfg = RunConfig(bp=3, p=2, k=1)
+        need = bakeoff.estimate_bytes(cfg)
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("setup started")
+
+        monkeypatch.setattr(bakeoff, "mem_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(bakeoff, "build_box_mesh", no_mesh)
+        with pytest.raises(ConfigError, match="GiB available"):
+            build_problem(cfg)
+
+    def test_fits_or_unknown_builds(self, monkeypatch):
+        cfg = RunConfig(bp=3, p=2, k=1)
+        need = bakeoff.estimate_bytes(cfg)
+        for available in (need, None):
+            monkeypatch.setattr(bakeoff, "mem_available_bytes",
+                                lambda: available)
+            assert build_problem(cfg).geom.E == 2
+
+    def test_meminfo_is_read(self):
+        available = bakeoff.mem_available_bytes()
+        assert available is None or available > 0
+
+
 class TestSystemApplier:
     def test_partitioned_executor_matches_serial(self, rng):
         problem = build_problem(RunConfig(bp=3, p=3, k=3, ranks=4))

@@ -119,6 +119,12 @@ class TestRunCommand:
                      "--trials", "1"]) == 2
         assert "no free degree of freedom" in capsys.readouterr().err
 
+    def test_memory_estimate_over_available_exits_2(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(bakeoff, "mem_available_bytes", lambda: 1024)
+        assert main(RUN_ARGS) == 2
+        assert "GiB available" in capsys.readouterr().err
+
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError("Unable to allocate 64.0 GiB")

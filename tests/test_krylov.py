@@ -1,11 +1,13 @@
 """Operator diagonals, Jacobi preconditioning, and the PCG loop."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from sembench import tensors
 from sembench.assembly import build_gather_scatter
 from sembench.bakeoff import build_rhs
 from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
@@ -44,6 +46,36 @@ class TestDiagonal:
         s = stack(4, "GL", 3)
         for system in ("stiffness", "mass"):
             assert np.all(compute_diagonal(make_op(system, s)) > 0)
+
+
+class TestBatchedDiagonal:
+    @pytest.mark.parametrize("system,kind", [("stiffness", "GL"),
+                                             ("stiffness", "GLL"),
+                                             ("mass", "GL")])
+    def test_batch_size_does_not_change_a_bit(self, system, kind, stack,
+                                              monkeypatch):
+        s = stack(3, kind, 6)                     # 64 elements, one batch
+        op = make_op(system, s)
+        ref = compute_diagonal(op)
+        q = s.basis.q
+        for per_batch in (15, 1):                 # 5 and 64 batches
+            monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
+                                per_batch * q ** 3)
+            assert tensors.batch_size(q) == per_batch
+            assert np.array_equal(compute_diagonal(op), ref)
+
+    @pytest.mark.parametrize("system", ["stiffness", "mass"])
+    def test_peak_memory_is_output_plus_one_batch(self, system, stack):
+        s = stack(7, "GL", 9)                     # 512 elements, 12 batches
+        assert s.mesh.E >= 8 * tensors.batch_size(s.basis.q)
+        op = make_op(system, s)
+        tracemalloc.start()
+        try:
+            d = compute_diagonal(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * d.nbytes
 
 
 class TestPreconditioner:

@@ -1,8 +1,12 @@
 """Box meshes, deformations, and geometric factors."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sembench import tensors
 from sembench.basis import make_basis
 from sembench.mesh import (BoxMesh, GeomFactors, MeshError, box_dims,
                            build_box_mesh, compute_geometric_factors)
@@ -161,3 +165,41 @@ class TestGeomFactors:
         s = stack(3, "GL", 3)
         for slot in (0, 3, 5):
             assert np.all(s.geom.G[:, slot] > 0)
+
+
+class TestBatchedGeomFactors:
+    def test_batch_size_does_not_change_a_bit(self, monkeypatch):
+        basis = make_basis(3, "GL")               # q = 5
+        mesh = build_box_mesh(6, 3)               # 64 elements, one batch
+        ref = compute_geometric_factors(mesh, basis)
+        for per_batch in (15, 1):                 # 5 and 64 batches
+            monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
+                                per_batch * 5 ** 3)
+            assert tensors.batch_size(5) == per_batch
+            got = compute_geometric_factors(mesh, basis)
+            assert np.array_equal(got.G, ref.G)
+            assert np.array_equal(got.mass_diag, ref.mass_diag)
+            assert np.array_equal(got.jac_det, ref.jac_det)
+
+    def test_peak_memory_is_output_plus_one_batch(self, stack):
+        s = stack(7, "GL", 9)                     # 512 elements, 12 batches
+        assert s.mesh.E >= 8 * tensors.batch_size(s.basis.q)
+        tracemalloc.start()
+        try:
+            geom = compute_geometric_factors(s.mesh, s.basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = geom.G.nbytes + geom.mass_diag.nbytes + geom.jac_det.nbytes
+        assert peak <= 1.5 * out
+
+    def test_inverted_element_in_later_batch_names_global_index(
+            self, monkeypatch):
+        basis = make_basis(2, "GL")               # q = 4
+        mesh = build_box_mesh(5, 2)               # 32 elements
+        coords = mesh.elem_coords.copy()
+        coords[27] = coords[27, :, :, :, ::-1]    # mirrored in x: det < 0
+        mesh = dataclasses.replace(mesh, elem_coords=coords)
+        monkeypatch.setattr(tensors, "WORKING_SET_WORDS", 4 * 4 ** 3)
+        with pytest.raises(MeshError, match="inverted element 27 "):
+            compute_geometric_factors(mesh, basis)

@@ -1,5 +1,8 @@
 """Matrix-free operators: equivalence, cost models, algebraic structure."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from sembench.mesh import build_box_mesh, compute_geometric_factors
 from sembench.assembly import build_gather_scatter, build_numbering
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, assemble_reference_csr,
-                                batch_size, bytes_model, flop_model,
+                                batch_size, bytes_model,
+                                collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
 from sembench.verify import per_element_apply
 
@@ -55,6 +59,20 @@ class TestFlopModels:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             flop_model("magic", 3, 5)
+        with pytest.raises(ValueError):
+            collocated_flop_model("magic", 3)
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_collocated_dense_pin(self, p):
+        p1 = p + 1
+        for strategy in ("sumfact", "interpfirst", "blocked"):
+            assert collocated_flop_model(strategy, p) == (12 * p1 ** 4
+                                                          + 17 * p1 ** 3)
+
+    def test_collocated_evenodd_pin(self):
+        # p1 = 4: six stages of 8 FMAs and 8 adds per point over 16 points,
+        # plus 17 * 64 pointwise and accumulation flops.
+        assert collocated_flop_model("evenodd", 3) == 3392.0
 
 
 class TestBytesModel:
@@ -250,6 +268,58 @@ class TestStrategies:
             StiffnessOperator(basis, geom)
 
 
+class TestCollocatedStiffness:
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_dense_dataflow_bitwise_equals_interpfirst(self, p, stack, rng):
+        # The collocated dataflow must add the transposed terms in the
+        # interpfirst order; its identity contractions are exact.
+        s = stack(p, "GLL", 2)
+        op = make_op("stiffness", s)
+        U = rng.standard_normal((s.mesh.E, p + 1, p + 1, p + 1))
+        g = s.geom.G
+        grads = op._grad_colloc(U, None)
+        ref_grads = op._grad_interpfirst(U, None)
+        for got, ref in zip(grads, ref_grads):
+            assert np.array_equal(got, ref)
+        wr, ws, wt = op._apply_g(*grads, g, None)
+        assert np.array_equal(op._grad_t_colloc(wr, ws, wt, None),
+                              op._grad_t_interpfirst(wr, ws, wt, None))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_runs_six_contractions(self, strategy, stack,
+                                                  monkeypatch):
+        s = stack(3, "GLL", 1)
+        calls = []
+        op = make_op("stiffness", s, strategy=strategy)
+        contract = op._contract
+        monkeypatch.setattr(op, "_contract",
+                            lambda *a: calls.append(a[2]) or contract(*a))
+        op.apply_local(np.ones(op.n_local))
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_measured_flops_equal_model(self, p, strategy, stack, rng):
+        s = stack(p, "GLL", 1)
+        op = make_op("stiffness", s, strategy=strategy, instrument=True)
+        op.apply_local(rng.standard_normal(op.n_local))
+        assert op.counters.total_flops == s.mesh.E * op.model_flops()
+
+
+class TestPointwiseMetric:
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    def test_bitwise_equals_inline_expression(self, kind, stack, rng):
+        s = stack(3, kind, 3)
+        op = make_op("stiffness", s)
+        q = s.basis.q
+        ur, us, ut = rng.standard_normal((3, s.mesh.E, q, q, q))
+        g11, g12, g13, g22, g23, g33 = (s.geom.G[:, i] for i in range(6))
+        wr, ws, wt = op._apply_g(ur, us, ut, s.geom.G, None)
+        assert np.array_equal(wr, g11 * ur + g12 * us + g13 * ut)
+        assert np.array_equal(ws, g12 * ur + g22 * us + g23 * ut)
+        assert np.array_equal(wt, g13 * ur + g23 * us + g33 * ut)
+
+
 class TestCollocatedMass:
     def test_apply_is_exact_diagonal_scaling(self, stack, rng):
         s = stack(4, "GLL", 2)
@@ -265,6 +335,26 @@ class TestCollocatedMass:
         u = rng.standard_normal(op.n_local)
         assert np.array_equal(op.apply_local(u),
                               u * (2.5 * s.geom.mass_diag.reshape(-1)))
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_freed_without_the_cycle_collector(self, kind, strategy, stack):
+        # Setup is repeated with one problem alive at a time; an operator in
+        # a reference cycle would keep its geometric factors resident.
+        s = stack(2, kind, 1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for cls in (StiffnessOperator, MassOperator):
+                op = cls(s.basis, s.geom, strategy=strategy)
+                ref = weakref.ref(op)
+                del op
+                assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestApplyMechanics:

@@ -68,6 +68,21 @@ class TestFaultSensitivity:
         assert not result.passed
         assert "differs" in result.detail
 
+    def test_collocated_dataflow_fault_is_detected(self, monkeypatch):
+        # At GLL every strategy runs the collocated dataflow, so all of them
+        # agree on a fault in it; only the generic sumfact dataflow sees it.
+        grad_t = StiffnessOperator._grad_t_colloc
+
+        def skewed(self, wr, ws, wt, ct):
+            return grad_t(self, wr, ws, wt, ct) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(StiffnessOperator, "_grad_t_colloc", skewed)
+        args = dict(p_list=[3], k=2, n_inputs=2)
+        assert check_strategy_equivalence(kinds=("GL",), **args).passed
+        result = check_strategy_equivalence(kinds=("GLL",), **args)
+        assert not result.passed
+        assert "vs generic sumfact" in result.detail
+
     def test_identity_override_passes(self):
         result = check_csr_equivalence(pairs=((3, 5),), ks=(1,),
                                        geom_override=lambda geom: geom)
