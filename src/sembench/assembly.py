@@ -111,12 +111,18 @@ def _count_sharing_pairs(slot_part: np.ndarray, slot_gid: np.ndarray,
 class GatherScatter:
     """QQ^T summation, Dirichlet masking, and weighted dot products.
 
-    Immutable after construction except for the instrumentation counters.
-    One plan serves every rank count: a slot per (partition, global id)
-    pair, ordered by partition and then by global id.  gather_scatter sums
-    each partition's locals into its slots left to right in local order,
-    then each global id's slots in ascending partition order, and reads the
-    totals back to every local copy.  A single partition is the same code.
+    Immutable after construction except for the instrumentation counters,
+    so one plan can serve several solves and threads.  One plan serves
+    every rank count: a slot per (partition, global id) pair, ordered by
+    partition and then by global id.  gather_scatter sums each partition's
+    locals into its slots left to right in local order, then each global
+    id's slots in ascending partition order, and reads the totals back to
+    every local copy.  A single partition is the same code.
+
+    The plan holds no scratch.  gather_scatter, apply_mask and local_dot
+    take an optional `out` or `work` array from the caller (a solve makes
+    them once, see krylov.SystemApplier and krylov.pcg); without one they
+    allocate for that call, with the same bits.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -163,32 +169,64 @@ class GatherScatter:
     def n_local(self) -> int:
         return self.numbering.n_local
 
-    def gather_scatter(self, u: np.ndarray, count: bool = True) -> np.ndarray:
+    def make_work(self) -> tuple:
+        """Scratch for gather_scatter: (partials, sums, index).
+
+        Plan-sized sum buffers and a writeable copy of the local-to-global
+        map (np.take copies a read-only index on every call).  A caller
+        that gathers repeatedly, such as SystemApplier, makes them once.
+        """
+        return (np.empty(self._slot_gid.size),
+                np.empty(self.numbering.n_global),
+                self.numbering.local_to_global.copy())
+
+    def gather_scatter(self, u: np.ndarray, count: bool = True,
+                       out: np.ndarray | None = None,
+                       work: tuple | None = None) -> np.ndarray:
         """Return QQ^T u: coincident local values replaced by their sum.
 
         Accepts shape (n_local,) or (ncomp, n_local).  Each partition
         condenses its locals, the partials of a shared id are added in
         ascending partition order, and the message counter advances by the
         number of partition pairs that share a node.
+
+        Args:
+            out: optional array of u's shape for the result; it may be u
+                itself.  Allocated when omitted.
+            work: optional make_work() buffers; made for this call alone
+                when omitted.  Either way the result is the same float.
         """
         u = np.asarray(u)
+        if out is None:
+            out = np.empty_like(u)
+        elif out.shape != u.shape:
+            raise ValueError("out must have the shape of u")
+        if work is None:
+            work = self.make_work()
         if u.ndim == 2:
-            rows = [self.gather_scatter(c, count=(count and i == 0))
-                    for i, c in enumerate(u)]
-            return np.stack(rows)
+            for i, c in enumerate(u):
+                self.gather_scatter(c, count=(count and i == 0), out=out[i],
+                                    work=work)
+            return out
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
-        partials = np.bincount(self._slot, weights=u,
-                               minlength=self._slot_gid.size)
-        sums = np.bincount(self._slot_gid, weights=partials,
-                           minlength=self.numbering.n_global)
+        partials, sums, index = work
+        partials.fill(0.0)
+        np.add.at(partials, self._slot, u)
+        sums.fill(0.0)
+        np.add.at(sums, self._slot_gid, partials)
         if count:
             self.counters.messages += self._adjacent_pairs
-        return sums[self.numbering.local_to_global]
+        # mode="clip" writes straight into out; "raise" buffers it.
+        return np.take(sums, index, out=out, mode="clip")
 
-    def apply_mask(self, u: np.ndarray) -> np.ndarray:
-        """Zero Dirichlet boundary values (identity under Neumann)."""
-        return u * self.mask
+    def apply_mask(self, u: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Zero Dirichlet boundary values (identity under Neumann).
+
+        out may be u itself; it is allocated when omitted.
+        """
+        return np.multiply(u, self.mask, out=out)
 
     def global_mask(self) -> np.ndarray:
         """Per-global-id mask (0 on the Dirichlet boundary)."""
@@ -196,12 +234,16 @@ class GatherScatter:
         g[self.numbering.local_to_global[self.mask == 0.0]] = 0.0
         return g
 
-    def local_dot(self, u: np.ndarray, v: np.ndarray,
-                  count: bool = True) -> float:
+    def local_dot(self, u: np.ndarray, v: np.ndarray, count: bool = True,
+                  work: np.ndarray | None = None) -> float:
         """Multiplicity-weighted dot product of continuous local fields.
 
         Equals the assembled global dot product u^T v.  Counts as one
         global reduction.  2D inputs (ncomp, n_local) sum over components.
+        Each partition's weighted products u * v * weight are summed as one
+        contiguous block, and the partition sums are added in ascending
+        order.  The products go into `work`, an array of u's shape, when
+        it is given.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -210,11 +252,28 @@ class GatherScatter:
         if count:
             self.counters.reductions += 1
         slab = self.node_slab
+        bounds = [(e0 * slab, e1 * slab) for (e0, e1) in self.partitions]
+        if u.ndim == 1:
+            # One product pass; every partition's slice is contiguous.
+            prod = np.multiply(u, v, out=work)
+            prod *= self.weight
+            blocks = [prod[lo:hi] for (lo, hi) in bounds]
+        else:
+            # A partition's block holds all its components, component by
+            # component; np.sum rounds it differently from the strided
+            # slice of one full-length product, so the products are formed
+            # partition by partition, each block contiguous in `work`.
+            ncomp = u.shape[0]
+            flat = np.empty(u.size) if work is None else work.reshape(-1)
+            blocks = []
+            for (lo, hi) in bounds:
+                block = flat[ncomp * lo:ncomp * hi].reshape(ncomp, hi - lo)
+                np.multiply(u[:, lo:hi], v[:, lo:hi], out=block)
+                block *= self.weight[lo:hi]
+                blocks.append(block)
         total = 0.0
-        for (e0, e1) in self.partitions:
-            lo, hi = e0 * slab, e1 * slab
-            w = self.weight[lo:hi]
-            total += float(np.sum(u[..., lo:hi] * v[..., lo:hi] * w))
+        for block in blocks:
+            total += float(np.sum(block))
         return total
 
 

@@ -58,7 +58,7 @@ def compute_diagonal(op) -> np.ndarray:
             g = op.geom.G[b0:b1]
 
             def term(mx, my, mz, slot, factor):
-                t = contract_dir(mx, np.ascontiguousarray(g[:, slot]), 0)
+                t = contract_dir(mx, g[:, slot], 0)
                 t = contract_dir(my, t, 1)
                 t = contract_dir(mz, t, 2)
                 t *= factor
@@ -101,6 +101,12 @@ class SystemApplier:
     instrumented operators stay serial because their counters are plain
     ints.  `phases` accumulates operator and gather-scatter seconds over the
     applier's lifetime.
+
+    The applier owns the work buffers of a system apply: the A_L u vector
+    and the gather-scatter scratch (GatherScatter.make_work).  They are
+    made on the first call and reused, so a call with `out` allocates
+    nothing vector-sized; one applier serves one solve at a time.
+    apply_local, the BK-mode path, makes none of them.
     """
 
     def __init__(self, op, gs: GatherScatter, executor=None):
@@ -108,10 +114,17 @@ class SystemApplier:
         self.gs = gs
         self.executor = executor
         self.phases = {"operator": 0.0, "gather_scatter": 0.0}
+        self._local = None
+        self._work = None
 
-    def apply_local(self, u: np.ndarray) -> np.ndarray:
-        """A_L u alone: no exchange, no mask, nothing counted."""
-        out = np.zeros_like(u)
+    def apply_local(self, u: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """A_L u alone: no exchange, no mask, nothing counted.
+
+        Every element of out is written; it is allocated when omitted.
+        """
+        if out is None:
+            out = np.zeros_like(u)
         parts = self.gs.partitions
         if self.executor is None or len(parts) == 1 or self.op.instrument:
             return self.op.apply_local(u, out=out)
@@ -121,12 +134,18 @@ class SystemApplier:
             fut.result()
         return out
 
-    def __call__(self, u: np.ndarray, count: bool = True) -> np.ndarray:
+    def __call__(self, u: np.ndarray, count: bool = True,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """mask(QQ^T(A_L u)), written into out (allocated when omitted)."""
+        if self._local is None or self._local.shape != u.shape:
+            self._local = np.empty(u.shape)
+        if self._work is None:
+            self._work = self.gs.make_work()
         t0 = time.perf_counter()
-        w = self.apply_local(u)
+        w = self.apply_local(u, out=self._local)
         t1 = time.perf_counter()
-        w = self.gs.gather_scatter(w, count=count)
-        w = self.gs.apply_mask(w)
+        w = self.gs.gather_scatter(w, count=count, out=out, work=self._work)
+        w = self.gs.apply_mask(w, out=w)
         self.phases["operator"] += t1 - t0
         self.phases["gather_scatter"] += time.perf_counter() - t1
         return w
@@ -142,7 +161,7 @@ class PcgRun:
     timings: dict
     reductions: int
     converged: bool
-    b_norm: float
+    b_norm: float | None                  # weighted ||b||, diagnostics only
     residual_gap: float | None            # ||r_recurred - (b - A x)||
     true_residual_norm: float | None
 
@@ -152,10 +171,14 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         record_energy: bool = False, diagnostics: bool = False):
     """Run diagonally preconditioned CG from x0 = 0.
 
+    The solve allocates its vectors (x, r, z, p, w and one scratch) once
+    and updates them in place, so an iteration allocates nothing
+    vector-sized as long as apply_a honours `out`.
+
     Args:
-        apply_a: callable apply(u, count=True), usually a SystemApplier.
-            Its `phases` dict, if any, is reported as the increase over
-            this solve.
+        apply_a: callable apply(u, count=True, out=None) that writes A u
+            into out and returns it, usually a SystemApplier.  Its `phases`
+            dict, if any, is reported as the increase over this solve.
         gs: gather-scatter context for dots and masking.
         b: assembled, masked right-hand side in local form.
         max_iters: fixed iteration count (benchmark protocol runs all of
@@ -166,7 +189,8 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         record_energy: track 0.5 x'Ax - x'b per iteration via an extra,
             uncounted operator application (honest evaluation, not the CG
             recurrence).
-        diagnostics: compute the final true residual and recurrence gap.
+        diagnostics: compute the weighted norm of b, the final true
+            residual and the recurrence gap (all uncounted).
 
     Returns:
         (x, PcgRun).
@@ -178,15 +202,17 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         minv = np.ones(b.shape[-1])
     reductions_before = gs.counters.reductions
 
-    # The set-up and final-norm vector work is timed too, so the phases
-    # add up to the whole solve.
+    # The set-up vector work is timed too, so the phases add up to the
+    # whole solve.
     t0 = time.perf_counter()
     x = np.zeros_like(b)
     r = b.copy()
     z = minv * r
     p = z.copy()
+    w = np.empty_like(b)
+    tmp = np.empty_like(b)                # axpy products and dot scratch
     t1 = time.perf_counter()
-    rho = gs.local_dot(r, z)
+    rho = gs.local_dot(r, z, work=tmp)
     timings = {"dots": time.perf_counter() - t1, "axpy": t1 - t0}
     if not np.isfinite(rho) or rho < 0.0:
         raise DivergenceError("initial preconditioned residual is not finite")
@@ -199,21 +225,21 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     converged = bool(rho == 0.0)
     while it < max_iters and not converged:
         it += 1
-        w = apply_a(p)
+        w = apply_a(p, out=w)
         t0 = time.perf_counter()
-        pap = gs.local_dot(p, w)
+        pap = gs.local_dot(p, w, work=tmp)
         timings["dots"] += time.perf_counter() - t0
         if not np.isfinite(pap) or pap <= 0.0:
             raise DivergenceError(
                 f"curvature p'Ap = {pap} at iteration {it}")
         alpha = rho / pap
         t0 = time.perf_counter()
-        x += alpha * p
-        r -= alpha * w
-        z = minv * r
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(w, alpha, out=tmp)
+        np.multiply(minv, r, out=z)
         timings["axpy"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        rho_new = gs.local_dot(r, z)
+        rho_new = gs.local_dot(r, z, work=tmp)
         timings["dots"] += time.perf_counter() - t0
         if not np.isfinite(rho_new):
             raise DivergenceError(f"residual lost finiteness at iteration {it}")
@@ -225,16 +251,15 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         beta = rho_new / rho
         rho = rho_new
         t0 = time.perf_counter()
-        p = z + beta * p
+        p *= beta                         # p = z + beta p
+        p += z
         timings["axpy"] += time.perf_counter() - t0
         converged = bool(rho == 0.0 or (tol is not None
                                         and history[-1] <= tol * history[0]))
 
-    residual_gap = true_norm = None
-    t0 = time.perf_counter()
-    b_norm = np.sqrt(gs.local_dot(b, b, count=False))
-    timings["dots"] += time.perf_counter() - t0
+    b_norm = residual_gap = true_norm = None
     if diagnostics:
+        b_norm = np.sqrt(gs.local_dot(b, b, count=False))
         r_true = b - apply_a(x, count=False)
         gap = r - r_true
         residual_gap = np.sqrt(gs.local_dot(gap, gap, count=False))

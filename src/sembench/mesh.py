@@ -181,7 +181,9 @@ class GeomFactors:
 
     G has shape (E, 6, q, q, q) in the order (G11, G12, G13, G22, G23, G33);
     mass_diag and jac_det have shape (E, q, q, q).  Exactly 8 q^3 stored
-    reals per element.
+    reals per element.  G is stored slot-major: it is the (1, 0, 2, 3, 4)
+    transpose of a C-ordered (6, E, q, q, q) array, so G[b0:b1][:, s] is
+    one contiguous block for every element range and slot.
     """
 
     q: int
@@ -225,7 +227,9 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
     hx, hy, hz = mesh.element_widths
     floor = 1e-14 * abs(hx * hy * hz)
 
-    G = np.empty((E, 6, q, q, q))
+    # Slot-major storage behind an (E, 6, q, q, q) view, so every slot of
+    # an element batch is one contiguous block.
+    G = np.empty((6, E, q, q, q)).transpose(1, 0, 2, 3, 4)
     mass_diag = np.empty((E, q, q, q))
     jac_det = np.empty((E, q, q, q))
     step = batch_size(q)

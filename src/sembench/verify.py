@@ -44,8 +44,12 @@ def build_q_matrix(numbering) -> sparse.csr_matrix:
 
 def inject_geom_fault(geom: GeomFactors, element: int, slot: int,
                       point: tuple, scale: float) -> GeomFactors:
-    """Copy of geom with one G entry scaled (a fault the oracles must catch)."""
-    g = geom.G.copy()
+    """Copy of geom with one G entry scaled (a fault the oracles must catch).
+
+    The copy keeps the slot-major layout of G, so the faulty operator runs
+    the same memory access pattern as the original.
+    """
+    g = geom.G.copy(order="K")
     iz, iy, ix = point
     g[element, slot, iz, iy, ix] *= scale
     return GeomFactors(geom.q, g, geom.mass_diag.copy(), geom.jac_det.copy())

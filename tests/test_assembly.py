@@ -91,6 +91,29 @@ class TestGatherScatter:
         for c in range(2):
             assert np.array_equal(got[c], gs.gather_scatter(u[c]))
 
+    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_out_and_work_change_no_bit(self, ranks, comps, rng):
+        mesh = build_box_mesh(4, 2)
+        gs = build_gather_scatter(mesh, ranks=ranks)
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        u = rng.standard_normal(shape)
+        ref = gs.gather_scatter(u)
+        work = gs.make_work()
+        got = gs.gather_scatter(u.copy(), out=np.empty(shape), work=work)
+        assert np.array_equal(got, ref)
+        v = u.copy()
+        assert gs.gather_scatter(v, out=v, work=work) is v
+        assert np.array_equal(v, ref)
+        masked = u.copy()
+        assert gs.apply_mask(masked, out=masked) is masked
+        assert np.array_equal(masked, gs.apply_mask(u))
+
+    def test_out_shape_checked(self):
+        gs = build_gather_scatter(build_box_mesh(1, 1))
+        with pytest.raises(ValueError):
+            gs.gather_scatter(np.zeros(gs.n_local), out=np.zeros(3))
+
     def test_wrong_length_rejected(self):
         mesh = build_box_mesh(1, 2)
         gs = build_gather_scatter(mesh)
@@ -265,6 +288,23 @@ class TestLocalDot:
         u = ug[:, num.local_to_global]
         got = gs.local_dot(u, u)
         assert got == pytest.approx(float(np.sum(ug * ug)), rel=1e-13)
+
+    @pytest.mark.parametrize("ranks", [1, 3, 8])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_equals_per_partition_products(self, ranks, comps, rng):
+        # One weighted product pass (with or without a scratch vector)
+        # sums to the same float as a product formed per partition.
+        gs = build_gather_scatter(build_box_mesh(6, 3), ranks=ranks)
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        slab = gs.node_slab
+        ref = 0.0
+        for (e0, e1) in gs.partitions:
+            lo, hi = e0 * slab, e1 * slab
+            ref += float(np.sum(u[..., lo:hi] * v[..., lo:hi]
+                                * gs.weight[lo:hi]))
+        assert gs.local_dot(u, v) == ref
+        assert gs.local_dot(u, v, work=np.empty(shape)) == ref
 
     def test_shape_mismatch_rejected(self):
         mesh = build_box_mesh(1, 2)

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from sembench import tensors
 from sembench.assembly import build_gather_scatter
-from sembench.bakeoff import build_rhs
+from sembench.bakeoff import RunConfig, build_problem, build_rhs
 from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
                              make_preconditioner, pcg)
 from sembench.operators import (MassOperator, StiffnessOperator,
@@ -197,8 +197,9 @@ class TestPcg:
     def test_negated_operator_raises_curvature_error(self, stack):
         s, A, b, minv = poisson_setup(stack)
 
-        def negated(u, count=True):
-            return -A(u, count=count)
+        def negated(u, count=True, out=None):
+            out = A(u, count=count, out=out)
+            return np.negative(out, out=out)
 
         with pytest.raises(DivergenceError, match="curvature"):
             pcg(negated, s.gs, b, max_iters=5)
@@ -225,3 +226,125 @@ class TestPcg:
         x1, _ = pcg(A, s.gs, b, max_iters=10)
         x2, _ = pcg(A, s.gs, b, max_iters=10, minv=np.ones(b.shape[-1]))
         assert np.array_equal(x1, x2)
+
+
+def reference_pcg(apply_a, gs, b, iters, minv):
+    """PCG with out-of-place vector updates, as written before pcg reused
+    its vectors; the in-place loop must match it bit for bit."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = minv * r
+    p = z.copy()
+    rho = gs.local_dot(r, z)
+    history = [np.sqrt(rho)]
+    for _ in range(iters):
+        w = apply_a(p)
+        alpha = rho / gs.local_dot(p, w)
+        x = x + alpha * p
+        r = r - alpha * w
+        z = minv * r
+        rho_new = gs.local_dot(r, z)
+        history.append(np.sqrt(max(rho_new, 0.0)))
+        p = z + (rho_new / rho) * p
+        rho = rho_new
+    return x, np.asarray(history)
+
+
+class TestInPlacePcg:
+    @pytest.mark.parametrize("bp,p,k", [(3, 3, 3), (4, 2, 3), (5, 3, 3)])
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_matches_out_of_place_reference(self, bp, p, k, ranks):
+        pr = build_problem(RunConfig(bp=bp, p=p, k=k, ranks=ranks))
+        A = SystemApplier(pr.op, pr.gs)
+        x_ref, hist_ref = reference_pcg(A, pr.gs, pr.b, 20, pr.minv)
+        x, run = pcg(A, pr.gs, pr.b, max_iters=20, minv=pr.minv)
+        assert run.iterations == 20
+        assert np.array_equal(run.residual_history, hist_ref)
+        assert np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_iterations_allocate_no_vector(self, stack, ranks, comps):
+        # A stub operator, 2 u written into out, starts a tracemalloc
+        # window at the start of iteration 3 and reads its peak at the
+        # start of iteration 9.  numpy buffers a broadcast over rows
+        # shorter than its 8192-element buffer (a fixed 64 KiB, not a
+        # vector), so every partition here is longer than that.
+        s = stack(3, "GL", 9, ranks=ranks)
+        rng = np.random.default_rng(7)
+        shape = (s.gs.n_local,) if comps == 1 else (comps, s.gs.n_local)
+        b = rng.standard_normal(shape)
+        minv = rng.uniform(0.5, 1.5, s.gs.n_local)
+        window = {}
+
+        def stub(u, count=True, out=None):
+            window["calls"] = window.get("calls", 0) + 1
+            if window["calls"] == 3:
+                tracemalloc.reset_peak()
+                window["base"] = tracemalloc.get_traced_memory()[0]
+            elif window["calls"] == 9:
+                window["rise"] = (tracemalloc.get_traced_memory()[1]
+                                  - window["base"])
+            return np.multiply(u, 2.0, out=out)
+
+        tracemalloc.start()
+        try:
+            _, run = pcg(stub, s.gs, b, max_iters=10, minv=minv)
+        finally:
+            tracemalloc.stop()
+        assert run.iterations == 10
+        assert window["rise"] < 0.25 * b.nbytes
+
+    def test_b_norm_only_with_diagnostics(self, stack):
+        s, A, b, minv = poisson_setup(stack)
+        _, run = pcg(A, s.gs, b, max_iters=7, minv=minv)
+        assert run.b_norm is None
+        assert run.reductions == 2 * 7 + 1
+        _, run = pcg(A, s.gs, b, max_iters=7, minv=minv, diagnostics=True)
+        assert run.b_norm == np.sqrt(s.gs.local_dot(b, b, count=False))
+        assert run.reductions == 2 * 7 + 1
+
+
+class TestSystemApplierOut:
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_out_matches_allocating_call(self, comps):
+        pr = build_problem(RunConfig(bp=3, p=3, k=3, ranks=3))
+        A = SystemApplier(pr.op, pr.gs)
+        rng = np.random.default_rng(3)
+        shape = (pr.gs.n_local,) if comps == 1 else (comps, pr.gs.n_local)
+        u = rng.standard_normal(shape)
+        ref = A(u, count=False)
+        w = np.full(shape, np.nan)
+        assert A(u, count=False, out=w) is w
+        assert np.array_equal(w, ref)
+        # The owned buffers are reused: a second call gives the same bits.
+        assert np.array_equal(A(u, count=False, out=w), ref)
+
+    def test_work_buffers_are_made_once(self, monkeypatch):
+        pr = build_problem(RunConfig(bp=3, p=2, k=3))
+        A = SystemApplier(pr.op, pr.gs)
+        seen = {"local": [], "work": []}
+        apply_local, gather = pr.op.apply_local, pr.gs.gather_scatter
+
+        def spy_apply(u, out=None, elements=None):
+            seen["local"].append(out)
+            return apply_local(u, out=out, elements=elements)
+
+        def spy_gather(u, count=True, out=None, work=None):
+            seen["work"].append(work)
+            return gather(u, count=count, out=out, work=work)
+
+        monkeypatch.setattr(pr.op, "apply_local", spy_apply)
+        monkeypatch.setattr(pr.gs, "gather_scatter", spy_gather)
+        w = np.empty_like(pr.b)
+        for _ in range(3):
+            A(pr.b, out=w)
+        for bufs in seen.values():
+            assert bufs[0] is not None
+            assert all(b is bufs[0] for b in bufs)
+
+    def test_apply_local_makes_no_work_buffers(self, rng):
+        pr = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk"))
+        A = SystemApplier(pr.op, pr.gs)
+        A.apply_local(rng.standard_normal(pr.gs.n_local))
+        assert A._local is None and A._work is None

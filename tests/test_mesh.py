@@ -193,6 +193,20 @@ class TestBatchedGeomFactors:
         out = geom.G.nbytes + geom.mass_diag.nbytes + geom.jac_det.nbytes
         assert peak <= 1.5 * out
 
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    def test_every_batch_slot_is_contiguous(self, kind, monkeypatch):
+        # G is stored slot-major, so the pointwise stage of a batch reads
+        # each metric slot as one contiguous block.
+        monkeypatch.setattr(tensors, "WORKING_SET_WORDS", 3 * 5 ** 3)
+        basis = make_basis(3, kind)
+        geom = compute_geometric_factors(build_box_mesh(4, 3), basis)
+        step = tensors.batch_size(basis.q)
+        assert step < geom.E
+        for b0 in range(0, geom.E, step):
+            g = geom.G[b0:b0 + step]
+            for slot in range(6):
+                assert g[:, slot].flags.c_contiguous
+
     def test_inverted_element_in_later_batch_names_global_index(
             self, monkeypatch):
         basis = make_basis(2, "GL")               # q = 4

@@ -101,6 +101,12 @@ class TestInjectGeomFault:
         assert broken.G[1, 3, 0, 2, 1] == 2.0 * s.geom.G[1, 3, 0, 2, 1]
         assert np.array_equal(broken.mass_diag, s.geom.mass_diag)
 
+    def test_copy_keeps_the_layout(self, stack):
+        s = stack(2, "GL", 2)
+        broken = inject_geom_fault(s.geom, element=0, slot=1, point=(0, 0, 0),
+                                   scale=3.0)
+        assert broken.G.strides == s.geom.G.strides
+
     def test_original_untouched(self, stack):
         s = stack(2, "GL", 1)
         before = s.geom.G.copy()
