@@ -169,20 +169,18 @@ class GatherScatter:
     def n_local(self) -> int:
         return self.numbering.n_local
 
-    def make_work(self) -> tuple:
-        """Scratch for gather_scatter: (partials, sums, index).
+    def make_work(self) -> np.ndarray:
+        """Scratch for gather_scatter: a writeable local-to-global map.
 
-        Plan-sized sum buffers and a writeable copy of the local-to-global
-        map (np.take copies a read-only index on every call).  A caller
-        that gathers repeatedly, such as SystemApplier, makes them once.
+        np.take copies a read-only index on every call, and the numbering's
+        map is read-only.  A caller that gathers repeatedly, such as
+        SystemApplier, makes it once.
         """
-        return (np.empty(self._slot_gid.size),
-                np.empty(self.numbering.n_global),
-                self.numbering.local_to_global.copy())
+        return self.numbering.local_to_global.copy()
 
     def gather_scatter(self, u: np.ndarray, count: bool = True,
                        out: np.ndarray | None = None,
-                       work: tuple | None = None) -> np.ndarray:
+                       work: np.ndarray | None = None) -> np.ndarray:
         """Return QQ^T u: coincident local values replaced by their sum.
 
         Accepts shape (n_local,) or (ncomp, n_local).  Each partition
@@ -193,7 +191,7 @@ class GatherScatter:
         Args:
             out: optional array of u's shape for the result; it may be u
                 itself.  Allocated when omitted.
-            work: optional make_work() buffers; made for this call alone
+            work: optional make_work() index; the read-only map is used
                 when omitted.  Either way the result is the same float.
         """
         u = np.asarray(u)
@@ -202,7 +200,7 @@ class GatherScatter:
         elif out.shape != u.shape:
             raise ValueError("out must have the shape of u")
         if work is None:
-            work = self.make_work()
+            work = self.numbering.local_to_global
         if u.ndim == 2:
             for i, c in enumerate(u):
                 self.gather_scatter(c, count=(count and i == 0), out=out[i],
@@ -210,15 +208,14 @@ class GatherScatter:
             return out
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
-        partials, sums, index = work
-        partials.fill(0.0)
-        np.add.at(partials, self._slot, u)
-        sums.fill(0.0)
-        np.add.at(sums, self._slot_gid, partials)
+        partials = np.bincount(self._slot, weights=u,
+                               minlength=self._slot_gid.size)
+        sums = np.bincount(self._slot_gid, weights=partials,
+                           minlength=self.numbering.n_global)
         if count:
             self.counters.messages += self._adjacent_pairs
         # mode="clip" writes straight into out; "raise" buffers it.
-        return np.take(sums, index, out=out, mode="clip")
+        return np.take(sums, work, out=out, mode="clip")
 
     def apply_mask(self, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -240,10 +237,10 @@ class GatherScatter:
 
         Equals the assembled global dot product u^T v.  Counts as one
         global reduction.  2D inputs (ncomp, n_local) sum over components.
-        Each partition's weighted products u * v * weight are summed as one
-        contiguous block, and the partition sums are added in ascending
-        order.  The products go into `work`, an array of u's shape, when
-        it is given.
+        Each partition's weighted products u * v * weight, all components
+        of it, are summed as one contiguous block, and the partition sums
+        are added in ascending order.  The products go into `work`, an
+        array of u's shape, when it is given.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -251,30 +248,19 @@ class GatherScatter:
             raise ValueError("local_dot operands must be local vectors")
         if count:
             self.counters.reductions += 1
+        u2 = u.reshape(-1, self.n_local)
+        v2 = v.reshape(-1, self.n_local)
+        ncomp = u2.shape[0]
+        flat = np.empty(u.size) if work is None else work.reshape(-1)
         slab = self.node_slab
-        bounds = [(e0 * slab, e1 * slab) for (e0, e1) in self.partitions]
-        if u.ndim == 1:
-            # One product pass; every partition's slice is contiguous.
-            prod = np.multiply(u, v, out=work)
-            prod *= self.weight
-            blocks = [prod[lo:hi] for (lo, hi) in bounds]
-        else:
-            # A partition's block holds all its components, component by
-            # component; np.sum rounds it differently from the strided
-            # slice of one full-length product, so the products are formed
-            # partition by partition, each block contiguous in `work`.
-            ncomp = u.shape[0]
-            flat = np.empty(u.size) if work is None else work.reshape(-1)
-            blocks = []
-            for (lo, hi) in bounds:
-                block = flat[ncomp * lo:ncomp * hi].reshape(ncomp, hi - lo)
-                np.multiply(u[:, lo:hi], v[:, lo:hi], out=block)
-                block *= self.weight[lo:hi]
-                blocks.append(block)
         total = 0.0
-        for block in blocks:
-            total += float(np.sum(block))
-        return total
+        for (e0, e1) in self.partitions:
+            lo, hi = e0 * slab, e1 * slab
+            block = flat[ncomp * lo:ncomp * hi].reshape(ncomp, hi - lo)
+            np.multiply(u2[:, lo:hi], v2[:, lo:hi], out=block)
+            block *= self.weight[lo:hi]
+            total += block.sum()
+        return float(total)
 
 
 def build_gather_scatter(mesh: BoxMesh, numbering: GlobalNumbering | None = None,

@@ -103,10 +103,10 @@ class SystemApplier:
     applier's lifetime.
 
     The applier owns the work buffers of a system apply: the A_L u vector
-    and the gather-scatter scratch (GatherScatter.make_work).  They are
-    made on the first call and reused, so a call with `out` allocates
-    nothing vector-sized; one applier serves one solve at a time.
-    apply_local, the BK-mode path, makes none of them.
+    and the gather-scatter index (GatherScatter.make_work).  They are made
+    on the first call and reused, so a call with `out` allocates only the
+    gather-scatter's two bincount sums; one applier serves one solve at a
+    time.  apply_local, the BK-mode path, makes none of them.
     """
 
     def __init__(self, op, gs: GatherScatter, executor=None):
@@ -173,7 +173,9 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
 
     The solve allocates its vectors (x, r, z, p, w and one scratch) once
     and updates them in place, so an iteration allocates nothing
-    vector-sized as long as apply_a honours `out`.
+    vector-sized as long as apply_a honours `out`.  The last step skips
+    the p update, which nothing reads, so the solve ends with its final
+    r.z dot.
 
     Args:
         apply_a: callable apply(u, count=True, out=None) that writes A u
@@ -248,14 +250,16 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
             ax = apply_a(x, count=False)
             energy.append(0.5 * gs.local_dot(x, ax, count=False)
                           - gs.local_dot(x, b, count=False))
+        converged = bool(rho_new == 0.0 or (tol is not None
+                                            and history[-1] <= tol * history[0]))
+        if converged or it == max_iters:
+            break                         # the last step needs no new p
         beta = rho_new / rho
         rho = rho_new
         t0 = time.perf_counter()
         p *= beta                         # p = z + beta p
         p += z
         timings["axpy"] += time.perf_counter() - t0
-        converged = bool(rho == 0.0 or (tol is not None
-                                        and history[-1] <= tol * history[0]))
 
     b_norm = residual_gap = true_norm = None
     if diagnostics:

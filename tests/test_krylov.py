@@ -304,6 +304,20 @@ class TestInPlacePcg:
         assert run.b_norm == np.sqrt(s.gs.local_dot(b, b, count=False))
         assert run.reductions == 2 * 7 + 1
 
+    def test_solve_ends_with_the_residual_dot(self, stack, monkeypatch):
+        # A timed solve's last gather-scatter call is the final r.z dot,
+        # so a trace of the solve ends where its work ends.
+        s, A, b, minv = poisson_setup(stack)
+        calls = []
+        for name in ("gather_scatter", "apply_mask", "local_dot"):
+            method = getattr(s.gs, name)
+            monkeypatch.setattr(s.gs, name, lambda *a, _m=method, _n=name,
+                                **k: calls.append(_n) or _m(*a, **k))
+        pcg(A, s.gs, b, max_iters=3, minv=minv)
+        assert calls == (["local_dot"]
+                         + ["gather_scatter", "apply_mask", "local_dot",
+                            "local_dot"] * 3)
+
 
 class TestSystemApplierOut:
     @pytest.mark.parametrize("comps", [1, 3])
