@@ -7,9 +7,8 @@ gather-scatter assembly layer, a preconditioned CG solver, and a bake-off
 benchmark harness with scalability metrics.
 """
 
-from .assembly import (ExchangeCounters, GatherScatter, GlobalNumbering,
-                       build_gather_scatter, build_numbering)
-from .bakeoff import (BP_TABLE, BPSpec, ConfigError, RunConfig, RunResult,
+from .assembly import GatherScatter, build_gather_scatter, build_numbering
+from .bakeoff import (BP_TABLE, ConfigError, RunConfig, RunResult,
                       build_problem, build_rhs, run, sweep)
 from .basis import (Basis1D, BasisError, EvenOddFactor, even_odd_split,
                     lagrange_deriv_matrix, lagrange_interp_matrix, make_basis)
@@ -17,10 +16,9 @@ from .krylov import (DivergenceError, PcgRun, SystemApplier, compute_diagonal,
                      make_preconditioner, pcg)
 from .mesh import (BoxMesh, GeomFactors, MeshError, box_dims, build_box_mesh,
                    compute_geometric_factors)
-from .metrics import (EfficiencyCurve, MetricsError, MetricsSummary,
-                      emit_csv, emit_plot_data, extract_metrics,
-                      group_metrics, latency_floor, parallel_efficiency,
-                      read_csv)
+from .metrics import (MetricsError, emit_csv, emit_plot_data,
+                      extract_metrics, group_metrics, latency_floor,
+                      parallel_efficiency, read_csv)
 from .operators import (STRATEGIES, MassOperator, StiffnessOperator,
                         assemble_reference_csr, bytes_model, flop_model,
                         mass_flop_model, single_contraction_flops)
@@ -31,15 +29,15 @@ from .tensors import OpCounters, contract_dir
 __version__ = "0.1.0"
 
 __all__ = [
-    "BP_TABLE", "BPSpec", "Basis1D", "BasisError", "BoxMesh", "ConfigError",
-    "DivergenceError", "EfficiencyCurve", "EvenOddFactor", "ExchangeCounters",
-    "GatherScatter", "GeomFactors", "GlobalNumbering", "MassOperator",
-    "MeshError", "MetricsError", "MetricsSummary", "OpCounters", "PcgRun",
+    "BP_TABLE", "Basis1D", "BasisError", "BoxMesh", "ConfigError",
+    "DivergenceError", "EvenOddFactor", "GatherScatter", "GeomFactors",
+    "MassOperator", "MeshError", "MetricsError", "OpCounters", "PcgRun",
     "QuadRule1D", "RunConfig", "RunResult", "STRATEGIES", "StiffnessOperator",
     "SystemApplier", "assemble_reference_csr", "box_dims",
     "build_gather_scatter", "build_numbering", "build_problem", "build_rhs",
     "bytes_model", "compute_diagonal", "compute_geometric_factors",
-    "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split", "extract_metrics", "flop_model", "gauss_legendre",
+    "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split",
+    "extract_metrics", "flop_model", "gauss_legendre",
     "gauss_lobatto_legendre", "group_metrics", "lagrange_deriv_matrix",
     "lagrange_interp_matrix", "latency_floor", "legendre_eval", "make_basis",
     "make_preconditioner", "make_rule", "mass_flop_model",

@@ -119,9 +119,11 @@ class GatherScatter:
     id's slots in ascending partition order, and reads the totals back to
     every local copy.  A single partition is the same code.
 
-    The plan holds no scratch.  gather_scatter, apply_mask and local_dot
-    take an optional `out` or `work` array from the caller (a solve makes
-    them once, see krylov.SystemApplier and krylov.pcg); without one they
+    The read-back index is the plan's own writeable copy of the
+    local-to-global map, so no gather_scatter call copies it.  The plan
+    holds no scratch: gather_scatter and apply_mask take an optional `out`
+    array and local_dot a `work` array from the caller (a solve makes them
+    once, see krylov.SystemApplier and krylov.pcg); without one they
     allocate for that call, with the same bits.
     """
 
@@ -132,6 +134,9 @@ class GatherScatter:
         if ranks < 1 or ranks > mesh.E:
             raise ValueError("ranks must be in 1..E (one element per rank)")
         self.numbering = numbering
+        # np.take copies a read-only index on every call, and the
+        # numbering's map is read-only, so the read-back keeps its own.
+        self._gather_index = numbering.local_to_global.copy()
         self.bc = bc
         self.ranks = ranks
         self.counters = ExchangeCounters()
@@ -169,18 +174,8 @@ class GatherScatter:
     def n_local(self) -> int:
         return self.numbering.n_local
 
-    def make_work(self) -> np.ndarray:
-        """Scratch for gather_scatter: a writeable local-to-global map.
-
-        np.take copies a read-only index on every call, and the numbering's
-        map is read-only.  A caller that gathers repeatedly, such as
-        SystemApplier, makes it once.
-        """
-        return self.numbering.local_to_global.copy()
-
     def gather_scatter(self, u: np.ndarray, count: bool = True,
-                       out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Return QQ^T u: coincident local values replaced by their sum.
 
         Accepts shape (n_local,) or (ncomp, n_local).  Each partition
@@ -191,20 +186,15 @@ class GatherScatter:
         Args:
             out: optional array of u's shape for the result; it may be u
                 itself.  Allocated when omitted.
-            work: optional make_work() index; the read-only map is used
-                when omitted.  Either way the result is the same float.
         """
         u = np.asarray(u)
         if out is None:
             out = np.empty_like(u)
         elif out.shape != u.shape:
             raise ValueError("out must have the shape of u")
-        if work is None:
-            work = self.numbering.local_to_global
         if u.ndim == 2:
             for i, c in enumerate(u):
-                self.gather_scatter(c, count=(count and i == 0), out=out[i],
-                                    work=work)
+                self.gather_scatter(c, count=(count and i == 0), out=out[i])
             return out
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
@@ -215,7 +205,7 @@ class GatherScatter:
         if count:
             self.counters.messages += self._adjacent_pairs
         # mode="clip" writes straight into out; "raise" buffers it.
-        return np.take(sums, work, out=out, mode="clip")
+        return np.take(sums, self._gather_index, out=out, mode="clip")
 
     def apply_mask(self, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:

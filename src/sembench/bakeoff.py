@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter, build_gather_scatter
-from .basis import Basis1D, make_basis
+from .basis import MAX_P, Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
 from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
                    build_box_mesh, compute_geometric_factors)
-from .operators import STRATEGIES, MassOperator, StiffnessOperator
+from .operators import (BLOCK_SIZES, STRATEGIES, MassOperator,
+                        StiffnessOperator)
 
 THREADS_ENV = "SEMBENCH_THREADS"
 
@@ -104,15 +105,16 @@ class RunConfig:
             raise ConfigError(f"bp must be 1..6, got {self.bp}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 1 <= self.p <= 15:
-            raise ConfigError(f"p must be 1..15, got {self.p}")
+        if not 1 <= self.p <= MAX_P:
+            raise ConfigError(f"p must be 1..{MAX_P}, got {self.p}")
         if not 0 <= self.k <= MAX_K:
             raise ConfigError(f"k must be 0..{MAX_K}, got {self.k}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.strategy == "blocked" and self.block not in (4, 8):
-            raise ConfigError(f"block must be 4 or 8, got {self.block}")
+        if self.strategy == "blocked" and self.block not in BLOCK_SIZES:
+            sizes = " or ".join(map(str, BLOCK_SIZES))
+            raise ConfigError(f"block must be {sizes}, got {self.block}")
         if self.ranks < 1:
             raise ConfigError(f"ranks must be >= 1, got {self.ranks}")
         if self.E < self.ranks:
@@ -362,11 +364,12 @@ class SweepFailure:
     error: str
 
 
-def sweep(bp: int, p_list, k_list, ranks: int = 1, mode: str = "bp",
-          iterations: int = 100, strategy: str = "sumfact", block: int = 8,
-          threads: int | None = None, deterministic: bool = True,
-          trials: int = 3, instrument: bool = False, progress=None):
+def sweep(bp: int, p_list, k_list, progress=None, **fields):
     """Run every (p, k) combination; skip and report invalid or failing ones.
+
+    Every point is RunConfig(bp, p, k, **fields), so fields takes the other
+    RunConfig fields by name and a name RunConfig lacks raises TypeError.
+    progress, when given, is called with each result as it completes.
 
     Returns:
         (results sorted by n_per_rank, failures).
@@ -376,12 +379,7 @@ def sweep(bp: int, p_list, k_list, ranks: int = 1, mode: str = "bp",
     for p in p_list:
         for k in k_list:
             try:
-                config = RunConfig(bp=bp, p=p, k=k, mode=mode, ranks=ranks,
-                                   iterations=iterations, strategy=strategy,
-                                   block=block, threads=threads,
-                                   deterministic=deterministic, trials=trials,
-                                   instrument=instrument)
-                result = run(config)
+                result = run(RunConfig(bp=bp, p=p, k=k, **fields))
             except (ConfigError, ValueError, MemoryError) as exc:
                 failures.append(SweepFailure(p=p, k=k, error=str(exc)))
                 continue

@@ -16,6 +16,8 @@ import numpy as np
 
 from .quadrature import QuadRule1D, gauss_lobatto_legendre, make_rule
 
+MAX_P = 15
+
 
 class BasisError(ValueError):
     """Invalid basis construction (duplicate nodes, broken symmetry)."""
@@ -256,15 +258,15 @@ def make_basis(p: int, quad_kind: str, q: int | None = None) -> Basis1D:
     """Construct a Basis1D for order p with the given quadrature family.
 
     Args:
-        p: polynomial order, 1 <= p <= 15.
+        p: polynomial order, 1 <= p <= MAX_P.
         quad_kind: "GL" or "GLL".
         q: point count; defaults to p + 2 for GL and p + 1 for GLL.
 
     Returns:
         Basis1D with J_hat/D_hat evaluated at the quadrature points.
     """
-    if not 1 <= p <= 15:
-        raise ValueError(f"order p={p} outside supported range 1..15")
+    if not 1 <= p <= MAX_P:
+        raise ValueError(f"order p={p} outside supported range 1..{MAX_P}")
     if q is None:
         q = p + 2 if quad_kind == "GL" else p + 1
     nodes = gauss_lobatto_legendre(p + 1).points.copy()

@@ -2,24 +2,27 @@
 
 The CLI is a thin shell over the library; every behavior here is a direct
 call into bakeoff, metrics, or verify.  Config files use `key = value` lines
-(# comments allowed) with the same keys as the flags; flags win over the
-file, the file wins over defaults.  Exit codes: 0 success, 1 runtime
-failure, 2 configuration error (a point too large for memory included).
+(# comments allowed) whose keys are the RunConfig field names; flags win
+over the file, the file wins over RunConfig's defaults.  Exit codes: 0
+success, 1 runtime failure, 2 configuration error (a point too large for
+memory included).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
 
 from . import bakeoff, metrics, verify
-from .bakeoff import BP_TABLE, MODES, ConfigError, RunConfig
+from .bakeoff import MODES, ConfigError, RunConfig
 from .mesh import MeshError
-from .operators import STRATEGIES
+from .operators import BLOCK_SIZES, STRATEGIES
 
-# Keys accepted in config files; identical to the RunConfig field names.
-CONFIG_KEYS = ("bp", "p", "k", "mode", "ranks", "iterations", "strategy",
-               "block", "threads", "deterministic", "trials", "instrument")
+# The config-file keys and how each value is parsed: RunConfig's fields and
+# their declared types.  p and k stay text, since sweep takes a list of each.
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_LIST_KEYS = ("p", "k")
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -59,14 +62,12 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in ("deterministic", "instrument"):
+        if _FIELD_TYPES[key] is bool:
             values[key] = _parse_bool(key, value)
-        elif key in ("mode", "strategy"):
+        elif _FIELD_TYPES[key] is str or key in _LIST_KEYS:
             values[key] = value
-        elif key in ("p", "k"):
-            values[key] = value          # kept textual; may be a list
         else:
             try:
                 values[key] = int(value)
@@ -92,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                         (" (int, list, or lo..hi)" if sweep else ""))
         sp.add_argument("--ranks", type=int, help="simulated rank count")
         sp.add_argument("--iters", type=int, dest="iterations",
-                        help="iteration count (default 100)")
+                        help="iteration count (default "
+                             f"{RunConfig.iterations})")
         sp.add_argument("--strategy", choices=STRATEGIES)
-        sp.add_argument("--block", type=int, choices=(4, 8),
+        sp.add_argument("--block", type=int, choices=BLOCK_SIZES,
                         help="elements per batch for --strategy blocked")
         sp.add_argument("--threads", type=int,
                         help="worker threads (default: SEMBENCH_THREADS "
@@ -105,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--instrument", action="store_true", default=None,
                         help="accumulate flop/byte counters during timed runs")
         sp.add_argument("--trials", type=int,
-                        help="timed repetitions, median kept (default 3)")
+                        help="timed repetitions, median kept (default "
+                             f"{RunConfig.trials})")
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--out", help="write the CSV dataset here")
         sp.add_argument("--quiet", action="store_true")
@@ -131,23 +134,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_value(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
 def _resolve_configs(args, sweep: bool):
-    """defaults < config file < flags; returns kwargs plus p/k lists."""
+    """defaults < config file < flags; returns fields plus p/k lists.
+
+    fields holds the RunConfig fields but p and k that a flag or the file
+    sets; the others keep RunConfig's defaults.
+    """
     config = load_config(args.config) if args.config else {}
-    bp = _merged_value(args, config, "bp", None)
-    if bp is None:
+    fields = {}
+    for key in _FIELD_TYPES:
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is not None:
+            fields[key] = value
+    if "bp" not in fields:
         raise ConfigError("--bp is required (1..6)")
-    p_text = _merged_value(args, config, "p", None)
-    k_text = _merged_value(args, config, "k", None)
+    p_text = fields.pop("p", None)
+    k_text = fields.pop("k", None)
     if p_text is None or k_text is None:
         raise ConfigError("--p and --k are required")
     try:
@@ -159,24 +163,12 @@ def _resolve_configs(args, sweep: bool):
     if not sweep and (len(p_list) != 1 or len(k_list) != 1):
         raise ConfigError("run takes a single --p and --k; use sweep for "
                           "lists")
-    kwargs = dict(
-        bp=int(bp),
-        mode=_merged_value(args, config, "mode", "bp"),
-        ranks=_merged_value(args, config, "ranks", 1),
-        iterations=_merged_value(args, config, "iterations", 100),
-        strategy=_merged_value(args, config, "strategy", "sumfact"),
-        block=_merged_value(args, config, "block", 8),
-        threads=_merged_value(args, config, "threads", None),
-        deterministic=_merged_value(args, config, "deterministic", True),
-        trials=_merged_value(args, config, "trials", 3),
-        instrument=bool(_merged_value(args, config, "instrument", False)),
-    )
-    return kwargs, p_list, k_list
+    return fields, p_list, k_list
 
 
 def cmd_run(args) -> int:
-    kwargs, p_list, k_list = _resolve_configs(args, sweep=False)
-    config = RunConfig(p=p_list[0], k=k_list[0], **kwargs)
+    fields, p_list, k_list = _resolve_configs(args, sweep=False)
+    config = RunConfig(p=p_list[0], k=k_list[0], **fields)
     result = bakeoff.run(config)
     print(metrics.csv_header())
     print(metrics.csv_line(result))
@@ -186,9 +178,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    kwargs, p_list, k_list = _resolve_configs(args, sweep=True)
-    mode = kwargs.pop("mode")
-    bp = kwargs.pop("bp")
+    fields, p_list, k_list = _resolve_configs(args, sweep=True)
 
     def progress(result):
         if not args.quiet:
@@ -198,7 +188,7 @@ def cmd_sweep(args) -> int:
                   f"rate={result.dofs_rate:.4g} pts/(rank s)")
 
     results, failures = bakeoff.sweep(
-        bp, p_list, k_list, mode=mode, progress=progress, **kwargs)
+        p_list=p_list, k_list=k_list, progress=progress, **fields)
     if args.out:
         metrics.emit_csv(results, args.out)
         if not args.quiet:

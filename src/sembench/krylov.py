@@ -102,11 +102,10 @@ class SystemApplier:
     ints.  `phases` accumulates operator and gather-scatter seconds over the
     applier's lifetime.
 
-    The applier owns the work buffers of a system apply: the A_L u vector
-    and the gather-scatter index (GatherScatter.make_work).  They are made
-    on the first call and reused, so a call with `out` allocates only the
+    The applier owns the A_L u vector of a system apply.  It is made on
+    the first call and reused, so a call with `out` allocates only the
     gather-scatter's two bincount sums; one applier serves one solve at a
-    time.  apply_local, the BK-mode path, makes none of them.
+    time.  apply_local, the BK-mode path, does not make it.
     """
 
     def __init__(self, op, gs: GatherScatter, executor=None):
@@ -115,7 +114,6 @@ class SystemApplier:
         self.executor = executor
         self.phases = {"operator": 0.0, "gather_scatter": 0.0}
         self._local = None
-        self._work = None
 
     def apply_local(self, u: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -139,12 +137,10 @@ class SystemApplier:
         """mask(QQ^T(A_L u)), written into out (allocated when omitted)."""
         if self._local is None or self._local.shape != u.shape:
             self._local = np.empty(u.shape)
-        if self._work is None:
-            self._work = self.gs.make_work()
         t0 = time.perf_counter()
         w = self.apply_local(u, out=self._local)
         t1 = time.perf_counter()
-        w = self.gs.gather_scatter(w, count=count, out=out, work=self._work)
+        w = self.gs.gather_scatter(w, count=count, out=out)
         w = self.gs.apply_mask(w, out=w)
         self.phases["operator"] += t1 - t0
         self.phases["gather_scatter"] += time.perf_counter() - t1

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis1D
+from .basis import MAX_P, Basis1D
 from .quadrature import gauss_lobatto_legendre
 from .tensors import batch_size, contract_dir
 
 MAX_K = 21
-MAX_P = 15
 
 # Stored reals per quadrature point: six G entries, mass weight, Jacobian.
 FACTORS_PER_POINT = 8
@@ -120,7 +119,7 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
 
     Args:
         k: log2 of the element count, 0 <= k <= 21.
-        p: geometry (and field) order, 1 <= p <= 15.
+        p: geometry (and field) order, 1 <= p <= MAX_P.
         extents: ((x0,y0,z0), (x1,y1,z1)) corners of the box.
         deformation: "none" or "sine"; the sine displacement vanishes on
             the boundary, so the domain stays the box.

@@ -44,6 +44,9 @@ from .tensors import (WORKING_SET_WORDS, OpCounters,  # noqa: F401
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
 
+# Elements per batch that the blocked strategy accepts.
+BLOCK_SIZES = (4, 8)
+
 # Matvec-equivalence budget between any two strategies.
 STRATEGY_RTOL = 1e-12
 
@@ -161,8 +164,9 @@ class _LocalOperator:
         _check_strategy(strategy)
         if basis.q != geom.q:
             raise ValueError("basis and geometric factors disagree on q")
-        if strategy == "blocked" and block not in (4, 8):
-            raise ValueError("blocked strategy supports block sizes 4 and 8")
+        if strategy == "blocked" and block not in BLOCK_SIZES:
+            raise ValueError("blocked strategy supports block sizes "
+                             + " and ".join(map(str, BLOCK_SIZES)))
         self.basis = basis
         self.geom = geom
         self.strategy = strategy

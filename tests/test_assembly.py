@@ -1,5 +1,7 @@
 """Global numbering, gather-scatter summation, masks, weighted dots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,15 +101,32 @@ class TestGatherScatter:
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u = rng.standard_normal(shape)
         ref = gs.gather_scatter(u)
-        work = gs.make_work()
-        got = gs.gather_scatter(u.copy(), out=np.empty(shape), work=work)
+        got = gs.gather_scatter(u.copy(), out=np.empty(shape))
         assert np.array_equal(got, ref)
         v = u.copy()
-        assert gs.gather_scatter(v, out=v, work=work) is v
+        assert gs.gather_scatter(v, out=v) is v
         assert np.array_equal(v, ref)
         masked = u.copy()
         assert gs.apply_mask(masked, out=masked) is masked
         assert np.array_equal(masked, gs.apply_mask(u))
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_out_call_does_not_copy_the_index(self, ranks, rng):
+        # np.take copies a read-only index on every call; beyond its two
+        # bincount sums a gather into out allocates next to nothing.
+        gs = build_gather_scatter(build_box_mesh(4, 7), ranks=ranks)
+        u = rng.standard_normal(gs.n_local)
+        w = np.empty_like(u)
+        sums = 8 * (gs._slot_gid.size + gs.numbering.n_global)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gs.gather_scatter(u, out=w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base - sums < gs.numbering.local_to_global.nbytes // 8
 
     def test_out_shape_checked(self):
         gs = build_gather_scatter(build_box_mesh(1, 1))

@@ -5,13 +5,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sembench import bakeoff
-from sembench.bakeoff import (BP_TABLE, ConfigError, RunConfig,
+from sembench.bakeoff import (BP_TABLE, MODES, ConfigError, RunConfig,
                               build_problem, default_threads,
                               measure_apply_flops, run, sweep)
 from sembench.krylov import SystemApplier
-from sembench.operators import STRATEGIES
+from sembench.operators import BLOCK_SIZES, STRATEGIES
 
 
 class TestBpTable:
@@ -327,3 +329,39 @@ class TestSweep:
         sweep(1, [2], [1], iterations=2, trials=1, progress=seen.append)
         assert len(seen) == 1
         assert seen[0].n == 2 ** 3 * 2
+
+    def test_fields_reach_every_config(self):
+        fields = dict(mode="bk", strategy="blocked", block=4, iterations=2,
+                      trials=1)
+        results, failures = sweep(1, [2], [1], **fields)
+        assert not failures
+        assert results[0].config == RunConfig(1, 2, 1, **fields)
+
+    def test_unknown_field_raises(self):
+        with pytest.raises(TypeError):
+            sweep(1, [2], [1], iteration=2, trials=1)
+
+
+class TestConfigSpace:
+    """Every config that validates either runs or is refused up front."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bp=st.integers(1, 6), p=st.integers(1, 4), k=st.integers(0, 4),
+           mode=st.sampled_from(MODES), ranks=st.integers(1, 4),
+           strategy=st.sampled_from(STRATEGIES),
+           block=st.sampled_from(BLOCK_SIZES), iterations=st.integers(1, 6),
+           threads=st.integers(1, 2))
+    def test_runs_or_raises_config_error(self, **fields):
+        # A DivergenceError, or any other exception, fails the example.
+        # The residual may rise between steps: PCG does not promise a
+        # monotone preconditioned residual.
+        try:
+            config = RunConfig(trials=1, **fields)
+            result = run(config)
+        except ConfigError:
+            return
+        if config.mode == "bp":
+            history = result.solver.residual_history
+            assert history.size == result.solver.iterations + 1
+            assert np.all(np.isfinite(history))
+        assert np.isfinite(result.seconds_per_iter)

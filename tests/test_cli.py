@@ -1,12 +1,17 @@
 """Command-line surface: parsing, config files, exit codes, outputs."""
 
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
 from sembench import bakeoff
-from sembench.bakeoff import ConfigError
-from sembench.cli import load_config, main, parse_int_list
+from sembench.bakeoff import ConfigError, RunConfig
+from sembench.cli import build_parser, load_config, main, parse_int_list
 from sembench.metrics import CSV_COLUMNS, read_csv
+
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 class TestParseIntList:
@@ -74,6 +79,34 @@ class TestLoadConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+
+class TestRunConfigSurface:
+    """The CLI takes its keys and defaults from RunConfig's fields."""
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_every_field_is_a_config_key(self, name, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        kind = typing.get_type_hints(RunConfig)[name]
+        value = {bool: "true", str: "bk"}.get(kind, "4")
+        cfg.write_text(f"{name} = {value}\n")
+        assert name in load_config(cfg)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_field_has_a_flag(self, command):
+        dests = vars(build_parser().parse_args([command]))
+        assert set(FIELDS) <= set(dests)
+
+    def test_bare_run_uses_run_config_defaults(self, monkeypatch, capsys):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(bakeoff, "run", capture)
+        assert main(["run", "--bp", "3", "--p", "2", "--k", "1"]) == 2
+        assert seen == [RunConfig(3, 2, 1)]
 
 
 RUN_ARGS = ["run", "--bp", "1", "--p", "2", "--k", "1",

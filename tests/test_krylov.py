@@ -337,16 +337,16 @@ class TestSystemApplierOut:
     def test_work_buffers_are_made_once(self, monkeypatch):
         pr = build_problem(RunConfig(bp=3, p=2, k=3))
         A = SystemApplier(pr.op, pr.gs)
-        seen = {"local": [], "work": []}
+        seen = {"local": [], "out": []}
         apply_local, gather = pr.op.apply_local, pr.gs.gather_scatter
 
         def spy_apply(u, out=None, elements=None):
             seen["local"].append(out)
             return apply_local(u, out=out, elements=elements)
 
-        def spy_gather(u, count=True, out=None, work=None):
-            seen["work"].append(work)
-            return gather(u, count=count, out=out, work=work)
+        def spy_gather(u, count=True, out=None):
+            seen["out"].append(out)
+            return gather(u, count=count, out=out)
 
         monkeypatch.setattr(pr.op, "apply_local", spy_apply)
         monkeypatch.setattr(pr.gs, "gather_scatter", spy_gather)
@@ -361,4 +361,4 @@ class TestSystemApplierOut:
         pr = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk"))
         A = SystemApplier(pr.op, pr.gs)
         A.apply_local(rng.standard_normal(pr.gs.n_local))
-        assert A._local is None and A._work is None
+        assert A._local is None
