@@ -33,7 +33,7 @@ __all__ = [
     "DivergenceError", "EvenOddFactor", "GatherScatter", "GeomFactors",
     "MassOperator", "MeshError", "MetricsError", "OpCounters", "PcgRun",
     "QuadRule1D", "RunConfig", "RunResult", "STRATEGIES", "StiffnessOperator",
-    "SystemApplier", "assemble_reference_csr", "box_dims",
+    "SystemApplier", "assemble_reference_csr", "box_dims", "build_box_mesh",
     "build_gather_scatter", "build_numbering", "build_problem", "build_rhs",
     "bytes_model", "compute_diagonal", "compute_geometric_factors",
     "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split",

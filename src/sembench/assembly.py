@@ -3,7 +3,8 @@
 Fields live in local form: one value per element node, with values at shared
 element interfaces duplicated.  gather_scatter replaces every set of
 coincident values by their sum (the QQ^T operation); the explicit Q matrix is
-never formed here, only in the verification oracles.
+never formed here, only in the verification oracles.  Its read-back points
+Dirichlet boundary locals at a zero slot, so gather_scatter also masks.
 
 Partitioned operation simulates distributed ranks: elements are split into
 contiguous blocks.  One precomputed plan serves every rank count.  Each block
@@ -119,12 +120,13 @@ class GatherScatter:
     id's slots in ascending partition order, and reads the totals back to
     every local copy.  A single partition is the same code.
 
-    The read-back index is the plan's own writeable copy of the
-    local-to-global map, so no gather_scatter call copies it.  The plan
-    holds no scratch: gather_scatter and apply_mask take an optional `out`
-    array and local_dot a `work` array from the caller (a solve makes them
-    once, see krylov.SystemApplier and krylov.pcg); without one they
-    allocate for that call, with the same bits.
+    The read-back index, the only stored form of the Dirichlet boundary, is
+    the local-to-global map with boundary locals pointed at n_global, a slot
+    that sums to zero; `mask` is derived from it.  The plan owns it
+    writeable, so no gather_scatter call copies it.  The plan holds no
+    scratch: gather_scatter and apply_mask take an optional `out` array and
+    local_dot a `work` array from the caller (a solve makes them once, see
+    krylov.pcg); without one they allocate for that call, with the same bits.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -134,17 +136,16 @@ class GatherScatter:
         if ranks < 1 or ranks > mesh.E:
             raise ValueError("ranks must be in 1..E (one element per rank)")
         self.numbering = numbering
-        # np.take copies a read-only index on every call, and the
-        # numbering's map is read-only, so the read-back keeps its own.
-        self._gather_index = numbering.local_to_global.copy()
         self.bc = bc
         self.ranks = ranks
         self.counters = ExchangeCounters()
 
         l2g = numbering.local_to_global
         n_global = numbering.n_global
+        # A new array, so writeable: np.take copies a read-only index on
+        # every call, and the numbering's map is read-only.
+        self._read_back = np.where(self._on_boundary(mesh, l2g), n_global, l2g)
         self.weight = 1.0 / numbering.multiplicity[l2g]
-        self.mask = self._build_mask(mesh, l2g)
         self.node_slab = mesh.p1 ** 3
         self.partitions = _partition_elements(mesh.E, ranks)
 
@@ -156,32 +157,37 @@ class GatherScatter:
         self._adjacent_pairs = _count_sharing_pairs(
             slot_key // n_global, self._slot_gid, ranks)
 
-    def _build_mask(self, mesh, l2g):
+    def _on_boundary(self, mesh, l2g):
         if self.bc == "neumann":
-            return np.ones(l2g.size)
+            return False
         p = mesh.p
         ex, ey, ez = mesh.dims
         nx, ny, nz = ex * p + 1, ey * p + 1, ez * p + 1
         gx = l2g % nx
         gy = (l2g // nx) % ny
         gz = l2g // (nx * ny)
-        on_boundary = ((gx == 0) | (gx == nx - 1) |
-                       (gy == 0) | (gy == ny - 1) |
-                       (gz == 0) | (gz == nz - 1))
-        return np.where(on_boundary, 0.0, 1.0)
+        return ((gx == 0) | (gx == nx - 1) |
+                (gy == 0) | (gy == ny - 1) |
+                (gz == 0) | (gz == nz - 1))
 
     @property
     def n_local(self) -> int:
         return self.numbering.n_local
 
+    @property
+    def mask(self) -> np.ndarray:
+        """Per-local float mask: 0.0 on the Dirichlet boundary, else 1.0."""
+        return np.where(self._read_back == self.numbering.n_global, 0.0, 1.0)
+
     def gather_scatter(self, u: np.ndarray, count: bool = True,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """Return QQ^T u: coincident local values replaced by their sum.
+        """Return mask . QQ^T u: coincident local values replaced by their sum.
 
         Accepts shape (n_local,) or (ncomp, n_local).  Each partition
         condenses its locals, the partials of a shared id are added in
         ascending partition order, and the message counter advances by the
-        number of partition pairs that share a node.
+        number of partition pairs that share a node.  Dirichlet boundary
+        locals read +0.0; under Neumann conditions the mask is all ones.
 
         Args:
             out: optional array of u's shape for the result; it may be u
@@ -201,19 +207,23 @@ class GatherScatter:
         partials = np.bincount(self._slot, weights=u,
                                minlength=self._slot_gid.size)
         sums = np.bincount(self._slot_gid, weights=partials,
-                           minlength=self.numbering.n_global)
+                           minlength=self.numbering.n_global + 1)
         if count:
             self.counters.messages += self._adjacent_pairs
         # mode="clip" writes straight into out; "raise" buffers it.
-        return np.take(sums, self._gather_index, out=out, mode="clip")
+        return np.take(sums, self._read_back, out=out, mode="clip")
 
     def apply_mask(self, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Zero Dirichlet boundary values (identity under Neumann).
 
-        out may be u itself; it is allocated when omitted.
+        For inputs: gather_scatter masks its own output, with +0.0 as
+        here.  out may be u itself; it is allocated when omitted.
         """
-        return np.multiply(u, self.mask, out=out)
+        out = np.empty_like(u) if out is None else out
+        np.copyto(out, u)
+        out[..., self.mask == 0.0] = 0.0
+        return out
 
     def global_mask(self) -> np.ndarray:
         """Per-global-id mask (0 on the Dirichlet boundary)."""

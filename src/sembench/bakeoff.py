@@ -155,7 +155,6 @@ class RunResult:
 
     config: RunConfig
     n: int
-    n_true: int
     n_per_rank: float
     threads: int
     seconds_total: float
@@ -202,9 +201,7 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
     f = (np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
     f = f.reshape(-1)
     mass = MassOperator(basis, geom)
-    b = mass.apply_local(f)
-    b = gs.gather_scatter(b, count=False)
-    b = gs.apply_mask(b)
+    b = gs.gather_scatter(mass.apply_local(f), count=False)
     if components == 3:
         b = np.stack([b, b, b])
     return b
@@ -217,9 +214,9 @@ def estimate_bytes(config: RunConfig) -> int:
     is the stored geometric factors, the mesh, the plan and the vectors.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
-    # coordinates (3), the gather-scatter plan (ids, slots, weights, mask
-    # and the global-length arrays, about 6), and per component the PCG
-    # vectors with one step's temporaries (about 8).
+    # coordinates (3), the gather-scatter plan (the map, its masked
+    # read-back, slots, weights and the global-length arrays, about 6), and
+    # per component the PCG vectors with one step's temporaries (about 8).
     p1 = config.p + 1
     node_words = 3 + 6 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
@@ -343,7 +340,6 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     return RunResult(
         config=config,
         n=n,
-        n_true=problem.mesh.n_true,
         n_per_rank=n / config.ranks,
         threads=threads,
         seconds_total=seconds,

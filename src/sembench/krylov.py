@@ -1,13 +1,13 @@
 """Diagonally preconditioned conjugate gradient over the assembled operator.
 
-Every matvec is the composition mask . QQ^T . A_L; dot products use the
-multiplicity-weighted local form, so each one is a single global reduction.
-Per iteration exactly two reductions are counted (p'Ap and r'z), matching the
-latency model used in the scalability analysis.
+Every matvec is mask . QQ^T . A_L: a local apply, then one gather_scatter
+call, which also masks.  Dot products use the multiplicity-weighted local
+form, so each is one global reduction; per iteration exactly two are counted
+(p'Ap and r'z), matching the latency model of the scalability analysis.
 
 The operator diagonal is extracted matrix-free by contracting the metric
-factors with elementwise-squared operator matrices, then assembled and
-masked; it is the only preconditioner offered.
+factors with elementwise-squared operator matrices, then assembled (and so
+masked); it is the only preconditioner offered.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
     Masked (Dirichlet) slots get 1.0; they never see a nonzero residual.
     """
     d = gs.gather_scatter(compute_diagonal(op), count=False)
-    d = gs.apply_mask(d)
     live = gs.mask > 0.0
     if np.any(live & (d <= 0.0)):
         raise DivergenceError("assembled diagonal not positive on free nodes")
@@ -97,15 +96,13 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
 class SystemApplier:
     """mask . QQ^T . A_L with element work fanned out over rank partitions.
 
-    With an executor the local apply runs one task per partition of gs;
-    instrumented operators stay serial because their counters are plain
-    ints.  `phases` accumulates operator and gather-scatter seconds over the
-    applier's lifetime.
-
-    The applier owns the A_L u vector of a system apply.  It is made on
-    the first call and reused, so a call with `out` allocates only the
-    gather-scatter's two bincount sums; one applier serves one solve at a
-    time.  apply_local, the BK-mode path, does not make it.
+    A system apply writes A_L u into `out` and then runs one in-place
+    gather_scatter on it, which sums and masks.  The applier owns no
+    buffer, so a call with `out` allocates only the gather-scatter's two
+    bincount sums.  With an executor the local apply runs one task per
+    partition of gs; instrumented operators stay serial because their
+    counters are plain ints.  `phases` accumulates operator and
+    gather-scatter seconds over the applier's lifetime.
     """
 
     def __init__(self, op, gs: GatherScatter, executor=None):
@@ -113,7 +110,6 @@ class SystemApplier:
         self.gs = gs
         self.executor = executor
         self.phases = {"operator": 0.0, "gather_scatter": 0.0}
-        self._local = None
 
     def apply_local(self, u: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -135,13 +131,10 @@ class SystemApplier:
     def __call__(self, u: np.ndarray, count: bool = True,
                  out: np.ndarray | None = None) -> np.ndarray:
         """mask(QQ^T(A_L u)), written into out (allocated when omitted)."""
-        if self._local is None or self._local.shape != u.shape:
-            self._local = np.empty(u.shape)
         t0 = time.perf_counter()
-        w = self.apply_local(u, out=self._local)
+        w = self.apply_local(u, out=out)
         t1 = time.perf_counter()
-        w = self.gs.gather_scatter(w, count=count, out=out)
-        w = self.gs.apply_mask(w, out=w)
+        w = self.gs.gather_scatter(w, count=count, out=w)
         self.phases["operator"] += t1 - t0
         self.phases["gather_scatter"] += time.perf_counter() - t1
         return w

@@ -263,6 +263,20 @@ class TestMask:
         assert np.array_equal(outer != 2.0, mask == 0.0)
         assert gs.mask.sum() == 8
 
+    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_dirichlet_sum_is_masked_neumann_sum(self, ranks, comps, rng):
+        mesh = build_box_mesh(3, 3)
+        dirichlet = build_gather_scatter(mesh, bc="dirichlet", ranks=ranks)
+        neumann = build_gather_scatter(mesh, bc="neumann", ranks=ranks)
+        shape = (mesh.E * 64,) if comps == 1 else (comps, mesh.E * 64)
+        u = rng.standard_normal(shape)
+        got = dirichlet.gather_scatter(u)
+        ref = dirichlet.apply_mask(neumann.gather_scatter(u))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.count_nonzero(got) < got.size
+
     def test_global_mask_counts_interior(self):
         mesh = build_box_mesh(3, 2)
         gs = build_gather_scatter(mesh, bc="dirichlet")
