@@ -36,14 +36,23 @@ class ExchangeCounters:
 
 @dataclass(frozen=True)
 class GlobalNumbering:
-    """Map from local element nodes to unique global lattice ids."""
+    """Map from local element nodes to unique global lattice ids.
+
+    local_to_global is a read-only view.  The writeable array behind it is
+    kept as _index for the gather-scatter plans of this module, which index
+    with it (np.take copies a read-only index on every call); a Neumann
+    plan reads back through it, so no plan copies the map.
+    """
 
     local_to_global: np.ndarray  # int64, length E * p1^3
     n_global: int
     multiplicity: np.ndarray     # per global id, length n_global
 
     def __post_init__(self):
-        self.local_to_global.flags.writeable = False
+        view = self.local_to_global.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "_index", self.local_to_global)
+        object.__setattr__(self, "local_to_global", view)
         self.multiplicity.flags.writeable = False
 
     @property
@@ -122,11 +131,13 @@ class GatherScatter:
 
     The read-back index, the only stored form of the Dirichlet boundary, is
     the local-to-global map with boundary locals pointed at n_global, a slot
-    that sums to zero; `mask` is derived from it.  The plan owns it
-    writeable, so no gather_scatter call copies it.  The plan holds no
-    scratch: gather_scatter and apply_mask take an optional `out` array and
-    local_dot a `work` array from the caller (a solve makes them once, see
-    krylov.pcg); without one they allocate for that call, with the same bits.
+    that sums to zero; `mask` is derived from it.  Under Neumann conditions
+    it is the numbering's writeable map itself, not a copy.  Either way it
+    is writeable, so no gather_scatter call copies the index.  The plan
+    holds no scratch: gather_scatter and apply_mask take an optional `out`
+    array and local_dot a `work` array from the caller (a solve makes them
+    once, see krylov.pcg); without one they allocate for that call, with
+    the same bits.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -140,11 +151,10 @@ class GatherScatter:
         self.ranks = ranks
         self.counters = ExchangeCounters()
 
-        l2g = numbering.local_to_global
+        l2g = numbering._index
         n_global = numbering.n_global
-        # A new array, so writeable: np.take copies a read-only index on
-        # every call, and the numbering's map is read-only.
-        self._read_back = np.where(self._on_boundary(mesh, l2g), n_global, l2g)
+        self._read_back = l2g if bc == "neumann" else np.where(
+            self._on_boundary(mesh, l2g), n_global, l2g)
         self.weight = 1.0 / numbering.multiplicity[l2g]
         self.node_slab = mesh.p1 ** 3
         self.partitions = _partition_elements(mesh.E, ranks)
@@ -157,9 +167,8 @@ class GatherScatter:
         self._adjacent_pairs = _count_sharing_pairs(
             slot_key // n_global, self._slot_gid, ranks)
 
-    def _on_boundary(self, mesh, l2g):
-        if self.bc == "neumann":
-            return False
+    @staticmethod
+    def _on_boundary(mesh, l2g):
         p = mesh.p
         ex, ey, ez = mesh.dims
         nx, ny, nz = ex * p + 1, ey * p + 1, ez * p + 1

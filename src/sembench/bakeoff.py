@@ -214,9 +214,10 @@ def estimate_bytes(config: RunConfig) -> int:
     is the stored geometric factors, the mesh, the plan and the vectors.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
-    # coordinates (3), the gather-scatter plan (the map, its masked
-    # read-back, slots, weights and the global-length arrays, about 6), and
-    # per component the PCG vectors with one step's temporaries (about 8).
+    # coordinates (3), the gather-scatter plan (the map, a Dirichlet plan's
+    # masked read-back, slots, weights and the global-length arrays, about
+    # 6), and per component the PCG vectors with one step's temporaries
+    # (about 8).  The factors are stored in ragged blocks, with no padding.
     p1 = config.p + 1
     node_words = 3 + 6 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
@@ -312,10 +313,14 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         def bk_trial():
             t0 = time.perf_counter()
             for _ in range(config.iterations):
-                applier.apply_local(b)
+                applier.apply_local(b, out=w)
             return time.perf_counter() - t0, 0, None
 
-        trial = bp_trial if config.mode == "bp" else bk_trial
+        if config.mode == "bp":
+            trial = bp_trial
+        else:
+            w = np.empty_like(b)     # one output for every apply
+            trial = bk_trial
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter
-from .tensors import batch_size, contract_dir
+from .tensors import contract_dir
 
 
 class DivergenceError(RuntimeError):
@@ -32,21 +32,20 @@ def compute_diagonal(op) -> np.ndarray:
     contractions of the metric entries with products of squared (or
     cross-multiplied) rows of J_hat/D_hat; for the mass operator it is the
     J3-squared contraction of the diagonal weights, which collapses to the
-    stored mass_diag itself in the collocated case.  Both are computed
-    batch_size(q) elements at a time, like the operator applies.
+    stored mass_diag itself in the collocated case.  Both are computed one
+    storage block of the geometric factors at a time, like the operator
+    applies, and written back element-major.
     """
-    basis = op.basis
+    basis, geom = op.basis, op.geom
     J, D = basis.J_hat, basis.D_hat
-    if op.system == "mass" and op.collocated:
-        return (op.beta * op.geom.mass_diag).reshape(-1)
-
     p1 = basis.p1
-    E = op.geom.E
-    out = np.empty((E, p1, p1, p1))
+    out = np.empty((geom.E, p1, p1, p1))
     pj = np.ascontiguousarray((J * J).T)
     if op.system == "mass":
         def block(b0, b1):
-            d = op.beta * op.geom.mass_diag[b0:b1]
+            d = op.beta * geom.slab(geom.mass_diag, b0, b1)
+            if op.collocated:
+                return d
             d = contract_dir(pj, d, 0)
             d = contract_dir(pj, d, 1)
             return contract_dir(pj, d, 2)
@@ -55,10 +54,10 @@ def compute_diagonal(op) -> np.ndarray:
         px = np.ascontiguousarray((J * D).T)
 
         def block(b0, b1):
-            g = op.geom.G[b0:b1]
+            g = geom.slab(geom.G, b0, b1)
 
             def term(mx, my, mz, slot, factor):
-                t = contract_dir(mx, g[:, slot], 0)
+                t = contract_dir(mx, g[slot], 0)
                 t = contract_dir(my, t, 1)
                 t = contract_dir(mz, t, 2)
                 t *= factor
@@ -72,10 +71,8 @@ def compute_diagonal(op) -> np.ndarray:
             d += term(pj, px, px, 4, 2.0)     # G23
             return d
 
-    step = batch_size(basis.q)
-    for b0 in range(0, E, step):
-        b1 = min(b0 + step, E)
-        out[b0:b1] = block(b0, b1)
+    for b0, b1 in geom.batches(0, geom.E):
+        out[b0:b1] = block(b0, b1).transpose(3, 0, 1, 2)
     return out.reshape(-1)
 
 
@@ -118,7 +115,7 @@ class SystemApplier:
         Every element of out is written; it is allocated when omitted.
         """
         if out is None:
-            out = np.zeros_like(u)
+            out = np.empty_like(u)
         parts = self.gs.partitions
         if self.executor is None or len(parts) == 1 or self.op.instrument:
             return self.op.apply_local(u, out=out)

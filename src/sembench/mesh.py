@@ -10,9 +10,10 @@ Geometric factors are stored per element, per quadrature point: the six
 distinct entries of the symmetric metric tensor G, the diagonal mass weight
 rho_i rho_j rho_k J, and the Jacobian determinant J.  That is 8 q^3 reals per
 element; the global tensor-product layout of the element array is never
-exploited downstream.  They are computed batch_size(q) elements at a time,
-like the operator applies, so setup holds the stored factors plus one batch
-of temporaries.
+exploited downstream.  They are computed and stored in blocks of
+batch_size(q) elements, element index innermost, the layout of the operator
+batches that read them (see GeomFactors), so setup holds the stored factors
+plus one block of temporaries.
 """
 
 from __future__ import annotations
@@ -178,14 +179,17 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
 class GeomFactors:
     """Quadrature-point geometry: G tensor, mass diagonal, Jacobian det.
 
-    G has shape (E, 6, q, q, q) in the order (G11, G12, G13, G22, G23, G33);
-    mass_diag and jac_det have shape (E, q, q, q).  Exactly 8 q^3 stored
-    reals per element.  G is stored slot-major: it is the (1, 0, 2, 3, 4)
-    transpose of a C-ordered (6, E, q, q, q) array, so G[b0:b1][:, s] is
-    one contiguous block for every element range and slot.
+    Elements are stored in blocks of `block` elements (the last block holds
+    the rest), each factor as one flat array.  In G, block [b0, b1) is one
+    contiguous (6, q, q, q, b1 - b0) slab in the slot order (G11, G12, G13,
+    G22, G23, G33); in mass_diag and jac_det it is one (q, q, q, b1 - b0)
+    slab.  The element index is innermost, as in an operator batch, so a
+    batch reads each metric slot as one contiguous block.  Exactly 8 q^3
+    stored reals per element.  slab() is the only reader of the layout.
     """
 
     q: int
+    block: int
     G: np.ndarray
     mass_diag: np.ndarray
     jac_det: np.ndarray
@@ -196,11 +200,40 @@ class GeomFactors:
 
     @property
     def E(self) -> int:
-        return self.G.shape[0]
+        return self.jac_det.size // self.q ** 3
 
     @property
     def words_per_element(self) -> int:
         return FACTORS_PER_POINT * self.q ** 3
+
+    def batches(self, e0: int, e1: int, size: int | None = None):
+        """The range [e0, e1) cut at block boundaries and every `size`
+        elements after each cut, as a list of (b0, b1) pairs."""
+        size = size or self.block
+        out = []
+        while e0 < e1:
+            b1 = min(e1, (e0 // self.block + 1) * self.block, e0 + size)
+            out.append((e0, b1))
+            e0 = b1
+        return out
+
+    def slab(self, factor: np.ndarray, e0: int, e1: int) -> np.ndarray:
+        """View of elements [e0, e1), inside one block, of a stored factor.
+
+        factor is G, mass_diag, jac_det or an array of the same layout.
+        The view is (6, q, q, q, e1 - e0) for G and (q, q, q, e1 - e0) for
+        the one-slot factors; it is contiguous when [e0, e1) is a block.
+        """
+        q3 = self.q ** 3
+        b0 = e0 - e0 % self.block
+        b1 = min(b0 + self.block, self.E)
+        if not e0 < e1 <= b1:
+            raise ValueError(f"elements [{e0}, {e1}) are not inside one block")
+        words = factor.size // self.E
+        slots = (words // q3,) if words > q3 else ()
+        block = factor[words * b0:words * b1].reshape(
+            slots + (self.q,) * 3 + (b1 - b0,))
+        return block[..., e0 - b0:e1 - b0]
 
 
 def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
@@ -210,8 +243,8 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
     coordinates, inverted in closed form (3x3 adjugate), and combined with
     the determinant and quadrature weights into
     G_mm' = sum_l (dr_m/dx_l)(dr_m'/dx_l) * J * rho_i rho_j rho_k.
-    Elements are processed batch_size(q) at a time, one contraction chain
-    per reference direction and coordinate of the batch.
+    Elements are processed one storage block at a time, one contraction
+    chain per reference direction and coordinate of the block.
 
     Raises:
         MeshError: if any quadrature point has a non-positive or nearly
@@ -222,24 +255,23 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
         raise MeshError("basis order must match mesh geometry order")
     q, E = basis.q, mesh.E
     w = basis.quad.weights
-    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :])[..., None]
     hx, hy, hz = mesh.element_widths
     floor = 1e-14 * abs(hx * hy * hz)
 
-    # Slot-major storage behind an (E, 6, q, q, q) view, so every slot of
-    # an element batch is one contiguous block.
-    G = np.empty((6, E, q, q, q)).transpose(1, 0, 2, 3, 4)
-    mass_diag = np.empty((E, q, q, q))
-    jac_det = np.empty((E, q, q, q))
-    step = batch_size(q)
-    for b0 in range(0, E, step):
-        b1 = min(b0 + step, E)
-        # Coordinate-major, so each coordinate is a contiguous batch field.
-        # One chain per coordinate keeps every GEMM the size of an apply's:
-        # a chain over all three crosses OpenBLAS's threading threshold,
-        # and its threads ran setup 2x slower on a busy host.
+    # The geometry holds frozen views of these buffers; the loop fills
+    # each block through the geometry's own slab().
+    G, mass_diag, jac_det = (np.empty(n * q ** 3 * E) for n in (6, 1, 1))
+    geom = GeomFactors(q, batch_size(q), G.view(), mass_diag.view(),
+                       jac_det.view())
+    for b0, b1 in geom.batches(0, E):
+        # Coordinate-major and element-innermost, so each coordinate is a
+        # contiguous (p1, p1, p1, B) batch field.  One chain per coordinate
+        # keeps every GEMM the size of an apply's: a chain over all three
+        # crosses OpenBLAS's threading threshold, and its threads ran setup
+        # 2x slower on a busy host.
         coords = np.ascontiguousarray(
-            mesh.elem_coords[b0:b1].swapaxes(0, 1))   # (3, B, p1, p1, p1)
+            mesh.elem_coords[b0:b1].transpose(1, 2, 3, 4, 0))
         # dxdr[m][l] = d x_l / d r_m at every quadrature point.
         dxdr = [[None] * 3 for _ in range(3)]
         for m in range(3):
@@ -256,10 +288,12 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
 
         bad = det <= floor
         if np.any(bad):
-            e, iz, iy, ix = (int(i[0]) for i in np.nonzero(bad))
+            e = int(np.nonzero(bad.any(axis=(0, 1, 2)))[0][0])
+            iz, iy, ix = (int(i[0]) for i in np.nonzero(bad[..., e]))
             raise MeshError(
                 f"inverted element {b0 + e} at quadrature point "
-                f"({iz},{iy},{ix}): jacobian determinant {det[bad][0]:.3e}")
+                f"({iz},{iy},{ix}): jacobian determinant "
+                f"{det[iz, iy, ix, e]:.3e}")
 
         # Closed-form adjugate rows: drdx[m][l] = d r_m / d x_l.
         inv_det = 1.0 / det
@@ -275,11 +309,12 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
         # The Jacobian entries are not needed past here; dropping them
         # before the G products lowers the batch's peak memory.
         del dxdr, xr, yr, zr, xs, ys, zs, xt, yt, zt, inv_det
-        wj = np.multiply(w3, det, out=mass_diag[b0:b1])
-        jac_det[b0:b1] = det
+        wj = np.multiply(w3, det, out=geom.slab(mass_diag, b0, b1))
+        geom.slab(jac_det, b0, b1)[...] = det
+        g = geom.slab(G, b0, b1)
         for (m, mp), slot in G_INDEX.items():
             acc = drdx[m][0] * drdx[mp][0]
             acc += drdx[m][1] * drdx[mp][1]
             acc += drdx[m][2] * drdx[mp][2]
-            np.multiply(acc, wj, out=G[b0:b1, slot])
-    return GeomFactors(q, G, mass_diag, jac_det)
+            np.multiply(acc, wj, out=g[slot])
+    return geom

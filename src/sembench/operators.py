@@ -22,10 +22,16 @@ keeps its factored D and blocked its batch.  The dense output equals the
 interpfirst dataflow's bitwise, since that adds the transposed terms in the
 same order and its identity contractions are exact.
 
-Every strategy applies a batch of elements per contraction; all but blocked
-take batch_size(q) elements, a working set of about WORKING_SET_WORDS words
-per field.  The output is bitwise-identical to per-element application,
-which the verify suite checks.
+Every strategy applies a batch of elements per contraction.  A batch is
+transposed once on the way in to a (p1, p1, p1, B) field, element index
+innermost, so every 1D contraction is one GEMM with a long right-hand side
+(see tensors), and once on the way out.  The batches are the requested
+element range cut at the blocks in which the geometric factors are stored,
+batch_size(q) elements each (a working set of about WORKING_SET_WORDS words
+per field), so a batch reads each factor slot as one contiguous
+(q, q, q, B) slab; blocked cuts each block further into batches of 4 or 8.
+The output is bitwise-identical to per-element application, which the
+verify suite checks.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -153,9 +159,9 @@ class _LocalOperator:
     """Validation, element batching and counting shared by both operators.
 
     Subclasses provide _element_data(b0, b1, ct), which returns the stored
-    per-element factors of a batch and counts their reads, and
-    _apply_block(U, data, ct), which applies the operator to one batch U of
-    shape (B, p1, p1, p1).
+    factors of a batch as (..., q, q, q, B) slabs and counts their reads,
+    and _apply_block(U, data, ct), which applies the operator to one batch
+    U of shape (p1, p1, p1, B).
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -170,7 +176,7 @@ class _LocalOperator:
         self.basis = basis
         self.geom = geom
         self.strategy = strategy
-        self.block = block if strategy == "blocked" else batch_size(basis.q)
+        self.block = block if strategy == "blocked" else geom.block
         self.instrument = instrument
         self.counters = OpCounters()
         # The 1D matrices of the sumfact dataflow and the contraction that
@@ -218,15 +224,16 @@ class _LocalOperator:
         ct = self.counters if self.instrument else None
         uf = u.reshape(comps, self.E, p1, p1, p1)
         wf = out.reshape(comps, self.E, p1, p1, p1)
-        for b0 in range(e0, e1, self.block):
-            b1 = min(b0 + self.block, e1)
+        for b0, b1 in self.geom.batches(e0, e1, self.block):
             # Element data is read once per batch, shared by the components.
             data = self._element_data(b0, b1, ct)
             if ct is not None:
                 ct.read_words += comps * (b1 - b0) * p1 ** 3
                 ct.write_words += comps * (b1 - b0) * p1 ** 3
             for c in range(comps):
-                wf[c, b0:b1] = self._apply_block(uf[c, b0:b1], data, ct)
+                U = np.ascontiguousarray(uf[c, b0:b1].transpose(1, 2, 3, 0))
+                W = self._apply_block(U, data, ct)
+                wf[c, b0:b1] = W.transpose(3, 0, 1, 2)
         return out
 
 
@@ -268,7 +275,7 @@ class StiffnessOperator(_LocalOperator):
     def model_bytes(self, components: int = 1):
         return bytes_model(self.basis.p, self.basis.q, components, "stiffness")
 
-    # Contraction kernels.  U is (B, n, n, n); ct threads the counters.
+    # Contraction kernels.  U is (n, n, n, B); ct threads the counters.
 
     def _grad_sumfact(self, U, ct):
         c, J, D = self._contract, self._j, self._d
@@ -341,7 +348,7 @@ class StiffnessOperator(_LocalOperator):
             w += np.multiply(gc, ut, out=tmp)
             return w
 
-        g11, g12, g13, g22, g23, g33 = (g[:, i] for i in range(6))
+        g11, g12, g13, g22, g23, g33 = g
         wr, ws, wt = row(g11, g12, g13), row(g12, g22, g23), row(g13, g23, g33)
         if ct is not None:
             ct.mul += 9 * ur.size
@@ -355,7 +362,7 @@ class StiffnessOperator(_LocalOperator):
     def _element_data(self, b0, b1, ct):
         if ct is not None:
             ct.g_read_words += 6 * self.basis.q ** 3 * (b1 - b0)
-        return self.geom.G[b0:b1]
+        return self.geom.slab(self.geom.G, b0, b1)
 
 
 class MassOperator(_LocalOperator):
@@ -373,9 +380,6 @@ class MassOperator(_LocalOperator):
         super().__init__(basis, geom, strategy, block, instrument)
         self.beta = beta
         self.collocated = basis.collocated
-        # beta is folded into the stored diagonal once; beta = 1 keeps the
-        # exact mass_diag values so the collocated apply is exact scaling.
-        self._diag = geom.mass_diag if beta == 1.0 else beta * geom.mass_diag
 
     def model_flops(self, components: int = 1) -> float:
         return components * mass_flop_model(self.basis.p, self.basis.q,
@@ -394,7 +398,10 @@ class MassOperator(_LocalOperator):
     def _element_data(self, b0, b1, ct):
         if ct is not None:
             ct.read_words += self.basis.q ** 3 * (b1 - b0)
-        return self._diag[b0:b1]
+        # beta scales the batch's diagonal before the apply; beta = 1 keeps
+        # the exact mass_diag values so the collocated apply is exact.
+        d = self.geom.slab(self.geom.mass_diag, b0, b1)
+        return d if self.beta == 1.0 else self.beta * d
 
     def _apply_block(self, U, d, ct):
         if ct is not None:
@@ -441,11 +448,12 @@ def assemble_reference_csr(op, gs, mask: bool = True):
         gi = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 3,
               (1, 2): 4, (2, 0): 2, (2, 1): 4, (2, 2): 5}
         for e in range(E):
+            g_e = op.geom.slab(op.geom.G, e, e + 1)[..., 0]
             a_e = np.zeros((p1 ** 3, p1 ** 3))
             for m in range(3):
                 inner = np.zeros_like(Dm[0])
                 for mp in range(3):
-                    gvals = op.geom.G[e, gi[(m, mp)]].reshape(-1)
+                    gvals = g_e[gi[(m, mp)]].reshape(-1)
                     inner += gvals[:, None] * Dm[mp]
                 a_e += Dm[m].T @ inner
             rows.append(np.repeat(l2g[e], p1 ** 3))
@@ -454,7 +462,8 @@ def assemble_reference_csr(op, gs, mask: bool = True):
     else:
         J3 = _kron3(J, J, J)
         for e in range(E):
-            dvals = op.beta * op.geom.mass_diag[e].reshape(-1)
+            dvals = op.beta * op.geom.slab(op.geom.mass_diag, e,
+                                           e + 1).reshape(-1)
             b_e = J3.T @ (dvals[:, None] * J3)
             rows.append(np.repeat(l2g[e], p1 ** 3))
             cols.append(np.tile(l2g[e], p1 ** 3))

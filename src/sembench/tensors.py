@@ -1,25 +1,33 @@
 """Batched 1D tensor contractions over 3D element fields, with counting.
 
-Element fields are numpy arrays of shape (..., n3, n2, n1) where the last
-three axes are the z, y, x directions of the reference cube.  A contraction
-applies a small dense (or even-odd factored) matrix along one of those axes
-for every element in the leading batch dimensions.
+Element fields are numpy arrays of shape (n3, n2, n1, *batch): the first
+three axes are the z, y, x directions of the reference cube and the batch
+axes (one per element of a batch, usually) come last, so the element index
+is innermost.  A contraction applies a small dense (or even-odd factored)
+matrix along one of the three direction axes for every batch entry.
 
-Each dense contraction is one numpy matmul with the batch axes leading and
-no transposed copies: direction 0 is one tall (rows, n1) @ (n1, m) GEMM over
-every x-line of the batch, direction 1 is a @ u, and direction 2 is a @ u
-with the y and x axes merged.  Callers pass C-contiguous fields, so the
-direction-0 reshape is a view.
+With the element innermost, every dense contraction is a @ X with a long
+right-hand side, one numpy matmul and no transposed copies: direction 2 (z)
+is one (m, n3) @ (n3, n2 n1 B) GEMM, direction 1 (y) n3 stacked
+(m, n2) @ (n2, n1 B) products and direction 0 (x) n3 n2 stacked
+(m, n1) @ (n1, B) products.  Callers pass C-contiguous fields, so the
+reshapes are views.  A field of one element is the exception: its x
+products would have one column, which numpy sends to gemv, and gemv rounds
+differently from the GEMM that batches of many elements run.  That field
+takes x as the tall (n3 n2, n1) @ (n1, m) GEMM, which rounds as the
+batched products do.
 
 Batched application is bitwise-reproducible against per-element application
-only as far as the GEMM computes each output entry the same way whatever its
-row count: every entry is one length-n1 dot product, but the direction-0 row
-count grows with the batch, and BLAS promises nothing about that.  The
-verify suite's batched-versus-per-element `array_equal` check is the guard.
+only as far as the GEMM computes each output entry the same way whatever the
+width of its right-hand side: every entry is one length-n dot product, but
+BLAS promises nothing about that.  The verify suite's batched-versus-per-
+element `array_equal` check is the guard.
 
 Every batched loop (the operators, the geometric factors and the operator
 diagonal) takes batch_size(q) elements at a time, so one field of a batch
 holds about WORKING_SET_WORDS words and setup temporaries stay that small.
+The geometric factors are stored in blocks of that many elements (see
+mesh.GeomFactors), and the batches of a loop are those blocks.
 """
 
 from __future__ import annotations
@@ -73,9 +81,10 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
 
     Args:
         a: (m, n) operator matrix.
-        u: (..., n3, n2, n1) field; the axis for `direction` must have
-            length n.  direction 0 is x (last axis), 1 is y, 2 is z.  A
-            field that is not C-contiguous is copied by the reshapes.
+        u: (n3, n2, n1, *batch) field; the axis for `direction` must have
+            length n.  direction 0 is x (axis 2), 1 is y (axis 1), 2 is z
+            (axis 0).  A field that is not C-contiguous is copied by the
+            reshapes.
         counters: optional OpCounters; m*n FMAs are counted per point of
             the remaining axes.
 
@@ -83,14 +92,17 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
         Field with the contracted axis resized from n to m.
     """
     m = a.shape[0]
-    if direction == 0:
-        v = (u.reshape(-1, u.shape[-1]) @ a.T).reshape(u.shape[:-1] + (m,))
+    n3, n2, n1 = u.shape[:3]
+    if direction == 2:
+        v = (a @ u.reshape(n3, -1)).reshape((m,) + u.shape[1:])
     elif direction == 1:
-        v = a @ u
+        v = (a @ u.reshape(n3, n2, -1)).reshape((n3, m) + u.shape[2:])
+    elif u.size == n3 * n2 * n1:
+        # One element: see the module docstring.
+        v = (u.reshape(-1, n1) @ a.T).reshape((n3, n2, m) + u.shape[3:])
     else:
-        lead, (n3, n2, n1) = u.shape[:-3], u.shape[-3:]
-        v = (a @ u.reshape(lead + (n3, n2 * n1))).reshape(
-            lead + (m, n2, n1))
+        v = (a @ u.reshape(n3 * n2, n1, -1)).reshape((n3, n2, m)
+                                                     + u.shape[3:])
     if counters is not None:
         n = a.shape[1]
         counters.fma += m * n * (u.size // n)
@@ -102,43 +114,56 @@ def eo_contract_dir(factor, u: np.ndarray, direction: int,
     """Contract an even-odd factored matrix along one direction of u.
 
     Same contract as contract_dir with the dense matrix replaced by its
-    EvenOddFactor; the multiply count per point drops from q*p1 to
-    |S_plus| + |S_minus| at the cost of lower-order adds for the
-    decompose/recombine steps.
+    EvenOddFactor; u may also be a single line (n1,) with direction 0.
+    u is folded into its even and odd halves along the direction, each
+    half is one contract_dir call, and the two results are recombined.
+    The multiply count per point drops from q*p1 to |S_plus| + |S_minus|
+    at the cost of lower-order adds for the fold and the recombine.
     """
+    if u.ndim == 1:
+        return eo_contract_dir(factor, u.reshape(1, 1, -1), direction,
+                               counters).reshape(-1)
     q, p1 = factor.source_shape
     qh, ph = q // 2, p1 // 2
-    axis = u.ndim - 1 - direction
-    w = np.moveaxis(u, axis, -1)
-    if w.shape[-1] != p1:
-        raise ValueError(f"axis length {w.shape[-1]} does not match p1={p1}")
+    axis = 2 - direction
+    if u.shape[axis] != p1:
+        raise ValueError(f"axis length {u.shape[axis]} does not match p1={p1}")
 
-    wrev = w[..., ::-1]
-    u_plus = np.empty(w.shape[:-1] + (p1 - ph,))
-    u_plus[..., :ph] = w[..., :ph] + wrev[..., :ph]
+    def cut(a, start, stop, step=1):
+        return a[(slice(None),) * axis + (slice(start, stop, step),)]
+
+    head, tail = cut(u, 0, ph), cut(u, p1 - 1, p1 - 1 - ph, -1)
+    u_plus, u_minus = head + tail, head - tail
     if p1 % 2:
-        u_plus[..., ph] = w[..., ph]
-    u_minus = w[..., :ph] - wrev[..., :ph]
+        u_plus = np.concatenate([u_plus, cut(u, ph, ph + 1)], axis=axis)
 
+    # The middle output row of an odd q is symmetric for sign +1 and rides
+    # on the even half; for sign -1 it is antisymmetric, and its nonzero
+    # half (the spare S_plus row) joins S_minus on the odd half.
     if factor.sign > 0:
-        a = u_plus @ factor.S_plus.T
+        plus, minus = factor.S_plus, factor.S_minus
     else:
-        a = np.empty(w.shape[:-1] + (q - qh,))
-        a[..., :qh] = u_plus @ factor.S_plus[:qh].T
-        if q % 2:
-            um_pad = np.zeros(w.shape[:-1] + (p1 - ph,))
-            um_pad[..., :ph] = u_minus
-            a[..., qh] = um_pad @ factor.S_plus[qh]
-    b = u_minus @ factor.S_minus.T
+        plus = factor.S_plus[:qh]
+        minus = np.concatenate([factor.S_minus, factor.S_plus[qh:, :ph]])
+    # numpy sends a one-row product to gemv, whose rounding varies with the
+    # batch width and the BLAS threads; a zero second row keeps it a GEMM.
+    plus, minus = (np.concatenate([s, np.zeros_like(s)]) if len(s) == 1
+                   else s for s in (plus, minus))
+    a = contract_dir(plus, u_plus, direction)
+    b = contract_dir(minus, u_minus, direction)
+    even, odd = cut(a, 0, qh), cut(b, 0, qh)
 
-    v = np.empty(w.shape[:-1] + (q,))
-    v[..., :qh] = a[..., :qh] + b
-    v[..., q - qh:] = (factor.sign * (a[..., :qh] - b))[..., ::-1]
+    shape = list(u.shape)
+    shape[axis] = q
+    v = np.empty(shape)
+    np.add(even, odd, out=cut(v, 0, qh))
+    lo, hi = (even, odd) if factor.sign > 0 else (odd, even)
+    np.subtract(lo, hi, out=cut(v, q - 1, q - 1 - qh, -1))
     if q % 2:
-        v[..., qh] = a[..., qh]
+        cut(v, qh, qh + 1)[...] = cut(a if factor.sign > 0 else b, qh, qh + 1)
 
     if counters is not None:
         rest = u.size // p1
         counters.fma += (factor.S_plus.size + factor.S_minus.size) * rest
         counters.add += (2 * ph + 2 * qh) * rest
-    return np.moveaxis(v, -1, axis)
+    return v

@@ -47,13 +47,14 @@ def inject_geom_fault(geom: GeomFactors, element: int, slot: int,
                       point: tuple, scale: float) -> GeomFactors:
     """Copy of geom with one G entry scaled (a fault the oracles must catch).
 
-    The copy keeps the slot-major layout of G, so the faulty operator runs
-    the same memory access pattern as the original.
+    The copy keeps the blocked layout of G, so the faulty operator runs the
+    same memory access pattern as the original.
     """
-    g = geom.G.copy(order="K")
+    g = geom.G.copy()
     iz, iy, ix = point
-    g[element, slot, iz, iy, ix] *= scale
-    return GeomFactors(geom.q, g, geom.mass_diag.copy(), geom.jac_det.copy())
+    geom.slab(g, element, element + 1)[slot, iz, iy, ix] *= scale
+    return GeomFactors(geom.q, geom.block, g, geom.mass_diag.copy(),
+                       geom.jac_det.copy())
 
 
 def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:

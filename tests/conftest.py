@@ -47,6 +47,12 @@ def rng():
     return np.random.default_rng(20260819)
 
 
+def element_major(geom, factor):
+    """(E, ...) copy of a stored geometric factor, read through geom.slab."""
+    return np.concatenate([np.moveaxis(geom.slab(factor, b0, b1), -1, 0)
+                           for b0, b1 in geom.batches(0, geom.E)])
+
+
 def rel_err(got, ref):
     denom = np.linalg.norm(ref)
     return float(np.linalg.norm(np.asarray(got) - np.asarray(ref))

@@ -113,20 +113,28 @@ class TestGatherScatter:
     @pytest.mark.parametrize("ranks", [1, 3])
     def test_out_call_does_not_copy_the_index(self, ranks, rng):
         # np.take copies a read-only index on every call; beyond its two
-        # bincount sums a gather into out allocates next to nothing.
-        gs = build_gather_scatter(build_box_mesh(4, 7), ranks=ranks)
-        u = rng.standard_normal(gs.n_local)
-        w = np.empty_like(u)
-        sums = 8 * (gs._slot_gid.size + gs.numbering.n_global)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            gs.gather_scatter(u, out=w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base - sums < gs.numbering.local_to_global.nbytes // 8
+        # bincount sums a gather into out allocates next to nothing.  A
+        # Neumann plan reads back through the numbering's own map.
+        mesh = build_box_mesh(4, 7)
+        for bc in ("neumann", "dirichlet"):
+            gs = build_gather_scatter(mesh, bc=bc, ranks=ranks)
+            assert np.shares_memory(gs._read_back,
+                                    gs.numbering.local_to_global) == (
+                bc == "neumann")
+            assert not gs.numbering.local_to_global.flags.writeable
+            u = rng.standard_normal(gs.n_local)
+            w = np.empty_like(u)
+            sums = 8 * (gs._slot_gid.size + gs.numbering.n_global)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                gs.gather_scatter(u, out=w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak - base - sums
+                    < gs.numbering.local_to_global.nbytes // 8)
 
     def test_out_shape_checked(self):
         gs = build_gather_scatter(build_box_mesh(1, 1))

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,16 +13,17 @@ from sembench.assembly import build_gather_scatter
 from sembench.bakeoff import RunConfig, build_problem, build_rhs
 from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
                              make_preconditioner, pcg)
+from sembench.mesh import compute_geometric_factors
 from sembench.operators import (MassOperator, StiffnessOperator,
                                 assemble_reference_csr)
 from sembench.verify import inject_geom_fault
 
-from conftest import rel_err
+from conftest import element_major, rel_err
 
 
-def make_op(kind, s, **kw):
+def make_op(kind, s, geom=None, **kw):
     cls = StiffnessOperator if kind == "stiffness" else MassOperator
-    return cls(s.basis, s.geom, **kw)
+    return cls(s.basis, s.geom if geom is None else geom, **kw)
 
 
 class TestDiagonal:
@@ -40,7 +42,8 @@ class TestDiagonal:
         s = stack(4, "GLL", 2)
         op = make_op("mass", s, beta=2.0)
         got = compute_diagonal(op)
-        assert np.array_equal(got, 2.0 * s.geom.mass_diag.reshape(-1))
+        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
+        assert np.array_equal(got, 2.0 * diag)
 
     def test_diagonal_is_positive(self, stack):
         s = stack(4, "GL", 3)
@@ -55,13 +58,17 @@ class TestBatchedDiagonal:
     def test_batch_size_does_not_change_a_bit(self, system, kind, stack,
                                               monkeypatch):
         s = stack(3, kind, 6)                     # 64 elements, one batch
-        op = make_op(system, s)
-        ref = compute_diagonal(op)
+        ref = compute_diagonal(make_op(system, s))
         q = s.basis.q
         for per_batch in (15, 1):                 # 5 and 64 batches
             monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
                                 per_batch * q ** 3)
             assert tensors.batch_size(q) == per_batch
+            # The diagonal runs the geometry's storage blocks, so the
+            # geometry is rebuilt under the patched batch size.
+            geom = compute_geometric_factors(s.mesh, s.basis)
+            assert geom.block == per_batch
+            op = make_op(system, s, geom)
             assert np.array_equal(compute_diagonal(op), ref)
 
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
@@ -355,6 +362,20 @@ class TestSystemApplierOut:
         for bufs in seen.values():
             assert bufs[0] is not None
             assert all(b is bufs[0] for b in bufs)
+
+    def test_thread_pool_is_bitwise_serial(self):
+        # At q = 9 a storage block is 44 elements, and the partitions of
+        # 128 elements start at 42 and 85, inside blocks.
+        pr = build_problem(RunConfig(bp=3, p=7, k=7, ranks=3, mode="bk"))
+        assert pr.geom.block == 44
+        assert [e0 for e0, _ in pr.gs.partitions] == [0, 42, 85]
+        u = np.random.default_rng(4).standard_normal(pr.gs.n_local)
+        serial = SystemApplier(pr.op, pr.gs)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = SystemApplier(pr.op, pr.gs, pool)
+            assert np.array_equal(pooled.apply_local(u), serial.apply_local(u))
+            assert np.array_equal(pooled(u, count=False),
+                                  serial(u, count=False))
 
     @pytest.mark.parametrize("comps", [1, 3])
     def test_system_apply_keeps_no_vector(self, comps):

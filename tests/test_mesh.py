@@ -11,6 +11,8 @@ from sembench.basis import make_basis
 from sembench.mesh import (BoxMesh, GeomFactors, MeshError, box_dims,
                            build_box_mesh, compute_geometric_factors)
 
+from conftest import element_major
+
 
 class TestBoxDims:
     @pytest.mark.parametrize("k,dims", [
@@ -110,13 +112,15 @@ class TestGeomFactors:
         w = basis.quad.weights
         w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
         det = 0.125
+        g = element_major(geom, geom.G)
         assert np.allclose(geom.jac_det, det, atol=1e-15, rtol=0)
-        assert np.allclose(geom.mass_diag[0], w3 * det, atol=1e-16, rtol=0)
+        assert np.allclose(element_major(geom, geom.mass_diag)[0], w3 * det,
+                           atol=1e-16, rtol=0)
         diag_val = 4.0 * w3 * det
         for slot in (0, 3, 5):
-            assert np.allclose(geom.G[0, slot], diag_val, atol=1e-15, rtol=0)
+            assert np.allclose(g[0, slot], diag_val, atol=1e-15, rtol=0)
         for slot in (1, 2, 4):
-            assert np.max(np.abs(geom.G[0, slot])) <= 1e-15
+            assert np.max(np.abs(g[0, slot])) <= 1e-15
 
     def test_affine_volume_is_exact(self):
         basis = make_basis(4, "GL")
@@ -137,7 +141,7 @@ class TestGeomFactors:
         mesh = build_box_mesh(1, 3)
         geom = compute_geometric_factors(mesh, basis)
         assert geom.words_per_element == 8 * 5 ** 3
-        assert geom.G.shape == (2, 6, 5, 5, 5)
+        assert geom.slab(geom.G, 0, 2).shape == (6, 5, 5, 5, 2)
 
     def test_inverted_element_rejected(self):
         basis = make_basis(2, "GL")
@@ -156,15 +160,16 @@ class TestGeomFactors:
         mesh = build_box_mesh(1, 2)
         geom = compute_geometric_factors(mesh, basis)
         with pytest.raises(ValueError):
-            geom.G[0, 0, 0, 0, 0] = 1.0
+            geom.slab(geom.G, 0, 1)[0, 0, 0, 0, 0] = 1.0
 
     def test_g_symmetry_slots_consistent(self, stack):
         # G is built from a symmetric product, so slot values match the
         # transposed index pair by construction; spot-check positivity of
         # the diagonal slots on a deformed mesh.
         s = stack(3, "GL", 3)
+        g = element_major(s.geom, s.geom.G)
         for slot in (0, 3, 5):
-            assert np.all(s.geom.G[:, slot] > 0)
+            assert np.all(g[:, slot] > 0)
 
 
 class TestBatchedGeomFactors:
@@ -177,9 +182,10 @@ class TestBatchedGeomFactors:
                                 per_batch * 5 ** 3)
             assert tensors.batch_size(5) == per_batch
             got = compute_geometric_factors(mesh, basis)
-            assert np.array_equal(got.G, ref.G)
-            assert np.array_equal(got.mass_diag, ref.mass_diag)
-            assert np.array_equal(got.jac_det, ref.jac_det)
+            for name in ("G", "mass_diag", "jac_det"):
+                assert np.array_equal(
+                    element_major(got, getattr(got, name)),
+                    element_major(ref, getattr(ref, name)))
 
     def test_peak_memory_is_output_plus_one_batch(self, stack):
         s = stack(7, "GL", 9)                     # 512 elements, 12 batches
@@ -195,17 +201,18 @@ class TestBatchedGeomFactors:
 
     @pytest.mark.parametrize("kind", ["GL", "GLL"])
     def test_every_batch_slot_is_contiguous(self, kind, monkeypatch):
-        # G is stored slot-major, so the pointwise stage of a batch reads
-        # each metric slot as one contiguous block.
+        # G is stored in element blocks, slot-major within a block, so the
+        # pointwise stage of a batch reads each metric slot as one
+        # contiguous block.
         monkeypatch.setattr(tensors, "WORKING_SET_WORDS", 3 * 5 ** 3)
         basis = make_basis(3, kind)
         geom = compute_geometric_factors(build_box_mesh(4, 3), basis)
         step = tensors.batch_size(basis.q)
         assert step < geom.E
         for b0 in range(0, geom.E, step):
-            g = geom.G[b0:b0 + step]
+            g = geom.slab(geom.G, b0, min(b0 + step, geom.E))
             for slot in range(6):
-                assert g[:, slot].flags.c_contiguous
+                assert g[slot].flags.c_contiguous
 
     def test_inverted_element_in_later_batch_names_global_index(
             self, monkeypatch):

@@ -16,7 +16,7 @@ from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 mass_flop_model, single_contraction_flops)
 from sembench.verify import per_element_apply
 
-from conftest import rel_err
+from conftest import element_major, rel_err
 
 
 def make_op(kind, stackobj, **kw):
@@ -275,8 +275,8 @@ class TestCollocatedStiffness:
         # interpfirst order; its identity contractions are exact.
         s = stack(p, "GLL", 2)
         op = make_op("stiffness", s)
-        U = rng.standard_normal((s.mesh.E, p + 1, p + 1, p + 1))
-        g = s.geom.G
+        U = rng.standard_normal((p + 1, p + 1, p + 1, s.mesh.E))
+        g = s.geom.slab(s.geom.G, 0, s.mesh.E)
         grads = op._grad_colloc(U, None)
         ref_grads = op._grad_interpfirst(U, None)
         for got, ref in zip(grads, ref_grads):
@@ -312,9 +312,10 @@ class TestPointwiseMetric:
         s = stack(3, kind, 3)
         op = make_op("stiffness", s)
         q = s.basis.q
-        ur, us, ut = rng.standard_normal((3, s.mesh.E, q, q, q))
-        g11, g12, g13, g22, g23, g33 = (s.geom.G[:, i] for i in range(6))
-        wr, ws, wt = op._apply_g(ur, us, ut, s.geom.G, None)
+        ur, us, ut = rng.standard_normal((3, q, q, q, s.mesh.E))
+        g = s.geom.slab(s.geom.G, 0, s.mesh.E)
+        g11, g12, g13, g22, g23, g33 = g
+        wr, ws, wt = op._apply_g(ur, us, ut, g, None)
         assert np.array_equal(wr, g11 * ur + g12 * us + g13 * ut)
         assert np.array_equal(ws, g12 * ur + g22 * us + g23 * ut)
         assert np.array_equal(wt, g13 * ur + g23 * us + g33 * ut)
@@ -327,14 +328,15 @@ class TestCollocatedMass:
         assert op.collocated
         u = rng.standard_normal(op.n_local)
         w = op.apply_local(u)
-        assert np.array_equal(w, u * s.geom.mass_diag.reshape(-1))
+        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
+        assert np.array_equal(w, u * diag)
 
     def test_beta_scales_diagonal(self, stack, rng):
         s = stack(3, "GLL", 1)
         op = make_op("mass", s, beta=2.5)
         u = rng.standard_normal(op.n_local)
-        assert np.array_equal(op.apply_local(u),
-                              u * (2.5 * s.geom.mass_diag.reshape(-1)))
+        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
+        assert np.array_equal(op.apply_local(u), u * (2.5 * diag))
 
 
 class TestLifetime:

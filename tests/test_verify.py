@@ -13,6 +13,8 @@ from sembench.verify import (CHECKS, check_csr_equivalence, check_even_odd,
                              check_strategy_equivalence, inject_geom_fault,
                              run_suites)
 
+from conftest import element_major
+
 
 class TestSuitesPassClean:
     def test_csr_equivalence(self):
@@ -60,7 +62,7 @@ class TestFaultSensitivity:
 
         def batch_dependent(self, U, g, ct):
             w = apply_block(self, U, g, ct)
-            return w * (1.0 + 1e-15) if len(U) > 1 else w
+            return w * (1.0 + 1e-15) if U.shape[-1] > 1 else w
 
         monkeypatch.setattr(StiffnessOperator, "_apply_block",
                             batch_dependent)
@@ -95,16 +97,20 @@ class TestInjectGeomFault:
         broken = s.geom
         broken = inject_geom_fault(s.geom, element=1, slot=3, point=(0, 2, 1),
                                    scale=2.0)
-        diff = broken.G != s.geom.G
+        got = element_major(broken, broken.G)
+        ref = element_major(s.geom, s.geom.G)
+        diff = got != ref
         assert diff.sum() == 1
         assert diff[1, 3, 0, 2, 1]
-        assert broken.G[1, 3, 0, 2, 1] == 2.0 * s.geom.G[1, 3, 0, 2, 1]
+        assert got[1, 3, 0, 2, 1] == 2.0 * ref[1, 3, 0, 2, 1]
         assert np.array_equal(broken.mass_diag, s.geom.mass_diag)
 
     def test_copy_keeps_the_layout(self, stack):
         s = stack(2, "GL", 2)
         broken = inject_geom_fault(s.geom, element=0, slot=1, point=(0, 0, 0),
                                    scale=3.0)
+        assert broken.block == s.geom.block
+        assert broken.G.shape == s.geom.G.shape
         assert broken.G.strides == s.geom.G.strides
 
     def test_original_untouched(self, stack):
