@@ -10,9 +10,11 @@ Partitioned operation simulates distributed ranks: elements are split into
 contiguous blocks.  One precomputed plan serves every rank count.  Each block
 first condenses its own contributions, left to right in local order, and the
 shared sums are then completed left to right in ascending partition order,
-so every copy of a shared node holds the same float.  A single rank is the
-same two sums with one block.  Message and reduction counters feed the
-benchmark harness.
+so every copy of a shared node holds the same float.  Only shared values are
+exchanged and added: the lowest partition holding a global id condenses
+straight into that id's sum, so a single rank, which shares nothing, is one
+bincount and an add over no values.  Message and reduction counters feed
+the benchmark harness.
 """
 
 from __future__ import annotations
@@ -96,18 +98,23 @@ def _partition_elements(E: int, ranks: int):
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(ranks)]
 
 
-def _count_sharing_pairs(slot_part: np.ndarray, slot_gid: np.ndarray,
-                         ranks: int) -> int:
-    """Number of partition pairs that both hold a copy of some global id.
+def _share(slot_part: np.ndarray, slot_gid: np.ndarray, ranks: int):
+    """Partition pairs that share a global id, and each slot's owner flag.
 
     Sorting the slots by global id (stably, so partitions stay ascending)
-    puts every shared id's copies next to each other; a node has at most
-    eight copies, so the loop over offsets d is short.  Distinct pairs are
-    counted by sorting: plain np.unique imports numpy.ma, about 1 MiB of
-    resident memory.
+    puts every shared id's copies next to each other, lowest partition
+    first: that first copy is the owner.  A node has at most eight copies,
+    so the loop over offsets d is short.  Distinct pairs are counted by
+    sorting: plain np.unique imports numpy.ma, about 1 MiB of resident
+    memory.
+
+    Returns:
+        (number of sharing partition pairs, bool owner flag per slot).
     """
     order = np.argsort(slot_gid, kind="stable")
     gid, part = slot_gid[order], slot_part[order]
+    owner = np.empty(gid.size, dtype=bool)
+    owner[order] = np.concatenate(([True], gid[1:] != gid[:-1]))
     pairs = [np.empty(0, dtype=np.int64)]
     for d in range(1, gid.size):
         same = gid[d:] == gid[:-d]
@@ -115,7 +122,8 @@ def _count_sharing_pairs(slot_part: np.ndarray, slot_gid: np.ndarray,
             break
         pairs.append(part[:-d][same] * ranks + part[d:][same])
     keys = np.sort(np.concatenate(pairs))
-    return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    n_pairs = int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return n_pairs, owner
 
 
 class GatherScatter:
@@ -123,11 +131,15 @@ class GatherScatter:
 
     Immutable after construction except for the instrumentation counters,
     so one plan can serve several solves and threads.  One plan serves
-    every rank count: a slot per (partition, global id) pair, ordered by
-    partition and then by global id.  gather_scatter sums each partition's
-    locals into its slots left to right in local order, then each global
-    id's slots in ascending partition order, and reads the totals back to
-    every local copy.  A single partition is the same code.
+    every rank count, with one slot per (partition, global id) pair.  The
+    lowest partition's copy of an id owns slot gid itself; every copy held
+    by a higher partition gets an extra slot after the zero slot n_global,
+    in (partition, global id) order.  gather_scatter sums each partition's
+    locals into its slots left to right in local order (one bincount),
+    adds the extra slots into their owners in ascending partition order
+    (np.add.at over the shared copies only), and reads the totals back to
+    every local copy.  A single partition is the same code with no extra
+    slot.
 
     The read-back index, the only stored form of the Dirichlet boundary, is
     the local-to-global map with boundary locals pointed at n_global, a slot
@@ -161,11 +173,17 @@ class GatherScatter:
 
         sizes = [(e1 - e0) * self.node_slab for (e0, e1) in self.partitions]
         part = np.repeat(np.arange(ranks, dtype=np.int64), sizes)
-        slot_key, self._slot = np.unique(part * n_global + l2g,
-                                         return_inverse=True)
-        self._slot_gid = slot_key % n_global
-        self._adjacent_pairs = _count_sharing_pairs(
-            slot_key // n_global, self._slot_gid, ranks)
+        slot_key, slot = np.unique(part * n_global + l2g,
+                                   return_inverse=True)
+        slot_gid = slot_key % n_global
+        self._adjacent_pairs, owner = _share(slot_key // n_global, slot_gid,
+                                             ranks)
+        # Owners sum into slot gid; the rest, already in (partition, gid)
+        # order, follow the zero slot.
+        extra = ~owner
+        self._extra_gid = slot_gid[extra]
+        slot_gid[extra] = n_global + 1 + np.arange(self._extra_gid.size)
+        self._slot = slot_gid[slot]
 
     @staticmethod
     def _on_boundary(mesh, l2g):
@@ -213,10 +231,12 @@ class GatherScatter:
             return out
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
-        partials = np.bincount(self._slot, weights=u,
-                               minlength=self._slot_gid.size)
-        sums = np.bincount(self._slot_gid, weights=partials,
-                           minlength=self.numbering.n_global + 1)
+        n_global = self.numbering.n_global
+        sums = np.bincount(self._slot, weights=u,
+                           minlength=n_global + 1 + self._extra_gid.size)
+        # Unbuffered, in index order; slicing off the target keeps numpy
+        # from copying the overlapping operands.
+        np.add.at(sums[:n_global], self._extra_gid, sums[n_global + 1:])
         if count:
             self.counters.messages += self._adjacent_pairs
         # mode="clip" writes straight into out; "raise" buffers it.

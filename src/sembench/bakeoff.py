@@ -215,9 +215,10 @@ def estimate_bytes(config: RunConfig) -> int:
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
     # coordinates (3), the gather-scatter plan (the map, a Dirichlet plan's
-    # masked read-back, slots, weights and the global-length arrays, about
-    # 6), and per component the PCG vectors with one step's temporaries
-    # (about 8).  The factors are stored in ragged blocks, with no padding.
+    # masked read-back, slots, weights, and the global-length multiplicity
+    # and bincount output, about 6), and per component the PCG vectors
+    # with one step's temporaries (about 8).  The factors are stored in
+    # ragged blocks, with no padding.
     p1 = config.p + 1
     node_words = 3 + 6 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3

@@ -95,8 +95,8 @@ class SystemApplier:
 
     A system apply writes A_L u into `out` and then runs one in-place
     gather_scatter on it, which sums and masks.  The applier owns no
-    buffer, so a call with `out` allocates only the gather-scatter's two
-    bincount sums.  With an executor the local apply runs one task per
+    buffer, so a call with `out` allocates only the gather-scatter's one
+    bincount output.  With an executor the local apply runs one task per
     partition of gs; instrumented operators stay serial because their
     counters are plain ints.  `phases` accumulates operator and
     gather-scatter seconds over the applier's lifetime.
@@ -159,7 +159,11 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
 
     The solve allocates its vectors (x, r, z, p, w and one scratch) once
     and updates them in place, so an iteration allocates nothing
-    vector-sized as long as apply_a honours `out`.  The last step skips
+    vector-sized as long as apply_a honours `out`.  Because x0 = 0, nothing
+    is copied to start: b is read as r0, z0 = minv b is written straight
+    into p, and the first step writes x = alpha p + 0 (so a -0.0 product
+    gives +0.0, as from a zeroed x) and r = b - alpha w.  A solve that
+    ends before its first step sets x = 0 and r = b.  The last step skips
     the p update, which nothing reads, so the solve ends with its final
     r.z dot.
 
@@ -193,14 +197,12 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     # The set-up vector work is timed too, so the phases add up to the
     # whole solve.
     t0 = time.perf_counter()
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = minv * r
-    p = z.copy()
-    w = np.empty_like(b)
-    tmp = np.empty_like(b)                # axpy products and dot scratch
+    # Unfilled: each vector is written before it is read; tmp holds the
+    # axpy products and the dot scratch.
+    x, r, z, p, w, tmp = (np.empty(b.shape) for _ in range(6))
+    np.multiply(minv, b, out=p)           # z0 = minv r0, used only as p0
     t1 = time.perf_counter()
-    rho = gs.local_dot(r, z, work=tmp)
+    rho = gs.local_dot(b, p, work=tmp)
     timings = {"dots": time.perf_counter() - t1, "axpy": t1 - t0}
     if not np.isfinite(rho) or rho < 0.0:
         raise DivergenceError("initial preconditioned residual is not finite")
@@ -222,8 +224,12 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
                 f"curvature p'Ap = {pap} at iteration {it}")
         alpha = rho / pap
         t0 = time.perf_counter()
-        x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(w, alpha, out=tmp)
+        if it == 1:                       # x0 = 0, r0 = b
+            np.add(np.multiply(p, alpha, out=tmp), 0.0, out=x)
+            np.subtract(b, np.multiply(w, alpha, out=tmp), out=r)
+        else:
+            x += np.multiply(p, alpha, out=tmp)
+            r -= np.multiply(w, alpha, out=tmp)
         np.multiply(minv, r, out=z)
         timings["axpy"] += time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -246,6 +252,9 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         p *= beta                         # p = z + beta p
         p += z
         timings["axpy"] += time.perf_counter() - t0
+    if it == 0:                           # no step ran: x = x0, r = r0
+        x.fill(0.0)
+        np.copyto(r, b)
 
     b_norm = residual_gap = true_norm = None
     if diagnostics:

@@ -112,9 +112,10 @@ class TestGatherScatter:
 
     @pytest.mark.parametrize("ranks", [1, 3])
     def test_out_call_does_not_copy_the_index(self, ranks, rng):
-        # np.take copies a read-only index on every call; beyond its two
-        # bincount sums a gather into out allocates next to nothing.  A
-        # Neumann plan reads back through the numbering's own map.
+        # np.take copies a read-only index on every call; beyond its one
+        # bincount output, a sum per global id and per extra (shared)
+        # slot, a gather into out allocates next to nothing.  A Neumann
+        # plan reads back through the numbering's own map.
         mesh = build_box_mesh(4, 7)
         for bc in ("neumann", "dirichlet"):
             gs = build_gather_scatter(mesh, bc=bc, ranks=ranks)
@@ -124,7 +125,8 @@ class TestGatherScatter:
             assert not gs.numbering.local_to_global.flags.writeable
             u = rng.standard_normal(gs.n_local)
             w = np.empty_like(u)
-            sums = 8 * (gs._slot_gid.size + gs.numbering.n_global)
+            sums = 8 * (gs.numbering.n_global + 1
+                        + gs._extra_gid.size)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -189,6 +191,44 @@ class TestPartitioned:
             total = total + np.bincount(l2g[lo:hi], weights=u[lo:hi],
                                         minlength=n_global)
         assert np.array_equal(gs.gather_scatter(u), total[l2g])
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 8])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_owner_slots_match_two_stage_sum(self, ranks, bc, comps, rng):
+        # The reference is the plan as it was before owner slots: every
+        # partition condenses into its own slot per global id, and a
+        # second bincount adds a global id's slots in partition order.
+        mesh = build_box_mesh(4, 2)
+        gs = build_gather_scatter(mesh, bc=bc, ranks=ranks)
+        l2g, n_global = gs.numbering.local_to_global, gs.numbering.n_global
+        slab = gs.node_slab
+        part = np.repeat(np.arange(ranks),
+                         [(e1 - e0) * slab for (e0, e1) in gs.partitions])
+        key, slot = np.unique(part * n_global + l2g, return_inverse=True)
+        read_back = np.where(gs.mask == 0.0, n_global, l2g)
+        copies = np.zeros(n_global, dtype=int)
+        for p in range(ranks):
+            copies[np.unique(l2g[part == p])] += 1
+        # From 3 ranks on some id has copies in 3 or more partitions, so
+        # the order of its adds shows.
+        assert copies.max() == ranks
+        pairs = sum(1 for a in range(ranks) for b in range(a + 1, ranks)
+                    if np.intersect1d(l2g[part == a], l2g[part == b]).size)
+
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        u = rng.standard_normal(shape)
+        u[..., ::7] = -0.0
+        ref = np.empty(shape)
+        for r, c in zip(ref.reshape(-1, gs.n_local),
+                        u.reshape(-1, gs.n_local)):
+            partials = np.bincount(slot, weights=c, minlength=key.size)
+            sums = np.bincount(key % n_global, weights=partials,
+                               minlength=n_global + 1)
+            r[:] = sums[read_back]
+        got = gs.gather_scatter(u)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert gs.counters.messages == pairs
 
     @pytest.mark.parametrize("ranks", [1, 3])
     def test_deterministic_flag_changes_nothing(self, ranks, rng):

@@ -257,17 +257,28 @@ def reference_pcg(apply_a, gs, b, iters, minv):
     return x, np.asarray(history)
 
 
+def bits(*arrays):
+    """int64 views of float arrays, so signed zeros and NaNs compare too."""
+    return [np.asarray(a, dtype=np.float64).view(np.int64) for a in arrays]
+
+
 class TestInPlacePcg:
     @pytest.mark.parametrize("bp,p,k", [(3, 3, 3), (4, 2, 3), (5, 3, 3)])
     @pytest.mark.parametrize("ranks", [1, 3])
     def test_matches_out_of_place_reference(self, bp, p, k, ranks):
+        # Also with -0.0 in b (at its masked zeros), where the first step's
+        # alpha p is -0.0 and a zeroed x0 makes x +0.0.
         pr = build_problem(RunConfig(bp=bp, p=p, k=k, ranks=ranks))
         A = SystemApplier(pr.op, pr.gs)
-        x_ref, hist_ref = reference_pcg(A, pr.gs, pr.b, 20, pr.minv)
-        x, run = pcg(A, pr.gs, pr.b, max_iters=20, minv=pr.minv)
-        assert run.iterations == 20
-        assert np.array_equal(run.residual_history, hist_ref)
-        assert np.array_equal(x, x_ref)
+        signed = np.where(pr.b == 0.0, -0.0, pr.b)
+        assert np.signbit(signed[signed == 0.0]).any()
+        for b in (pr.b, signed):
+            x_ref, hist_ref = reference_pcg(A, pr.gs, b, 20, pr.minv)
+            x, run = pcg(A, pr.gs, b, max_iters=20, minv=pr.minv)
+            assert run.iterations == 20
+            for got, ref in zip(bits(x, run.residual_history),
+                                bits(x_ref, hist_ref)):
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("ranks", [1, 3])
     @pytest.mark.parametrize("comps", [1, 3])
@@ -301,6 +312,26 @@ class TestInPlacePcg:
             tracemalloc.stop()
         assert run.iterations == 10
         assert window["rise"] < 0.25 * b.nbytes
+
+    def test_zero_rhs_on_dirty_vectors(self, stack, monkeypatch):
+        # No step runs, so the solve itself sets x = 0 and r = b, whatever
+        # its unfilled vectors held.
+        s, A, b, minv = poisson_setup(stack)
+        empty = np.empty
+
+        def dirty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(-np.inf)
+            return out
+
+        monkeypatch.setattr(np, "empty", dirty)
+        zero = np.zeros_like(b)
+        x, run = pcg(A, s.gs, zero, max_iters=5, minv=minv, diagnostics=True)
+        assert run.converged and run.iterations == 0
+        got, ref = bits(x, zero)
+        assert np.array_equal(got, ref)
+        assert run.residual_gap == 0.0 and run.true_residual_norm == 0.0
 
     def test_b_norm_only_with_diagnostics(self, stack):
         s, A, b, minv = poisson_setup(stack)
