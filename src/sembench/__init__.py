@@ -20,11 +20,12 @@ from .metrics import (MetricsError, emit_csv, emit_plot_data,
                       extract_metrics, group_metrics, latency_floor,
                       parallel_efficiency, read_csv)
 from .operators import (STRATEGIES, MassOperator, StiffnessOperator,
-                        assemble_reference_csr, bytes_model, flop_model,
-                        mass_flop_model, single_contraction_flops)
+                        bytes_model, flop_model, mass_flop_model,
+                        single_contraction_flops)
 from .quadrature import (QuadRule1D, gauss_legendre, gauss_lobatto_legendre,
                          legendre_eval, make_rule)
 from .tensors import OpCounters, contract_dir
+from .verify import assemble_reference_csr
 
 __version__ = "0.1.0"
 

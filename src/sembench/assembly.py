@@ -3,8 +3,9 @@
 Fields live in local form: one value per element node, with values at shared
 element interfaces duplicated.  gather_scatter replaces every set of
 coincident values by their sum (the QQ^T operation); the explicit Q matrix is
-never formed here, only in the verification oracles.  Its read-back points
-Dirichlet boundary locals at a zero slot, so gather_scatter also masks.
+never formed here, only in the verification oracles.  One slot index per
+local copy serves both the sum and the read-back; it points Dirichlet
+boundary locals at a zero slot, so gather_scatter also masks.
 
 Partitioned operation simulates distributed ranks: elements are split into
 contiguous blocks.  One precomputed plan serves every rank count.  Each block
@@ -23,17 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoxMesh
+from .mesh import BoxMesh, lattice_index
 
 
 @dataclass
 class ExchangeCounters:
     messages: int = 0
     reductions: int = 0
-
-    def reset(self):
-        self.messages = 0
-        self.reductions = 0
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,8 @@ class GlobalNumbering:
 
     local_to_global is a read-only view.  The writeable array behind it is
     kept as _index for the gather-scatter plans of this module, which index
-    with it (np.take copies a read-only index on every call); a Neumann
-    plan reads back through it, so no plan copies the map.
+    with it (np.take copies a read-only index on every call); a one-rank
+    Neumann plan sums and reads back through it without a copy.
     """
 
     local_to_global: np.ndarray  # int64, length E * p1^3
@@ -68,28 +65,13 @@ def build_numbering(mesh: BoxMesh) -> GlobalNumbering:
     Coincident physical nodes (shared faces/edges/vertices) get the same id;
     multiplicity counts how many elements share each global node.
     """
-    p, p1 = mesh.p, mesh.p1
-    ex, ey, ez = mesh.dims
-    nx, ny = ex * p + 1, ey * p + 1
-    nz = ez * p + 1
-
-    e_idx = np.arange(mesh.E)
-    exs = e_idx % ex
-    eys = (e_idx // ex) % ey
-    ezs = e_idx // (ex * ey)
-    node_i = np.arange(p1)
-
-    gx = exs[:, None] * p + node_i[None, :]     # (E, p1)
-    gy = eys[:, None] * p + node_i[None, :]
-    gz = ezs[:, None] * p + node_i[None, :]
+    gx, gy, gz = lattice_index(mesh.dims, mesh.p)
+    nx, ny = (mesh.p * d + 1 for d in mesh.dims[:2])
     # Local layout [iz, iy, ix] in C order matches the field storage.
-    gid = (gx[:, None, None, :]
-           + nx * (gy[:, None, :, None]
-                   + ny * gz[:, :, None, None]))
-    l2g = gid.reshape(mesh.E * p1 ** 3).astype(np.int64)
-    n_global = nx * ny * nz
-    mult = np.bincount(l2g, minlength=n_global)
-    return GlobalNumbering(l2g, n_global, mult)
+    gid = gx + nx * (gy + ny * gz)
+    l2g = gid.reshape(-1).astype(np.int64, copy=False)
+    mult = np.bincount(l2g, minlength=mesh.n_true)
+    return GlobalNumbering(l2g, mesh.n_true, mult)
 
 
 def _partition_elements(E: int, ranks: int):
@@ -98,58 +80,73 @@ def _partition_elements(E: int, ranks: int):
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(ranks)]
 
 
-def _share(slot_part: np.ndarray, slot_gid: np.ndarray, ranks: int):
-    """Partition pairs that share a global id, and each slot's owner flag.
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a; plain np.unique imports numpy.ma, about
+    1 MiB of resident memory."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
-    Sorting the slots by global id (stably, so partitions stay ascending)
-    puts every shared id's copies next to each other, lowest partition
-    first: that first copy is the owner.  A node has at most eight copies,
-    so the loop over offsets d is short.  Distinct pairs are counted by
-    sorting: plain np.unique imports numpy.ma, about 1 MiB of resident
-    memory.
+
+def _shared_copies(l2g, n_global: int, partitions, slab: int):
+    """The local copies held above their global id's owner partition.
+
+    An id's owner is its lowest partition.  Partitions are ascending
+    element ranges, so that is the number left after every partition
+    writes its own over its ids, highest first.  Sorting the distinct
+    (id, partition) holders of the copies and of their owners puts every
+    shared id's partitions next to each other in ascending order; a node
+    has at most eight copies, so the loop over offsets d is short.
 
     Returns:
-        (number of sharing partition pairs, bool owner flag per slot).
+        (ascending local indices of the copies, their partitions, number
+        of partition pairs that share an id).
     """
-    order = np.argsort(slot_gid, kind="stable")
-    gid, part = slot_gid[order], slot_part[order]
-    owner = np.empty(gid.size, dtype=bool)
-    owner[order] = np.concatenate(([True], gid[1:] != gid[:-1]))
+    ranks = len(partitions)
+    owner = np.empty(n_global, dtype=np.int64)
+    for r in reversed(range(ranks)):
+        e0, e1 = partitions[r]
+        owner[l2g[e0 * slab:e1 * slab]] = r
+    elem_part = np.repeat(np.arange(ranks),
+                          [e1 - e0 for (e0, e1) in partitions])
+    copies = np.flatnonzero(owner[l2g.reshape(-1, slab)]
+                            != elem_part[:, None])
+    part, gid = elem_part[copies // slab], l2g[copies]
+    held = _distinct(np.concatenate((gid * ranks + part,
+                                     gid * ranks + owner[gid])))
+    gid, held_part = np.divmod(held, ranks)
     pairs = [np.empty(0, dtype=np.int64)]
     for d in range(1, gid.size):
         same = gid[d:] == gid[:-d]
         if not same.any():
             break
-        pairs.append(part[:-d][same] * ranks + part[d:][same])
-    keys = np.sort(np.concatenate(pairs))
-    n_pairs = int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    return n_pairs, owner
+        pairs.append(held_part[:-d][same] * ranks + held_part[d:][same])
+    return copies, part, _distinct(np.concatenate(pairs)).size
 
 
 class GatherScatter:
     """QQ^T summation, Dirichlet masking, and weighted dot products.
 
     Immutable after construction except for the instrumentation counters,
-    so one plan can serve several solves and threads.  One plan serves
-    every rank count, with one slot per (partition, global id) pair.  The
-    lowest partition's copy of an id owns slot gid itself; every copy held
-    by a higher partition gets an extra slot after the zero slot n_global,
-    in (partition, global id) order.  gather_scatter sums each partition's
-    locals into its slots left to right in local order (one bincount),
-    adds the extra slots into their owners in ascending partition order
-    (np.add.at over the shared copies only), and reads the totals back to
-    every local copy.  A single partition is the same code with no extra
-    slot.
+    so one plan can serve several solves and threads.  It keeps one slot
+    index per local copy, for every rank count: the owner copy of a global
+    id (its lowest partition's) points at slot gid; a copy held by a
+    higher partition points at an extra slot after the zero slot n_global,
+    one per (partition, global id) pair, in that order; and a Dirichlet
+    boundary copy points at the zero slot.  gather_scatter sums the locals
+    into their slots (one bincount), zeroes the zero slot, adds the extra
+    slots into their owners and copies the totals back (over the shared
+    copies only), and reads every copy back through the same index.
 
-    The read-back index, the only stored form of the Dirichlet boundary, is
-    the local-to-global map with boundary locals pointed at n_global, a slot
-    that sums to zero; `mask` is derived from it.  Under Neumann conditions
-    it is the numbering's writeable map itself, not a copy.  Either way it
-    is writeable, so no gather_scatter call copies the index.  The plan
-    holds no scratch: gather_scatter and apply_mask take an optional `out`
-    array and local_dot a `work` array from the caller (a solve makes them
-    once, see krylov.pcg); without one they allocate for that call, with
-    the same bits.
+    The index is the only stored form of the Dirichlet boundary; `mask` is
+    derived from it.  At one rank under Neumann conditions it is the
+    numbering's writeable map itself, not a copy.  Either way it is
+    writeable, so no gather_scatter call copies the index.  The plan holds
+    no scratch: gather_scatter and apply_mask take an optional `out` array
+    and local_dot a `work` array from the caller (a solve makes them once,
+    see krylov.pcg); without one they allocate for that call, with the
+    same bits.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -165,37 +162,30 @@ class GatherScatter:
 
         l2g = numbering._index
         n_global = numbering.n_global
-        self._read_back = l2g if bc == "neumann" else np.where(
-            self._on_boundary(mesh, l2g), n_global, l2g)
-        self.weight = 1.0 / numbering.multiplicity[l2g]
-        self.node_slab = mesh.p1 ** 3
+        self.node_slab = slab = mesh.p1 ** 3
         self.partitions = _partition_elements(mesh.E, ranks)
+        copies, part, self._adjacent_pairs = _shared_copies(
+            l2g, n_global, self.partitions, slab)
+        # Per global id, then gathered: the same quotients, fewer divides.
+        self.weight = (1.0 / numbering.multiplicity)[l2g]
 
-        sizes = [(e1 - e0) * self.node_slab for (e0, e1) in self.partitions]
-        part = np.repeat(np.arange(ranks, dtype=np.int64), sizes)
-        slot_key, slot = np.unique(part * n_global + l2g,
-                                   return_inverse=True)
-        slot_gid = slot_key % n_global
-        self._adjacent_pairs, owner = _share(slot_key // n_global, slot_gid,
-                                             ranks)
-        # Owners sum into slot gid; the rest, already in (partition, gid)
-        # order, follow the zero slot.
-        extra = ~owner
-        self._extra_gid = slot_gid[extra]
-        slot_gid[extra] = n_global + 1 + np.arange(self._extra_gid.size)
-        self._slot = slot_gid[slot]
-
-    @staticmethod
-    def _on_boundary(mesh, l2g):
-        p = mesh.p
-        ex, ey, ez = mesh.dims
-        nx, ny, nz = ex * p + 1, ey * p + 1, ez * p + 1
-        gx = l2g % nx
-        gy = (l2g // nx) % ny
-        gz = l2g // (nx * ny)
-        return ((gx == 0) | (gx == nx - 1) |
-                (gy == 0) | (gy == ny - 1) |
-                (gz == 0) | (gz == nz - 1))
+        # Owners keep slot gid, Dirichlet copies read the zero slot, and the
+        # rest get an extra slot per (partition, id) pair, in that order.
+        if bc == "dirichlet":
+            # On the boundary: lattice index 0 or p * dims in some direction.
+            ends = [(g == 0) | (g == mesh.p * d) for g, d in
+                    zip(lattice_index(mesh.dims, mesh.p), mesh.dims)]
+            boundary = (ends[0] | ends[1] | ends[2]).reshape(-1)
+            slot = np.where(boundary, n_global, l2g)
+            live = ~boundary[copies]
+            copies, part = copies[live], part[live]
+        else:
+            slot = l2g.copy() if copies.size else l2g
+        key = part * n_global + l2g[copies]
+        extra = _distinct(key)
+        self._extra_gid = extra % n_global
+        slot[copies] = n_global + 1 + np.searchsorted(extra, key)
+        self._slot = slot
 
     @property
     def n_local(self) -> int:
@@ -204,7 +194,7 @@ class GatherScatter:
     @property
     def mask(self) -> np.ndarray:
         """Per-local float mask: 0.0 on the Dirichlet boundary, else 1.0."""
-        return np.where(self._read_back == self.numbering.n_global, 0.0, 1.0)
+        return np.where(self._slot == self.numbering.n_global, 0.0, 1.0)
 
     def gather_scatter(self, u: np.ndarray, count: bool = True,
                        out: np.ndarray | None = None) -> np.ndarray:
@@ -234,13 +224,16 @@ class GatherScatter:
         n_global = self.numbering.n_global
         sums = np.bincount(self._slot, weights=u,
                            minlength=n_global + 1 + self._extra_gid.size)
+        sums[n_global] = 0.0            # what Dirichlet copies read back
+        totals, extra = sums[:n_global], sums[n_global + 1:]
         # Unbuffered, in index order; slicing off the target keeps numpy
         # from copying the overlapping operands.
-        np.add.at(sums[:n_global], self._extra_gid, sums[n_global + 1:])
+        np.add.at(totals, self._extra_gid, extra)
+        # mode="clip" writes straight into out; "raise" buffers it.
+        np.take(totals, self._extra_gid, out=extra, mode="clip")
         if count:
             self.counters.messages += self._adjacent_pairs
-        # mode="clip" writes straight into out; "raise" buffers it.
-        return np.take(sums, self._read_back, out=out, mode="clip")
+        return np.take(sums, self._slot, out=out, mode="clip")
 
     def apply_mask(self, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:

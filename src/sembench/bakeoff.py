@@ -35,6 +35,7 @@ from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
                    build_box_mesh, compute_geometric_factors)
 from .operators import (BLOCK_SIZES, STRATEGIES, MassOperator,
                         StiffnessOperator)
+from .tensors import WORKING_SET_WORDS
 
 THREADS_ENV = "SEMBENCH_THREADS"
 
@@ -98,7 +99,6 @@ class RunConfig:
     threads: int | None = None
     deterministic: bool = True  # accepted, no effect
     trials: int = 3
-    instrument: bool = False
 
     def __post_init__(self):
         if self.bp not in BP_TABLE:
@@ -210,19 +210,21 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
 def estimate_bytes(config: RunConfig) -> int:
     """Resident bytes of a built problem and its solve, from the config alone.
 
-    Setup runs in element batches, so its temporaries are small; what stays
-    is the stored geometric factors, the mesh, the plan and the vectors.
+    Setup and the operator run in element batches, so their temporaries
+    are a fixed cost; what grows with the mesh is the stored geometric
+    factors, the mesh, the plan and the vectors.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
-    # coordinates (3), the gather-scatter plan (the map, a Dirichlet plan's
-    # masked read-back, slots, weights, and the global-length multiplicity
-    # and bincount output, about 6), and per component the PCG vectors
-    # with one step's temporaries (about 8).  The factors are stored in
-    # ragged blocks, with no padding.
+    # coordinates (3); the numbering's map and multiplicity, the plan's
+    # slot index and weights and the preconditioner's diagonal (about 5);
+    # and per component the right-hand side, the six PCG vectors, the
+    # A_L u output and the global-length sums (about 8).  The factors are
+    # stored in ragged blocks, with no padding.  Setup's metric terms take
+    # about 24 batch fields, enough for an apply on up to three threads.
     p1 = config.p + 1
-    node_words = 3 + 6 + 8 * config.spec.components
+    node_words = 3 + 5 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
-    return 8 * config.E * per_element
+    return 8 * (config.E * per_element + 24 * WORKING_SET_WORDS)
 
 
 def mem_available_bytes() -> int | None:
@@ -256,8 +258,7 @@ def build_problem(config: RunConfig) -> Problem:
     mesh = build_box_mesh(config.k, config.p)
     geom = compute_geometric_factors(mesh, basis)
     gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks)
-    op = make_operator(spec, basis, geom, config.strategy, config.block,
-                       instrument=config.instrument)
+    op = make_operator(spec, basis, geom, config.strategy, config.block)
     if config.mode == "bp" and not np.any(gs.mask):
         raise ConfigError(
             f"bp{config.bp} p={config.p} k={config.k} has no free degree "

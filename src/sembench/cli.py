@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--deterministic", action="store_true", default=None,
                         help="accepted and ignored: every run sums in one "
                              "fixed order and is bitwise reproducible")
-        sp.add_argument("--instrument", action="store_true", default=None,
-                        help="accumulate flop/byte counters during timed runs")
         sp.add_argument("--trials", type=int,
                         help="timed repetitions, median kept (default "
                              f"{RunConfig.trials})")

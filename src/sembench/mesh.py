@@ -114,6 +114,20 @@ class BoxMesh:
         return ((x1 - x0) / ex, (y1 - y0) / ey, (z1 - z0) / ez)
 
 
+def lattice_index(dims: tuple, p: int) -> tuple:
+    """Global lattice index of every element node along x, y and z.
+
+    Three integer arrays shaped (E, 1, 1, p1), (E, 1, p1, 1) and
+    (E, p1, 1, 1), which broadcast to the node layout [e, iz, iy, ix].
+    """
+    ex, ey, ez = dims
+    e = np.arange(ex * ey * ez)
+    node = np.arange(p + 1)
+    gx, gy, gz = ((pos * p)[:, None] + node
+                  for pos in (e % ex, e // ex % ey, e // (ex * ey)))
+    return gx[:, None, None, :], gy[:, None, :, None], gz[:, :, None, None]
+
+
 def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
                    deformation: str = "sine", amplitude: float = 0.05) -> BoxMesh:
     """Build the E = 2^k box mesh of geometry order p.
@@ -152,20 +166,11 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         lat[-1] = hi
         lattices.append(lat)
 
-    ex, ey, ez = dims
-    e_idx = np.arange(2 ** k)
-    exs = e_idx % ex
-    eys = (e_idx // ex) % ey
-    ezs = e_idx // (ex * ey)
-    node_i = np.arange(p1)
-
     # Gather per-element coordinates from the lattices.
-    gx = exs[:, None] * p + node_i[None, :]          # (E, p1)
-    gy = eys[:, None] * p + node_i[None, :]
-    gz = ezs[:, None] * p + node_i[None, :]
-    x = lattices[0][gx][:, None, None, :] * np.ones((1, p1, p1, 1))
-    y = lattices[1][gy][:, None, :, None] * np.ones((1, p1, 1, p1))
-    z = lattices[2][gz][:, :, None, None] * np.ones((1, 1, p1, p1))
+    gx, gy, gz = lattice_index(dims, p)
+    x = lattices[0][gx] * np.ones((1, p1, p1, 1))
+    y = lattices[1][gy] * np.ones((1, p1, 1, p1))
+    z = lattices[2][gz] * np.ones((1, 1, p1, p1))
 
     delta = DEFORMATIONS[deformation](x, y, z, amplitude, extents)
     widths = np.array([extents[1][d] - extents[0][d] for d in range(3)])

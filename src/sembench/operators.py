@@ -411,70 +411,3 @@ class MassOperator(_LocalOperator):
         uq = self._interp(U, ct)
         uq *= d
         return self._interp(uq, ct, transpose=True)
-
-
-def _kron3(a, b, c):
-    return np.kron(a, np.kron(b, c))
-
-
-def assemble_reference_csr(op, gs, mask: bool = True):
-    """Assemble the global operator explicitly: A = Q^T A_L Q, then mask.
-
-    Verification oracle only: the per-element matrices are built densely
-    from Kronecker-product gradient matrices and the stored metric factors,
-    with no shared code with the matrix-free apply.
-
-    Args:
-        op: StiffnessOperator or MassOperator.
-        gs: GatherScatter providing numbering and Dirichlet mask.
-        mask: zero out Dirichlet rows and columns (the default).
-
-    Returns:
-        scipy.sparse.csr_matrix of size n_global x n_global.
-    """
-    from scipy import sparse
-
-    numbering = gs.numbering
-    if numbering.n_global > 50_000:
-        raise ValueError("reference CSR assembly limited to 50,000 global nodes")
-    basis = op.basis
-    p1, q, E = basis.p1, basis.q, op.E
-    J, D = basis.J_hat, basis.D_hat
-    l2g = numbering.local_to_global.reshape(E, p1 ** 3)
-
-    rows, cols, data = [], [], []
-    if op.system == "stiffness":
-        Dm = [_kron3(J, J, D), _kron3(J, D, J), _kron3(D, J, J)]
-        gi = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 3,
-              (1, 2): 4, (2, 0): 2, (2, 1): 4, (2, 2): 5}
-        for e in range(E):
-            g_e = op.geom.slab(op.geom.G, e, e + 1)[..., 0]
-            a_e = np.zeros((p1 ** 3, p1 ** 3))
-            for m in range(3):
-                inner = np.zeros_like(Dm[0])
-                for mp in range(3):
-                    gvals = g_e[gi[(m, mp)]].reshape(-1)
-                    inner += gvals[:, None] * Dm[mp]
-                a_e += Dm[m].T @ inner
-            rows.append(np.repeat(l2g[e], p1 ** 3))
-            cols.append(np.tile(l2g[e], p1 ** 3))
-            data.append(a_e.reshape(-1))
-    else:
-        J3 = _kron3(J, J, J)
-        for e in range(E):
-            dvals = op.beta * op.geom.slab(op.geom.mass_diag, e,
-                                           e + 1).reshape(-1)
-            b_e = J3.T @ (dvals[:, None] * J3)
-            rows.append(np.repeat(l2g[e], p1 ** 3))
-            cols.append(np.tile(l2g[e], p1 ** 3))
-            data.append(b_e.reshape(-1))
-
-    n = numbering.n_global
-    a = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    if mask:
-        gmask = gs.global_mask()
-        scal = sparse.diags(gmask)
-        a = scal @ a @ scal
-    return a

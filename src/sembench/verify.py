@@ -4,7 +4,9 @@ Each suite builds its own small meshes and compares the fast paths against
 independent references: explicit sparse matrices for the assembled operator
 and the gather-scatter, analytic monomial integrals for quadrature, dense
 reconstruction for the even-odd factors.  The explicit Q matrix lives here,
-in the oracle, on purpose; the production code never forms it.
+in the oracle, on purpose; the production code never forms it.  The two
+sparse oracles import scipy when called, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .assembly import build_gather_scatter, build_numbering
 from .basis import even_odd_split, make_basis
 from .krylov import SystemApplier
-from .mesh import GeomFactors, build_box_mesh, compute_geometric_factors
-from .operators import (STRATEGY_RTOL, MassOperator, StiffnessOperator,
-                        assemble_reference_csr)
+from .mesh import (G_INDEX, GeomFactors, build_box_mesh,
+                   compute_geometric_factors)
+from .operators import STRATEGY_RTOL, MassOperator, StiffnessOperator
 from .quadrature import MAX_POINTS, gauss_legendre, gauss_lobatto_legendre
 from .tensors import eo_contract_dir
 
@@ -34,13 +35,80 @@ class CheckResult:
     detail: str
 
 
-def build_q_matrix(numbering) -> sparse.csr_matrix:
-    """Explicit Boolean scatter Q (n_local x n_global): u_L = Q u."""
+def build_q_matrix(numbering):
+    """Explicit Boolean scatter Q (n_local x n_global, CSR): u_L = Q u."""
+    from scipy import sparse
+
     l2g = numbering.local_to_global
     n_local = l2g.size
     return sparse.csr_matrix(
         (np.ones(n_local), (np.arange(n_local), l2g)),
         shape=(n_local, numbering.n_global))
+
+
+def _kron3(a, b, c):
+    return np.kron(a, np.kron(b, c))
+
+
+def assemble_reference_csr(op, gs, mask: bool = True):
+    """Assemble the global operator explicitly: A = Q^T A_L Q, then mask.
+
+    Verification oracle only: the per-element matrices are built densely
+    from Kronecker-product gradient matrices and the stored metric factors,
+    with no shared code with the matrix-free apply.
+
+    Args:
+        op: StiffnessOperator or MassOperator.
+        gs: GatherScatter providing numbering and Dirichlet mask.
+        mask: zero out Dirichlet rows and columns (the default).
+
+    Returns:
+        scipy.sparse.csr_matrix of size n_global x n_global.
+    """
+    from scipy import sparse
+
+    numbering = gs.numbering
+    if numbering.n_global > 50_000:
+        raise ValueError("reference CSR assembly limited to 50,000 global nodes")
+    basis = op.basis
+    p1, E = basis.p1, op.E
+    J, D = basis.J_hat, basis.D_hat
+    l2g = numbering.local_to_global.reshape(E, p1 ** 3)
+
+    rows, cols, data = [], [], []
+    if op.system == "stiffness":
+        Dm = [_kron3(J, J, D), _kron3(J, D, J), _kron3(D, J, J)]
+        for e in range(E):
+            g_e = op.geom.slab(op.geom.G, e, e + 1)[..., 0]
+            a_e = np.zeros((p1 ** 3, p1 ** 3))
+            for m in range(3):
+                inner = np.zeros_like(Dm[0])
+                for mp in range(3):
+                    gvals = g_e[G_INDEX[min(m, mp), max(m, mp)]].reshape(-1)
+                    inner += gvals[:, None] * Dm[mp]
+                a_e += Dm[m].T @ inner
+            rows.append(np.repeat(l2g[e], p1 ** 3))
+            cols.append(np.tile(l2g[e], p1 ** 3))
+            data.append(a_e.reshape(-1))
+    else:
+        J3 = _kron3(J, J, J)
+        for e in range(E):
+            dvals = op.beta * op.geom.slab(op.geom.mass_diag, e,
+                                           e + 1).reshape(-1)
+            b_e = J3.T @ (dvals[:, None] * J3)
+            rows.append(np.repeat(l2g[e], p1 ** 3))
+            cols.append(np.tile(l2g[e], p1 ** 3))
+            data.append(b_e.reshape(-1))
+
+    n = numbering.n_global
+    a = sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    if mask:
+        gmask = gs.global_mask()
+        scal = sparse.diags(gmask)
+        a = scal @ a @ scal
+    return a
 
 
 def inject_geom_fault(geom: GeomFactors, element: int, slot: int,

@@ -115,13 +115,14 @@ class TestGatherScatter:
         # np.take copies a read-only index on every call; beyond its one
         # bincount output, a sum per global id and per extra (shared)
         # slot, a gather into out allocates next to nothing.  A Neumann
-        # plan reads back through the numbering's own map.
+        # plan at one rank sums and reads back through the numbering's
+        # own map.
         mesh = build_box_mesh(4, 7)
         for bc in ("neumann", "dirichlet"):
             gs = build_gather_scatter(mesh, bc=bc, ranks=ranks)
-            assert np.shares_memory(gs._read_back,
+            assert np.shares_memory(gs._slot,
                                     gs.numbering.local_to_global) == (
-                bc == "neumann")
+                bc == "neumann" and ranks == 1)
             assert not gs.numbering.local_to_global.flags.writeable
             u = rng.standard_normal(gs.n_local)
             w = np.empty_like(u)
@@ -137,6 +138,31 @@ class TestGatherScatter:
                 tracemalloc.stop()
             assert (peak - base - sums
                     < gs.numbering.local_to_global.nbytes // 8)
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_plan_holds_one_local_index(self, ranks, bc):
+        # Besides the numbering's map the plan keeps at most one index of
+        # local length (none at one rank under Neumann conditions), and
+        # building it sorts no full-length array: a key per local sorted
+        # with its inverse, as np.unique(..., return_inverse=True) makes
+        # it, would take the peak past 8 words per local.
+        mesh = build_box_mesh(8, 3)
+        num = build_numbering(mesh)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gs = GatherScatter(mesh, num, bc=bc, ranks=ranks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        index = [a for a in vars(gs).values()
+                 if isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+                 and a.size == num.n_local
+                 and not np.shares_memory(a, num.local_to_global)]
+        assert len(index) == int(bc == "dirichlet" or ranks > 1)
+        # Kept: the weights and the slot index, 2 words per local.
+        assert peak - base < 4 * num.local_to_global.nbytes
 
     def test_out_shape_checked(self):
         gs = build_gather_scatter(build_box_mesh(1, 1))
@@ -246,16 +272,17 @@ class TestPartitioned:
         p = data.draw(st.integers(1, 4), label="p")
         mesh = build_box_mesh(k, p)
         ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
+        bc = data.draw(st.sampled_from(["neumann", "dirichlet"]), label="bc")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         num = build_numbering(mesh)
-        gs = build_gather_scatter(mesh, num, ranks=ranks)
+        gs = build_gather_scatter(mesh, num, bc=bc, ranks=ranks)
         l2g = num.local_to_global
         u = np.random.default_rng(seed).standard_normal(num.n_local)
         got = gs.gather_scatter(u)
 
         q = build_q_matrix(num)
-        ref = q @ (q.T @ u)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = gs.mask * (q @ (q.T @ u))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(q.T @ u))
         one_copy = np.empty(num.n_global)
         one_copy[l2g] = got
         assert np.array_equal(got, one_copy[l2g])

@@ -1,7 +1,12 @@
 """Benchmark definitions, run configurations, and the measurement loop."""
 
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +116,22 @@ class TestProblem:
             build_problem(RunConfig(bp=3, p=1, k=2))
         assert build_problem(RunConfig(bp=3, p=1, k=2, mode="bk")).minv is None
 
+    def test_leaves_numpy_ma_and_scipy_unimported(self):
+        # Plain np.unique imports numpy.ma, about 1 MiB of resident memory,
+        # and scipy.sparse, which only the oracles use, about 20 MiB; a
+        # fresh interpreter shows whether the package or setup pulls them.
+        code = ("import sys\n"
+                "import sembench\n"
+                "from sembench.bakeoff import RunConfig, build_problem\n"
+                "build_problem(RunConfig(bp=5, p=2, k=3, ranks=3))\n"
+                "build_problem(RunConfig(bp=2, p=2, k=3, ranks=2))\n"
+                "sys.exit('numpy.ma' in sys.modules\n"
+                "         or 'scipy' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bakeoff.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
+
     def test_bk_mode_skips_preconditioner(self):
         assert build_problem(RunConfig(bp=3, p=2, k=1, mode="bk")).minv is None
         assert build_problem(RunConfig(bp=3, p=2, k=1)).minv is not None
@@ -125,6 +146,30 @@ class TestMemoryCheck:
                     + pr.geom.jac_det.nbytes + pr.mesh.elem_coords.nbytes
                     + pr.b.nbytes)
             assert kept < bakeoff.estimate_bytes(cfg)
+
+    @staticmethod
+    def traced_peak(cfg):
+        # Peak bytes numpy allocates while building cfg's problem and
+        # running it with two timed trials.
+        tracemalloc.start()
+        try:
+            run(cfg, build_problem(cfg))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(bp=5, p=3, k=10, ranks=2, threads=2), dict(bp=4, p=3, k=7),
+        dict(bp=1, p=3, k=8)])
+    def test_estimate_covers_setup_and_solve(self, kwargs):
+        cfg = RunConfig(iterations=2, trials=2, **kwargs)
+        assert self.traced_peak(cfg) <= bakeoff.estimate_bytes(cfg)
+
+    def test_estimate_stays_near_a_large_peak(self):
+        # An estimate far above what a point holds would refuse points
+        # that fit.
+        cfg = RunConfig(bp=3, p=7, k=9, iterations=1, trials=2)
+        assert bakeoff.estimate_bytes(cfg) < 1.5 * self.traced_peak(cfg)
 
     def test_too_large_fails_before_any_allocation(self, monkeypatch):
         cfg = RunConfig(bp=3, p=2, k=1)
@@ -293,8 +338,8 @@ class TestRun:
             iterations * result.n / result.seconds_total)
 
     def test_instrumented_counting_is_repeatable(self):
-        cfg = RunConfig(bp=3, p=3, k=1, iterations=3, trials=1,
-                        instrument=True)
+        # flops_measured comes from an instrumented probe operator.
+        cfg = RunConfig(bp=3, p=3, k=1, iterations=3, trials=1)
         a = run(cfg)
         b = run(cfg)
         assert (a.n, a.flops_measured, a.messages, a.reductions) == \

@@ -45,12 +45,10 @@ class TestLoadConfig:
             "k = 3\n"
             "mode = bk\n"
             "iterations = 10\n"
-            "deterministic = false\n"
-            "instrument = yes\n")
+            "deterministic = false\n")
         values = load_config(cfg)
         assert values == {"bp": 3, "p": "2..4", "k": "3", "mode": "bk",
-                          "iterations": 10, "deterministic": False,
-                          "instrument": True}
+                          "iterations": 10, "deterministic": False}
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -14,9 +14,8 @@ from sembench.bakeoff import RunConfig, build_problem, build_rhs
 from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
                              make_preconditioner, pcg)
 from sembench.mesh import compute_geometric_factors
-from sembench.operators import (MassOperator, StiffnessOperator,
-                                assemble_reference_csr)
-from sembench.verify import inject_geom_fault
+from sembench.operators import MassOperator, StiffnessOperator
+from sembench.verify import assemble_reference_csr, inject_geom_fault
 
 from conftest import element_major, rel_err
 

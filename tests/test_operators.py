@@ -10,11 +10,10 @@ from sembench.basis import make_basis
 from sembench.mesh import build_box_mesh, compute_geometric_factors
 from sembench.assembly import build_gather_scatter, build_numbering
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
-                                StiffnessOperator, assemble_reference_csr,
-                                batch_size, bytes_model,
+                                StiffnessOperator, batch_size, bytes_model,
                                 collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
-from sembench.verify import per_element_apply
+from sembench.verify import assemble_reference_csr, per_element_apply
 
 from conftest import element_major, rel_err
 
