@@ -15,7 +15,7 @@ from .basis import (Basis1D, BasisError, EvenOddFactor, even_odd_split,
 from .krylov import (DivergenceError, PcgRun, SystemApplier, compute_diagonal,
                      make_preconditioner, pcg)
 from .mesh import (BoxMesh, GeomFactors, MeshError, box_dims, build_box_mesh,
-                   compute_geometric_factors)
+                   compute_geometric_factors, from_blocks, to_blocks)
 from .metrics import (MetricsError, emit_csv, emit_plot_data,
                       extract_metrics, group_metrics, latency_floor,
                       parallel_efficiency, read_csv)
@@ -38,10 +38,10 @@ __all__ = [
     "build_gather_scatter", "build_numbering", "build_problem", "build_rhs",
     "bytes_model", "compute_diagonal", "compute_geometric_factors",
     "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split",
-    "extract_metrics", "flop_model", "gauss_legendre",
+    "extract_metrics", "flop_model", "from_blocks", "gauss_legendre",
     "gauss_lobatto_legendre", "group_metrics", "lagrange_deriv_matrix",
     "lagrange_interp_matrix", "latency_floor", "legendre_eval", "make_basis",
     "make_preconditioner", "make_rule", "mass_flop_model",
     "parallel_efficiency", "pcg", "read_csv", "run",
-    "single_contraction_flops", "sweep",
+    "single_contraction_flops", "sweep", "to_blocks",
 ]

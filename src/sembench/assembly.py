@@ -1,21 +1,25 @@
 """Global numbering, gather-scatter (direct-stiffness summation), masking.
 
 Fields live in local form: one value per element node, with values at shared
-element interfaces duplicated.  gather_scatter replaces every set of
-coincident values by their sum (the QQ^T operation); the explicit Q matrix is
-never formed here, only in the verification oracles.  One slot index per
-local copy serves both the sum and the read-back; it points Dirichlet
-boundary locals at a zero slot, so gather_scatter also masks.
+element interfaces duplicated, in the blocked layout of mesh.to_blocks.  The
+numbering records its block, and a plan and the operators it serves must
+agree on it; block 1 is the element-major order.  gather_scatter replaces
+every set of coincident values by their sum (the QQ^T operation); the
+explicit Q matrix is never formed here, only in the verification oracles.
+One slot index per local copy serves both the sum and the read-back; it
+points Dirichlet boundary locals at a zero slot, so gather_scatter also
+masks.
 
 Partitioned operation simulates distributed ranks: elements are split into
-contiguous blocks.  One precomputed plan serves every rank count.  Each block
-first condenses its own contributions, left to right in local order, and the
-shared sums are then completed left to right in ascending partition order,
-so every copy of a shared node holds the same float.  Only shared values are
-exchanged and added: the lowest partition holding a global id condenses
+contiguous ranges.  In the layout a partition's locals are pieces: its
+whole blocks, which are contiguous, and the strided column range of each
+block that a partition boundary splits.  One precomputed plan serves every
+rank count.  Each partition first condenses its own contributions, in local
+order, and the shared sums are then completed in ascending partition order,
+so every copy of a shared node holds the same float.  Only shared values
+are exchanged and added: the lowest partition holding a global id condenses
 straight into that id's sum, so a single rank, which shares nothing, is one
-bincount and an add over no values.  Message and reduction counters feed
-the benchmark harness.
+bincount.  Message and reduction counters feed the benchmark harness.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoxMesh, lattice_index
+from .mesh import BoxMesh, lattice_index, to_blocks
 
 
 @dataclass
@@ -37,15 +41,17 @@ class ExchangeCounters:
 class GlobalNumbering:
     """Map from local element nodes to unique global lattice ids.
 
-    local_to_global is a read-only view.  The writeable array behind it is
-    kept as _index for the gather-scatter plans of this module, which index
-    with it (np.take copies a read-only index on every call); a one-rank
-    Neumann plan sums and reads back through it without a copy.
+    local_to_global is a read-only view, in the blocked layout of `block`
+    elements.  The writeable array behind it is kept as _index for the
+    gather-scatter plans of this module, which index with it (np.take
+    copies a read-only index on every call); a one-rank Neumann plan sums
+    and reads back through it without a copy.
     """
 
     local_to_global: np.ndarray  # int64, length E * p1^3
     n_global: int
     multiplicity: np.ndarray     # per global id, length n_global
+    block: int = 1               # elements per block of the local layout
 
     def __post_init__(self):
         view = self.local_to_global.view()
@@ -59,19 +65,33 @@ class GlobalNumbering:
         return self.local_to_global.size
 
 
-def build_numbering(mesh: BoxMesh) -> GlobalNumbering:
+def build_numbering(mesh: BoxMesh, block: int = 1) -> GlobalNumbering:
     """Assign lexicographic global lattice ids to every local node.
 
     Coincident physical nodes (shared faces/edges/vertices) get the same id;
-    multiplicity counts how many elements share each global node.
+    multiplicity counts how many elements share each global node.  The
+    locals are in the blocked layout of `block` elements (mesh.to_blocks);
+    an operator's layout is its geometry's block.
     """
     gx, gy, gz = lattice_index(mesh.dims, mesh.p)
     nx, ny = (mesh.p * d + 1 for d in mesh.dims[:2])
-    # Local layout [iz, iy, ix] in C order matches the field storage.
     gid = gx + nx * (gy + ny * gz)
-    l2g = gid.reshape(-1).astype(np.int64, copy=False)
+    l2g = to_blocks(gid, block).astype(np.int64, copy=False)
     mult = np.bincount(l2g, minlength=mesh.n_true)
-    return GlobalNumbering(l2g, mesh.n_true, mult)
+    return GlobalNumbering(l2g, mesh.n_true, mult, block)
+
+
+def _boundary_ids(mesh: BoxMesh) -> np.ndarray:
+    """Per global id, True on the box boundary: lattice index 0 or p * dims
+    in some direction.  The ids are lexicographic, so the lattice in C
+    order, (z, y, x), lists them in order."""
+    ends = []
+    for d in reversed(mesh.dims):
+        end = np.zeros(mesh.p * d + 1, dtype=bool)
+        end[[0, -1]] = True
+        ends.append(end)
+    ez, ey, ex = ends
+    return (ez[:, None, None] | ey[:, None] | ex).reshape(-1)
 
 
 def _partition_elements(E: int, ranks: int):
@@ -89,30 +109,75 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _shared_copies(l2g, n_global: int, partitions, slab: int):
+def _pieces(partitions, E: int, block: int, words: int):
+    """Per partition, the pieces of the blocked layout that hold its locals.
+
+    A piece (lo, hi, width, c0, c1) is columns [c0, c1) of locals [lo, hi)
+    read as rows of `width` (see _view).  A run of whole blocks is one
+    contiguous piece, a single row; the part of a block that a partition
+    boundary splits is a column range of that block's (words, B) slab.
+    Read row by row, a partition's pieces list its locals in ascending
+    order.
+    """
+    out = []
+    for e0, e1 in partitions:
+        pieces = []
+        for s0 in range(e0 - e0 % block, e1, block):
+            s1 = min(s0 + block, E)
+            a, b = max(e0, s0), min(e1, s1)
+            lo, hi = s0 * words, s1 * words
+            if (a, b) != (s0, s1):
+                pieces.append((lo, hi, s1 - s0, a - s0, b - s0))
+                continue
+            if pieces and pieces[-1][1] == lo and \
+                    pieces[-1][2] == lo - pieces[-1][0]:
+                lo = pieces.pop()[0]          # extends a contiguous run
+            pieces.append((lo, hi, hi - lo, 0, hi - lo))
+        out.append(pieces)
+    return out
+
+
+def _view(a: np.ndarray, piece) -> np.ndarray:
+    """The locals of one piece along a's last axis: a view, shaped
+    (..., hi - lo) for a contiguous piece and (..., rows, c1 - c0) for a
+    column range."""
+    lo, hi, width, c0, c1 = piece
+    if width == hi - lo:
+        return a[..., lo:hi]
+    return a[..., lo:hi].reshape(a.shape[:-1] + (-1, width))[..., c0:c1]
+
+
+def _shared_copies(l2g, n_global: int, pieces):
     """The local copies held above their global id's owner partition.
 
-    An id's owner is its lowest partition.  Partitions are ascending
-    element ranges, so that is the number left after every partition
-    writes its own over its ids, highest first.  Sorting the distinct
-    (id, partition) holders of the copies and of their owners puts every
-    shared id's partitions next to each other in ascending order; a node
-    has at most eight copies, so the loop over offsets d is short.
+    An id's owner is its lowest partition: the number left after every
+    partition writes its own over its ids, highest first.  Sorting the
+    distinct (id, partition) holders of the copies and of their owners
+    puts every shared id's partitions next to each other in ascending
+    order; a node has at most eight copies, so the loop over offsets d is
+    short.
 
     Returns:
-        (ascending local indices of the copies, their partitions, number
-        of partition pairs that share an id).
+        (local indices of the copies, their partitions, number of
+        partition pairs that share an id).
     """
-    ranks = len(partitions)
+    ranks = len(pieces)
     owner = np.empty(n_global, dtype=np.int64)
     for r in reversed(range(ranks)):
-        e0, e1 = partitions[r]
-        owner[l2g[e0 * slab:e1 * slab]] = r
-    elem_part = np.repeat(np.arange(ranks),
-                          [e1 - e0 for (e0, e1) in partitions])
-    copies = np.flatnonzero(owner[l2g.reshape(-1, slab)]
-                            != elem_part[:, None])
-    part, gid = elem_part[copies // slab], l2g[copies]
+        for piece in pieces[r]:
+            owner[_view(l2g, piece)] = r
+    copies, part = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r in range(ranks):
+        for piece in pieces[r]:
+            lo, hi, width, c0, c1 = piece
+            at = np.flatnonzero(owner[_view(l2g, piece)] != r)
+            if width != hi - lo:        # (row, column) of a column range
+                row, col = np.divmod(at, c1 - c0)
+                at = row * width + c0 + col
+            copies.append(lo + at)
+            part.append(np.full(at.size, r))
+    copies, part = np.concatenate(copies), np.concatenate(part)
+    gid = l2g[copies]
     held = _distinct(np.concatenate((gid * ranks + part,
                                      gid * ranks + owner[gid])))
     gid, held_part = np.divmod(held, ranks)
@@ -129,7 +194,8 @@ class GatherScatter:
     """QQ^T summation, Dirichlet masking, and weighted dot products.
 
     Immutable after construction except for the instrumentation counters,
-    so one plan can serve several solves and threads.  It keeps one slot
+    so one plan can serve several solves and threads.  Its locals are in
+    the numbering's layout, `block` elements per block.  It keeps one slot
     index per local copy, for every rank count: the owner copy of a global
     id (its lowest partition's) points at slot gid; a copy held by a
     higher partition points at an extra slot after the zero slot n_global,
@@ -137,7 +203,8 @@ class GatherScatter:
     boundary copy points at the zero slot.  gather_scatter sums the locals
     into their slots (one bincount), zeroes the zero slot, adds the extra
     slots into their owners and copies the totals back (over the shared
-    copies only), and reads every copy back through the same index.
+    copies only, and not at all when there are none), and reads every copy
+    back through the same index.
 
     The index is the only stored form of the Dirichlet boundary; `mask` is
     derived from it.  At one rank under Neumann conditions it is the
@@ -158,38 +225,35 @@ class GatherScatter:
         self.numbering = numbering
         self.bc = bc
         self.ranks = ranks
+        self.block = numbering.block
+        self.n_local = numbering.n_local
         self.counters = ExchangeCounters()
 
         l2g = numbering._index
         n_global = numbering.n_global
-        self.node_slab = slab = mesh.p1 ** 3
         self.partitions = _partition_elements(mesh.E, ranks)
+        self._pieces = _pieces(self.partitions, mesh.E, self.block,
+                               mesh.p1 ** 3)
         copies, part, self._adjacent_pairs = _shared_copies(
-            l2g, n_global, self.partitions, slab)
+            l2g, n_global, self._pieces)
         # Per global id, then gathered: the same quotients, fewer divides.
         self.weight = (1.0 / numbering.multiplicity)[l2g]
 
         # Owners keep slot gid, Dirichlet copies read the zero slot, and the
         # rest get an extra slot per (partition, id) pair, in that order.
         if bc == "dirichlet":
-            # On the boundary: lattice index 0 or p * dims in some direction.
-            ends = [(g == 0) | (g == mesh.p * d) for g, d in
-                    zip(lattice_index(mesh.dims, mesh.p), mesh.dims)]
-            boundary = (ends[0] | ends[1] | ends[2]).reshape(-1)
-            slot = np.where(boundary, n_global, l2g)
-            live = ~boundary[copies]
+            boundary = _boundary_ids(mesh)
+            slot = np.where(boundary, n_global, np.arange(n_global))[l2g]
+            live = ~boundary[l2g[copies]]
             copies, part = copies[live], part[live]
         else:
             slot = l2g.copy() if copies.size else l2g
         key = part * n_global + l2g[copies]
         extra = _distinct(key)
         self._extra_gid = extra % n_global
+        self._n_sums = n_global + 1 + extra.size
         slot[copies] = n_global + 1 + np.searchsorted(extra, key)
         self._slot = slot
-
-    @property
-    def n_local(self) -> int:
-        return self.numbering.n_local
 
     @property
     def mask(self) -> np.ndarray:
@@ -222,15 +286,15 @@ class GatherScatter:
         if u.shape != (self.n_local,):
             raise ValueError(f"expected local vector of length {self.n_local}")
         n_global = self.numbering.n_global
-        sums = np.bincount(self._slot, weights=u,
-                           minlength=n_global + 1 + self._extra_gid.size)
+        sums = np.bincount(self._slot, weights=u, minlength=self._n_sums)
         sums[n_global] = 0.0            # what Dirichlet copies read back
-        totals, extra = sums[:n_global], sums[n_global + 1:]
-        # Unbuffered, in index order; slicing off the target keeps numpy
-        # from copying the overlapping operands.
-        np.add.at(totals, self._extra_gid, extra)
-        # mode="clip" writes straight into out; "raise" buffers it.
-        np.take(totals, self._extra_gid, out=extra, mode="clip")
+        if self._extra_gid.size:
+            totals, extra = sums[:n_global], sums[n_global + 1:]
+            # Unbuffered, in index order; slicing off the target keeps
+            # numpy from copying the overlapping operands.
+            np.add.at(totals, self._extra_gid, extra)
+            # mode="clip" writes straight into out; "raise" buffers it.
+            np.take(totals, self._extra_gid, out=extra, mode="clip")
         if count:
             self.counters.messages += self._adjacent_pairs
         return np.take(sums, self._slot, out=out, mode="clip")
@@ -259,40 +323,49 @@ class GatherScatter:
 
         Equals the assembled global dot product u^T v.  Counts as one
         global reduction.  2D inputs (ncomp, n_local) sum over components.
-        Each partition's weighted products u * v * weight, all components
-        of it, are summed as one contiguous block, and the partition sums
-        are added in ascending order.  The products go into `work`, an
-        array of u's shape, when it is given.
+        The weighted products u * v * weight are formed in local order, in
+        `work` (an array of u's shape) when it is given.  Each partition
+        then sums them component by component and piece by piece, adding
+        as it goes: a contiguous piece with one ndarray.sum, a column range
+        by the sum of its row sums (a reduction along contiguous rows,
+        which numpy runs without a buffer).  The partition sums are added
+        in ascending order.
         """
         u = np.asarray(u)
         v = np.asarray(v)
-        if u.shape != v.shape or u.shape[-1] != self.n_local:
+        n_local = self.n_local
+        if u.shape != v.shape or u.shape[-1] != n_local:
             raise ValueError("local_dot operands must be local vectors")
         if count:
             self.counters.reductions += 1
-        u2 = u.reshape(-1, self.n_local)
-        v2 = v.reshape(-1, self.n_local)
-        ncomp = u2.shape[0]
-        flat = np.empty(u.size) if work is None else work.reshape(-1)
-        slab = self.node_slab
+        u2 = u.reshape(-1, n_local)
+        prod = np.multiply(u2, v.reshape(-1, n_local),
+                           out=None if work is None else
+                           work.reshape(u2.shape))
+        prod *= self.weight
         total = 0.0
-        for (e0, e1) in self.partitions:
-            lo, hi = e0 * slab, e1 * slab
-            block = flat[ncomp * lo:ncomp * hi].reshape(ncomp, hi - lo)
-            np.multiply(u2[:, lo:hi], v2[:, lo:hi], out=block)
-            block *= self.weight[lo:hi]
-            total += block.sum()
+        for pieces in self._pieces:
+            part = 0.0
+            for row in prod:
+                for piece in pieces:
+                    seg = _view(row, piece)
+                    part += seg.sum() if seg.ndim == 1 else \
+                        seg.sum(axis=-1).sum()
+            total += part
         return float(total)
 
 
 def build_gather_scatter(mesh: BoxMesh, numbering: GlobalNumbering | None = None,
                          bc: str = "neumann", ranks: int = 1,
-                         deterministic: bool = True) -> GatherScatter:
+                         deterministic: bool = True,
+                         block: int = 1) -> GatherScatter:
     """GatherScatter for mesh; deterministic is accepted and has no effect.
 
-    Every rank count already sums in one fixed order, so repeated calls are
-    bitwise equal.
+    Without a numbering one is built in the layout of `block` elements;
+    the default, 1, is the element-major order, and an operator's layout
+    is its geometry's block (see bakeoff.build_problem).  Every rank count
+    already sums in one fixed order, so repeated calls are bitwise equal.
     """
     if numbering is None:
-        numbering = build_numbering(mesh)
+        numbering = build_numbering(mesh, block)
     return GatherScatter(mesh, numbering, bc=bc, ranks=ranks)

@@ -32,7 +32,7 @@ from .assembly import GatherScatter, build_gather_scatter
 from .basis import MAX_P, Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
 from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
-                   build_box_mesh, compute_geometric_factors)
+                   build_box_mesh, compute_geometric_factors, to_blocks)
 from .operators import (BLOCK_SIZES, STRATEGIES, MassOperator,
                         StiffnessOperator)
 from .tensors import WORKING_SET_WORDS
@@ -194,12 +194,13 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
               gs: GatherScatter, components: int) -> np.ndarray:
     """Assembled, masked right-hand side b = mask(QQ^T(B f)).
 
-    f(x, y, z) = sin(pi x) sin(pi y) sin(pi z) sampled at the nodes; vector
-    problems repeat it identically per component.
+    f(x, y, z) = sin(pi x) sin(pi y) sin(pi z) sampled at the nodes, in the
+    layout of geom.block; vector problems repeat it identically per
+    component.  gs is not checked against that layout.
     """
     x, y, z = (mesh.elem_coords[:, c] for c in range(3))
-    f = (np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
-    f = f.reshape(-1)
+    f = to_blocks(np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z),
+                  geom.block)
     mass = MassOperator(basis, geom)
     b = gs.gather_scatter(mass.apply_local(f), count=False)
     if components == 3:
@@ -218,9 +219,11 @@ def estimate_bytes(config: RunConfig) -> int:
     # coordinates (3); the numbering's map and multiplicity, the plan's
     # slot index and weights and the preconditioner's diagonal (about 5);
     # and per component the right-hand side, the six PCG vectors, the
-    # A_L u output and the global-length sums (about 8).  The factors are
-    # stored in ragged blocks, with no padding.  Setup's metric terms take
-    # about 24 batch fields, enough for an apply on up to three threads.
+    # A_L u output and the global-length sums (about 8).  The factors and
+    # the local vectors are stored in the same ragged blocks, with no
+    # padding.  Setup's metric terms take about 24 batch fields, enough
+    # for an apply on up to three threads, whose batches read and write
+    # the local vectors in place.
     p1 = config.p + 1
     node_words = 3 + 5 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
@@ -257,7 +260,8 @@ def build_problem(config: RunConfig) -> Problem:
     basis = make_basis(config.p, spec.quad)
     mesh = build_box_mesh(config.k, config.p)
     geom = compute_geometric_factors(mesh, basis)
-    gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks)
+    gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks,
+                              block=geom.block)
     op = make_operator(spec, basis, geom, config.strategy, config.block)
     if config.mode == "bp" and not np.any(gs.mask):
         raise ConfigError(

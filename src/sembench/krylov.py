@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter
+from .mesh import block_view
 from .tensors import contract_dir
 
 
@@ -34,12 +35,13 @@ def compute_diagonal(op) -> np.ndarray:
     J3-squared contraction of the diagonal weights, which collapses to the
     stored mass_diag itself in the collocated case.  Both are computed one
     storage block of the geometric factors at a time, like the operator
-    applies, and written back element-major.
+    applies, and each block is written as it comes into the local layout,
+    which has the same blocks.
     """
     basis, geom = op.basis, op.geom
     J, D = basis.J_hat, basis.D_hat
     p1 = basis.p1
-    out = np.empty((geom.E, p1, p1, p1))
+    out = np.empty(geom.E * p1 ** 3)
     pj = np.ascontiguousarray((J * J).T)
     if op.system == "mass":
         def block(b0, b1):
@@ -72,8 +74,8 @@ def compute_diagonal(op) -> np.ndarray:
             return d
 
     for b0, b1 in geom.batches(0, geom.E):
-        out[b0:b1] = block(b0, b1).transpose(3, 0, 1, 2)
-    return out.reshape(-1)
+        block_view(out, geom.block, b0, b1, (p1, p1, p1))[...] = block(b0, b1)
+    return out
 
 
 def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
@@ -100,9 +102,17 @@ class SystemApplier:
     partition of gs; instrumented operators stay serial because their
     counters are plain ints.  `phases` accumulates operator and
     gather-scatter seconds over the applier's lifetime.
+
+    Raises:
+        ValueError: if the plan's local layout (gs.block) is not the
+            operator's (its geometry's block).
     """
 
     def __init__(self, op, gs: GatherScatter, executor=None):
+        if gs.block != op.geom.block:
+            raise ValueError(
+                f"the plan's layout has blocks of {gs.block} elements, the "
+                f"operator's of {op.geom.block}")
         self.op = op
         self.gs = gs
         self.executor = executor
@@ -165,7 +175,8 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     gives +0.0, as from a zeroed x) and r = b - alpha w.  A solve that
     ends before its first step sets x = 0 and r = b.  The last step skips
     the p update, which nothing reads, so the solve ends with its final
-    r.z dot.
+    r.z dot.  It also ends, converged, when p'Ap underflows to 0.0 with a
+    subnormal rho.
 
     Args:
         apply_a: callable apply(u, count=True, out=None) that writes A u
@@ -219,6 +230,12 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         t0 = time.perf_counter()
         pap = gs.local_dot(p, w, work=tmp)
         timings["dots"] += time.perf_counter() - t0
+        if pap == 0.0 and rho < np.finfo(np.float64).tiny:
+            # Both have underflowed: r is as converged as floats allow,
+            # and the step would divide by zero.  It does not count.
+            it -= 1
+            converged = True
+            break
         if not np.isfinite(pap) or pap <= 0.0:
             raise DivergenceError(
                 f"curvature p'Ap = {pap} at iteration {it}")

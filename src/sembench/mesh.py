@@ -14,6 +14,13 @@ exploited downstream.  They are computed and stored in blocks of
 batch_size(q) elements, element index innermost, the layout of the operator
 batches that read them (see GeomFactors), so setup holds the stored factors
 plus one block of temporaries.
+
+Local vectors (one value per element node) use the same cut: for each
+storage block [b0, b1) the vector holds one contiguous C-ordered
+(p1, p1, p1, b1 - b0) slab at [b0 p1^3, b1 p1^3).  A block of 1 is the
+element-major order.  to_blocks and from_blocks convert per-element
+(..., E, n, n, n) arrays to and from that layout, and block_view is the one
+reader of a block, for the factors and the local vectors alike.
 """
 
 from __future__ import annotations
@@ -128,6 +135,60 @@ def lattice_index(dims: tuple, p: int) -> tuple:
     return gx[:, None, None, :], gy[:, None, :, None], gz[:, :, None, None]
 
 
+def to_blocks(a: np.ndarray, block: int) -> np.ndarray:
+    """Per-element node array (..., E, n, n, n) in the blocked layout.
+
+    Returns a new C-ordered (..., E n^3) array in which each block [b0, b1)
+    of `block` elements (the last holds the rest) is one (n, n, n, b1 - b0)
+    slab at [b0 n^3, b1 n^3), element index innermost.
+    """
+    lead, node, E = a.shape[:-4], a.shape[-3:], a.shape[-4]
+    words, full = int(np.prod(node)), E - E % block
+    out = np.empty(lead + (E * words,), dtype=a.dtype)
+    out[..., :full * words].reshape(lead + (full // block,) + node
+                                    + (block,))[...] = np.moveaxis(
+        a[..., :full, :, :, :].reshape(lead + (full // block, block) + node),
+        -4, -1)
+    out[..., full * words:].reshape(lead + node + (E - full,))[...] = \
+        np.moveaxis(a[..., full:, :, :, :], -4, -1)
+    return out
+
+
+def from_blocks(u: np.ndarray, block: int, n: int) -> np.ndarray:
+    """The inverse of to_blocks: (..., E n^3) to a new (..., E, n, n, n)."""
+    lead, node, words = u.shape[:-1], (n, n, n), n ** 3
+    E = u.shape[-1] // words
+    full = E - E % block
+    out = np.empty(lead + (E,) + node, dtype=u.dtype)
+    out[..., :full, :, :, :].reshape(lead + (full // block, block)
+                                     + node)[...] = np.moveaxis(
+        u[..., :full * words].reshape(lead + (full // block,) + node
+                                      + (block,)), -1, -4)
+    out[..., full:, :, :, :] = np.moveaxis(
+        u[..., full * words:].reshape(lead + node + (E - full,)), -1, -4)
+    return out
+
+
+def block_view(a: np.ndarray, block: int, e0: int, e1: int,
+               shape: tuple) -> np.ndarray:
+    """View of elements [e0, e1), inside one block, of a blocked array.
+
+    a holds prod(shape) words per element along its last axis, in blocks
+    of `block` elements; the view is (..., *shape, e1 - e0).  It is
+    contiguous per leading index when [e0, e1) is a whole block and
+    strided otherwise.
+    """
+    words = int(np.prod(shape))
+    E = a.shape[-1] // words
+    b0 = e0 - e0 % block
+    b1 = min(b0 + block, E)
+    if not e0 < e1 <= b1:
+        raise ValueError(f"elements [{e0}, {e1}) are not inside one block")
+    slab = a[..., words * b0:words * b1].reshape(
+        a.shape[:-1] + tuple(shape) + (b1 - b0,))
+    return slab[..., e0 - b0:e1 - b0]
+
+
 def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
                    deformation: str = "sine", amplitude: float = 0.05) -> BoxMesh:
     """Build the E = 2^k box mesh of geometry order p.
@@ -190,7 +251,8 @@ class GeomFactors:
     G22, G23, G33); in mass_diag and jac_det it is one (q, q, q, b1 - b0)
     slab.  The element index is innermost, as in an operator batch, so a
     batch reads each metric slot as one contiguous block.  Exactly 8 q^3
-    stored reals per element.  slab() is the only reader of the layout.
+    stored reals per element.  slab() reads the layout, through
+    block_view.  Local vectors are stored in the same blocks.
     """
 
     q: int
@@ -230,15 +292,10 @@ class GeomFactors:
         the one-slot factors; it is contiguous when [e0, e1) is a block.
         """
         q3 = self.q ** 3
-        b0 = e0 - e0 % self.block
-        b1 = min(b0 + self.block, self.E)
-        if not e0 < e1 <= b1:
-            raise ValueError(f"elements [{e0}, {e1}) are not inside one block")
         words = factor.size // self.E
         slots = (words // q3,) if words > q3 else ()
-        block = factor[words * b0:words * b1].reshape(
-            slots + (self.q,) * 3 + (b1 - b0,))
-        return block[..., e0 - b0:e1 - b0]
+        return block_view(factor, self.block, e0, e1,
+                          slots + (self.q,) * 3)
 
 
 def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:

@@ -22,16 +22,19 @@ keeps its factored D and blocked its batch.  The dense output equals the
 interpfirst dataflow's bitwise, since that adds the transposed terms in the
 same order and its identity contractions are exact.
 
-Every strategy applies a batch of elements per contraction.  A batch is
-transposed once on the way in to a (p1, p1, p1, B) field, element index
-innermost, so every 1D contraction is one GEMM with a long right-hand side
-(see tensors), and once on the way out.  The batches are the requested
-element range cut at the blocks in which the geometric factors are stored,
-batch_size(q) elements each (a working set of about WORKING_SET_WORDS words
-per field), so a batch reads each factor slot as one contiguous
-(q, q, q, B) slab; blocked cuts each block further into batches of 4 or 8.
-The output is bitwise-identical to per-element application, which the
-verify suite checks.
+Every strategy applies a batch of elements per contraction, as one
+(p1, p1, p1, B) field with the element index innermost, so every 1D
+contraction is one GEMM with a long right-hand side (see tensors).  Local
+vectors are stored in that form: in the blocked layout of mesh.to_blocks,
+cut at the blocks in which the geometric factors are stored, batch_size(q)
+elements each (a working set of about WORKING_SET_WORDS words per field).
+The batches are the requested element range cut at those blocks, so a
+batch that is a whole block reads its field as a view of u, writes its
+result in place into out, and reads each factor slot as one contiguous
+(q, q, q, B) slab.  A batch that covers part of a block (blocked cuts each
+block into batches of 4 or 8; an element range may start or end inside
+one) is a strided view, copied once.  The output is bitwise-identical to
+per-element application, which the verify suite checks.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -42,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import Basis1D, even_odd_split
-from .mesh import GeomFactors
+from .mesh import GeomFactors, block_view
 # WORKING_SET_WORDS and batch_size are re-exported: the batch rule lives in
 # tensors, where setup shares it.
 from .tensors import (WORKING_SET_WORDS, OpCounters,  # noqa: F401
@@ -160,8 +163,11 @@ class _LocalOperator:
 
     Subclasses provide _element_data(b0, b1, ct), which returns the stored
     factors of a batch as (..., q, q, q, B) slabs and counts their reads,
-    and _apply_block(U, data, ct), which applies the operator to one batch
-    U of shape (p1, p1, p1, B).
+    and _apply_block(U, data, ct, out=None), which applies the operator to
+    one batch U of shape (p1, p1, p1, B), writing the result into out (a
+    C-contiguous batch field) when it is given.  Local vectors are in the
+    blocked layout of geom.block elements (see mesh); `batch` is the most
+    elements a batch takes, geom.block except for blocked.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -176,8 +182,10 @@ class _LocalOperator:
         self.basis = basis
         self.geom = geom
         self.strategy = strategy
-        self.block = block if strategy == "blocked" else geom.block
+        self.batch = block if strategy == "blocked" else geom.block
         self.instrument = instrument
+        self.E = geom.E
+        self.n_local = self.E * basis.p1 ** 3
         self.counters = OpCounters()
         # The 1D matrices of the sumfact dataflow and the contraction that
         # applies them: even-odd factors for evenodd, dense otherwise.
@@ -191,26 +199,19 @@ class _LocalOperator:
             self._j, self._d = basis.J_hat, basis.D_hat
             self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
-    @property
-    def E(self) -> int:
-        return self.geom.E
-
-    @property
-    def n_local(self) -> int:
-        return self.E * self.basis.p1 ** 3
-
     def apply_local(self, u, out=None, elements=None):
         """Apply the unassembled operator batch by batch.
 
         Args:
-            u: local vector, shape (n_local,) or (ncomp, n_local).
+            u: local vector in the layout of geom.block, shape (n_local,)
+                or (ncomp, n_local).
             out: optional output array of the same shape.
-            elements: optional (start, stop) element range; only the
-                corresponding slice of the output is written.
+            elements: optional (start, stop) element range; only those
+                elements' locals of out are written.
 
         Returns:
             w with w^e = A^e u^e; each row of a 2D input bitwise-equals
-            the apply of that row alone.  Other elements' slots are zero
+            the apply of that row alone.  Other elements' locals are zero
             when a range is given and out is None.
         """
         u = np.asarray(u)
@@ -220,20 +221,27 @@ class _LocalOperator:
         if out is None:
             out = np.zeros_like(u)
         p1 = self.basis.p1
+        node = (p1, p1, p1)
         e0, e1 = elements if elements is not None else (0, self.E)
         ct = self.counters if self.instrument else None
-        uf = u.reshape(comps, self.E, p1, p1, p1)
-        wf = out.reshape(comps, self.E, p1, p1, p1)
-        for b0, b1 in self.geom.batches(e0, e1, self.block):
+        uc, wc = u.reshape(comps, -1), out.reshape(comps, -1)
+        block = self.geom.block
+        for b0, b1 in self.geom.batches(e0, e1, self.batch):
             # Element data is read once per batch, shared by the components.
             data = self._element_data(b0, b1, ct)
             if ct is not None:
                 ct.read_words += comps * (b1 - b0) * p1 ** 3
                 ct.write_words += comps * (b1 - b0) * p1 ** 3
+            uv = block_view(uc, block, b0, b1, node)
+            wv = block_view(wc, block, b0, b1, node)
             for c in range(comps):
-                U = np.ascontiguousarray(uf[c, b0:b1].transpose(1, 2, 3, 0))
-                W = self._apply_block(U, data, ct)
-                wf[c, b0:b1] = W.transpose(3, 0, 1, 2)
+                # A whole block is read and written in place; part of one
+                # is copied in and out.
+                U, W = np.ascontiguousarray(uv[c]), wv[c]
+                if W.flags.c_contiguous:
+                    self._apply_block(U, data, ct, W)
+                else:
+                    W[...] = self._apply_block(U, data, ct)
         return out
 
 
@@ -288,11 +296,11 @@ class StiffnessOperator(_LocalOperator):
         ut = c(D, by, 2, ct)
         return ur, us, ut
 
-    def _grad_t_sumfact(self, wr, ws, wt, ct):
+    def _grad_t_sumfact(self, wr, ws, wt, ct, out=None):
         c, JT, DT = self._contract, self._jt, self._dt
         z1 = c(JT, wr, 2, ct)
         z1 = c(JT, z1, 1, ct)
-        w = c(DT, z1, 0, ct)
+        w = c(DT, z1, 0, ct, out)
         z2 = c(DT, c(JT, ws, 2, ct), 1, ct)
         z3 = c(JT, c(DT, wt, 2, ct), 1, ct)
         shared = z2 + z3                    # one Jx^T pass serves both
@@ -312,7 +320,7 @@ class StiffnessOperator(_LocalOperator):
         ut = contract_dir(Dq, uq, 2, ct)
         return ur, us, ut
 
-    def _grad_t_interpfirst(self, wr, ws, wt, ct):
+    def _grad_t_interpfirst(self, wr, ws, wt, ct, out=None):
         JT = self.basis.J_hat.T
         DqT = self.basis.deriv_at_quad.T
         vq = contract_dir(DqT, wr, 0, ct)
@@ -322,15 +330,15 @@ class StiffnessOperator(_LocalOperator):
             ct.add += 2 * vq.size
         w = contract_dir(JT, vq, 2, ct)
         w = contract_dir(JT, w, 1, ct)
-        return contract_dir(JT, w, 0, ct)
+        return contract_dir(JT, w, 0, ct, out)
 
     def _grad_colloc(self, U, ct):
         c, D = self._contract, self._d
         return c(D, U, 0, ct), c(D, U, 1, ct), c(D, U, 2, ct)
 
-    def _grad_t_colloc(self, wr, ws, wt, ct):
+    def _grad_t_colloc(self, wr, ws, wt, ct, out=None):
         c, DT = self._contract, self._dt
-        w = c(DT, wr, 0, ct)
+        w = c(DT, wr, 0, ct, out)
         w += c(DT, ws, 1, ct)
         w += c(DT, wt, 2, ct)
         if ct is not None:
@@ -355,9 +363,9 @@ class StiffnessOperator(_LocalOperator):
             ct.add += 6 * ur.size
         return wr, ws, wt
 
-    def _apply_block(self, U, g, ct):
+    def _apply_block(self, U, g, ct, out=None):
         wr, ws, wt = self._apply_g(*self._grad(self, U, ct), g, ct)
-        return self._grad_t(self, wr, ws, wt, ct)
+        return self._grad_t(self, wr, ws, wt, ct, out)
 
     def _element_data(self, b0, b1, ct):
         if ct is not None:
@@ -389,11 +397,11 @@ class MassOperator(_LocalOperator):
         return bytes_model(self.basis.p, self.basis.q, components, "mass",
                            self.collocated)
 
-    def _interp(self, U, ct, transpose=False):
+    def _interp(self, U, ct, transpose=False, out=None):
         J = self._jt if transpose else self._j
-        for direction in range(3):
-            U = self._contract(J, U, direction, ct)
-        return U
+        U = self._contract(J, U, 0, ct)
+        U = self._contract(J, U, 1, ct)
+        return self._contract(J, U, 2, ct, out)
 
     def _element_data(self, b0, b1, ct):
         if ct is not None:
@@ -403,11 +411,11 @@ class MassOperator(_LocalOperator):
         d = self.geom.slab(self.geom.mass_diag, b0, b1)
         return d if self.beta == 1.0 else self.beta * d
 
-    def _apply_block(self, U, d, ct):
+    def _apply_block(self, U, d, ct, out=None):
         if ct is not None:
             ct.mul += d.size
         if self.collocated:
-            return U * d
+            return np.multiply(U, d, out=out)
         uq = self._interp(U, ct)
         uq *= d
-        return self._interp(uq, ct, transpose=True)
+        return self._interp(uq, ct, transpose=True, out=out)

@@ -11,11 +11,12 @@ right-hand side, one numpy matmul and no transposed copies: direction 2 (z)
 is one (m, n3) @ (n3, n2 n1 B) GEMM, direction 1 (y) n3 stacked
 (m, n2) @ (n2, n1 B) products and direction 0 (x) n3 n2 stacked
 (m, n1) @ (n1, B) products.  Callers pass C-contiguous fields, so the
-reshapes are views.  A field of one element is the exception: its x
-products would have one column, which numpy sends to gemv, and gemv rounds
-differently from the GEMM that batches of many elements run.  That field
-takes x as the tall (n3 n2, n1) @ (n1, m) GEMM, which rounds as the
-batched products do.
+reshapes are views; an operator's whole-block batch is such a field, read
+in place from the local vector (see mesh.to_blocks).  A field of one
+element is the exception: its x products would have one column, which
+numpy sends to gemv, and gemv rounds differently from the GEMM that
+batches of many elements run.  That field takes x as the tall
+(n3 n2, n1) @ (n1, m) GEMM, which rounds as the batched products do.
 
 Batched application is bitwise-reproducible against per-element application
 only as far as the GEMM computes each output entry the same way whatever the
@@ -26,8 +27,8 @@ element `array_equal` check is the guard.
 Every batched loop (the operators, the geometric factors and the operator
 diagonal) takes batch_size(q) elements at a time, so one field of a batch
 holds about WORKING_SET_WORDS words and setup temporaries stay that small.
-The geometric factors are stored in blocks of that many elements (see
-mesh.GeomFactors), and the batches of a loop are those blocks.
+The geometric factors and the local vectors are stored in blocks of that
+many elements (see mesh), and the batches of a loop are those blocks.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class OpCounters:
 
 
 def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
-                 counters: OpCounters | None = None) -> np.ndarray:
+                 counters: OpCounters | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Contract matrix a along one reference direction of u.
 
     Args:
@@ -87,22 +89,32 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
             reshapes.
         counters: optional OpCounters; m*n FMAs are counted per point of
             the remaining axes.
+        out: optional C-contiguous array of the result's shape; the
+            product is written into it, with the same bits.
 
     Returns:
-        Field with the contracted axis resized from n to m.
+        Field with the contracted axis resized from n to m (out, when
+        given).
     """
     m = a.shape[0]
     n3, n2, n1 = u.shape[:3]
+    shape = list(u.shape)
+    shape[2 - direction] = m
+    # The product's operands and the shape of its result.
     if direction == 2:
-        v = (a @ u.reshape(n3, -1)).reshape((m,) + u.shape[1:])
+        lhs, rhs, res = a, u.reshape(n3, -1), (m, -1)
     elif direction == 1:
-        v = (a @ u.reshape(n3, n2, -1)).reshape((n3, m) + u.shape[2:])
+        lhs, rhs, res = a, u.reshape(n3, n2, -1), (n3, m, -1)
     elif u.size == n3 * n2 * n1:
         # One element: see the module docstring.
-        v = (u.reshape(-1, n1) @ a.T).reshape((n3, n2, m) + u.shape[3:])
+        lhs, rhs, res = u.reshape(-1, n1), a.T, (-1, m)
     else:
-        v = (a @ u.reshape(n3 * n2, n1, -1)).reshape((n3, n2, m)
-                                                     + u.shape[3:])
+        lhs, rhs, res = a, u.reshape(n3 * n2, n1, -1), (n3 * n2, m, -1)
+    if out is None:
+        v = np.matmul(lhs, rhs).reshape(shape)
+    else:
+        v = out
+        np.matmul(lhs, rhs, out=out.reshape(res))
     if counters is not None:
         n = a.shape[1]
         counters.fma += m * n * (u.size // n)
@@ -110,11 +122,13 @@ def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,
 
 
 def eo_contract_dir(factor, u: np.ndarray, direction: int,
-                    counters: OpCounters | None = None) -> np.ndarray:
+                    counters: OpCounters | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Contract an even-odd factored matrix along one direction of u.
 
     Same contract as contract_dir with the dense matrix replaced by its
-    EvenOddFactor; u may also be a single line (n1,) with direction 0.
+    EvenOddFactor (out may be any array of the result's shape); u may also
+    be a single line (n1,) with direction 0.
     u is folded into its even and odd halves along the direction, each
     half is one contract_dir call, and the two results are recombined.
     The multiply count per point drops from q*p1 to |S_plus| + |S_minus|
@@ -155,7 +169,7 @@ def eo_contract_dir(factor, u: np.ndarray, direction: int,
 
     shape = list(u.shape)
     shape[axis] = q
-    v = np.empty(shape)
+    v = np.empty(shape) if out is None else out
     np.add(even, odd, out=cut(v, 0, qh))
     lo, hi = (even, odd) if factor.sign > 0 else (odd, even)
     np.subtract(lo, hi, out=cut(v, q - 1, q - 1 - qh, -1))

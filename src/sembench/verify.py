@@ -11,6 +11,7 @@ not load it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .assembly import build_gather_scatter, build_numbering
 from .basis import even_odd_split, make_basis
 from .krylov import SystemApplier
 from .mesh import (G_INDEX, GeomFactors, build_box_mesh,
-                   compute_geometric_factors)
+                   compute_geometric_factors, from_blocks)
 from .operators import STRATEGY_RTOL, MassOperator, StiffnessOperator
 from .quadrature import MAX_POINTS, gauss_legendre, gauss_lobatto_legendre
 from .tensors import eo_contract_dir
@@ -73,7 +74,8 @@ def assemble_reference_csr(op, gs, mask: bool = True):
     basis = op.basis
     p1, E = basis.p1, op.E
     J, D = basis.J_hat, basis.D_hat
-    l2g = numbering.local_to_global.reshape(E, p1 ** 3)
+    l2g = from_blocks(numbering.local_to_global, numbering.block,
+                      p1).reshape(E, p1 ** 3)
 
     rows, cols, data = [], [], []
     if op.system == "stiffness":
@@ -154,7 +156,7 @@ def check_csr_equivalence(pairs=((2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
             geom_mf = geom if geom_override is None else geom_override(geom)
             for system, bc in (("stiffness", "dirichlet"),
                                ("mass", "neumann")):
-                gs = build_gather_scatter(mesh, bc=bc)
+                gs = build_gather_scatter(mesh, bc=bc, block=geom.block)
                 if system == "stiffness":
                     op = StiffnessOperator(basis, geom_mf)
                     op_ref = StiffnessOperator(basis, geom)
@@ -309,41 +311,45 @@ def check_qtq_multiplicity(cases=((0, 1), (1, 2), (3, 3), (6, 3)),
     """Q^T Q = diag(multiplicity), gather_scatter = QQ^T, weighted dots.
 
     The explicit sparse Q built here is the oracle; E up to 64, p up to 3.
-    Every case runs at each rank count in `ranks` (capped at E); at k = 6
-    and 8 ranks, partitions that are not neighbours in rank order share
-    nodes.  Every local copy of a node must hold the bitwise-same sum.
+    Every case runs in the local layouts of blocks of 1 element (the
+    element-major order) and of 3, where partition boundaries fall inside
+    blocks, and at each rank count in `ranks` (capped at E); at k = 6 and
+    8 ranks, partitions that are not neighbours in rank order share nodes.
+    Every local copy of a node must hold the bitwise-same sum.
     """
     worst = 0.0
     worst_case = ""
     split_case = ""
     rng = np.random.default_rng(99)
-    for (k, p) in cases:
+    for (k, p), block in itertools.product(cases, (1, 3)):
         mesh = build_box_mesh(k, p)
-        numbering = build_numbering(mesh)
+        numbering = build_numbering(mesh, block)
         l2g = numbering.local_to_global
         q_mat = build_q_matrix(numbering)
         qtq = (q_mat.T @ q_mat).toarray()
         mult_err = float(np.max(np.abs(qtq - np.diag(numbering.multiplicity))))
         if mult_err > worst:
-            worst, worst_case = mult_err, f"QtQ k={k} p={p}"
+            worst, worst_case = mult_err, f"QtQ k={k} p={p} block={block}"
         for n_ranks in sorted({min(r, mesh.E) for r in ranks}):
             gs = build_gather_scatter(mesh, numbering, ranks=n_ranks)
             u = rng.standard_normal(numbering.n_local)
             got = gs.gather_scatter(u, count=False)
             err = _rel_err(got, q_mat @ (q_mat.T @ u))
             if err > worst:
-                worst, worst_case = err, f"QQt k={k} p={p} ranks={n_ranks}"
+                worst, worst_case = err, (f"QQt k={k} p={p} block={block} "
+                                          f"ranks={n_ranks}")
             one_copy = np.empty(numbering.n_global)
             one_copy[l2g] = got
             if not split_case and not np.array_equal(got, one_copy[l2g]):
-                split_case = f"k={k} p={p} ranks={n_ranks}"
+                split_case = f"k={k} p={p} block={block} ranks={n_ranks}"
             ug = rng.standard_normal(numbering.n_global)
             vg = rng.standard_normal(numbering.n_global)
             got = gs.local_dot(q_mat @ ug, q_mat @ vg, count=False)
             ref = float(ug @ vg)
             err = abs(got - ref) / max(abs(ref), 1.0)
             if err > worst:
-                worst, worst_case = err, f"dot k={k} p={p} ranks={n_ranks}"
+                worst, worst_case = err, (f"dot k={k} p={p} block={block} "
+                                          f"ranks={n_ranks}")
     passed = worst <= tol and not split_case
     copies = (f"differ for {split_case}" if split_case
               else "bitwise equal")

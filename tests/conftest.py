@@ -34,7 +34,8 @@ def stack():
             basis = sb.make_basis(p, kind)
             mesh = sb.build_box_mesh(k, p, deformation=deformation)
             geom = sb.compute_geometric_factors(mesh, basis)
-            gs = sb.build_gather_scatter(mesh, bc=bc, ranks=ranks)
+            gs = sb.build_gather_scatter(mesh, bc=bc, ranks=ranks,
+                                         block=geom.block)
             cache[key] = SimpleNamespace(p=p, kind=kind, k=k, basis=basis,
                                          mesh=mesh, geom=geom, gs=gs)
         return cache[key]

@@ -9,8 +9,18 @@ from hypothesis import strategies as st
 
 from sembench.assembly import (GatherScatter, build_gather_scatter,
                                build_numbering)
-from sembench.mesh import build_box_mesh
+from sembench.mesh import build_box_mesh, to_blocks
 from sembench.verify import build_q_matrix
+
+
+def local_partition(mesh, gs):
+    """Partition of every local of gs, read off its layout: each element's
+    index put through to_blocks and looked up in the partition ranges."""
+    elem = np.broadcast_to(np.arange(mesh.E)[:, None, None, None],
+                           (mesh.E,) + (mesh.p1,) * 3)
+    starts = [e0 for e0, _ in gs.partitions]
+    return np.searchsorted(starts, to_blocks(elem, gs.block),
+                           side="right") - 1
 
 
 class TestNumbering:
@@ -210,11 +220,12 @@ class TestPartitioned:
         mesh = build_box_mesh(3, 3)
         gs = build_gather_scatter(mesh, ranks=ranks)
         l2g, n_global = gs.numbering.local_to_global, gs.numbering.n_global
+        part = local_partition(mesh, gs)
         u = rng.standard_normal(gs.n_local)
         total = np.zeros(n_global)
-        for (e0, e1) in gs.partitions:
-            lo, hi = e0 * gs.node_slab, e1 * gs.node_slab
-            total = total + np.bincount(l2g[lo:hi], weights=u[lo:hi],
+        for r in range(ranks):
+            mine = part == r
+            total = total + np.bincount(l2g[mine], weights=u[mine],
                                         minlength=n_global)
         assert np.array_equal(gs.gather_scatter(u), total[l2g])
 
@@ -225,12 +236,25 @@ class TestPartitioned:
         # The reference is the plan as it was before owner slots: every
         # partition condenses into its own slot per global id, and a
         # second bincount adds a global id's slots in partition order.
-        mesh = build_box_mesh(4, 2)
-        gs = build_gather_scatter(mesh, bc=bc, ranks=ranks)
+        self.check_two_stage_sum(build_box_mesh(4, 2), 1, ranks, bc, comps,
+                                 rng)
+
+    @pytest.mark.parametrize("ranks", [3, 8])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_partitions_inside_one_block_match_two_stage_sum(
+            self, ranks, bc, comps, rng):
+        # All 16 elements in one block: every partition boundary falls
+        # inside it, so each partition is a strided column range.
+        self.check_two_stage_sum(build_box_mesh(4, 2), 16, ranks, bc, comps,
+                                 rng)
+
+    @staticmethod
+    def check_two_stage_sum(mesh, block, ranks, bc, comps, rng):
+        gs = build_gather_scatter(mesh, bc=bc, ranks=ranks, block=block)
+        assert gs.block == block
         l2g, n_global = gs.numbering.local_to_global, gs.numbering.n_global
-        slab = gs.node_slab
-        part = np.repeat(np.arange(ranks),
-                         [(e1 - e0) * slab for (e0, e1) in gs.partitions])
+        part = local_partition(mesh, gs)
         key, slot = np.unique(part * n_global + l2g, return_inverse=True)
         read_back = np.where(gs.mask == 0.0, n_global, l2g)
         copies = np.zeros(n_global, dtype=int)
@@ -274,7 +298,8 @@ class TestPartitioned:
         ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
         bc = data.draw(st.sampled_from(["neumann", "dirichlet"]), label="bc")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-        num = build_numbering(mesh)
+        block = data.draw(st.integers(1, mesh.E), label="block")
+        num = build_numbering(mesh, block)
         gs = build_gather_scatter(mesh, num, bc=bc, ranks=ranks)
         l2g = num.local_to_global
         u = np.random.default_rng(seed).standard_normal(num.n_local)
@@ -287,9 +312,8 @@ class TestPartitioned:
         one_copy[l2g] = got
         assert np.array_equal(got, one_copy[l2g])
 
-        slab = gs.node_slab
-        held = [set(l2g[e0 * slab:e1 * slab].tolist())
-                for (e0, e1) in gs.partitions]
+        part = local_partition(mesh, gs)
+        held = [set(l2g[part == r].tolist()) for r in range(ranks)]
         pairs = sum(1 for a in range(ranks) for b in range(a + 1, ranks)
                     if held[a] & held[b])
         assert gs.counters.messages == pairs
@@ -400,20 +424,48 @@ class TestLocalDot:
     @pytest.mark.parametrize("ranks", [1, 3, 8])
     @pytest.mark.parametrize("comps", [1, 3])
     def test_equals_per_partition_products(self, ranks, comps, rng):
-        # Products written into a scratch vector (given or not) sum to the
-        # same float as a fresh product formed per partition.  At this size
-        # a strided slice of one full-length 3-component product would not.
+        # Element-major: every partition is one contiguous run, summed per
+        # component; products written into a scratch vector (given or
+        # not) sum to the same float as fresh ones.
         gs = build_gather_scatter(build_box_mesh(4, 7), ranks=ranks)
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-        slab = gs.node_slab
+        slab = 8 ** 3
         ref = 0.0
         for (e0, e1) in gs.partitions:
             lo, hi = e0 * slab, e1 * slab
-            ref += float(np.sum(u[..., lo:hi] * v[..., lo:hi]
-                                * gs.weight[lo:hi]))
+            part = 0.0
+            for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
+                part += float(np.sum(uc[lo:hi] * vc[lo:hi]
+                                     * gs.weight[lo:hi]))
+            ref += part
         assert gs.local_dot(u, v) == ref
         assert gs.local_dot(u, v, work=np.empty(shape)) == ref
+
+    @pytest.mark.parametrize("ranks", [3, 8])
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_partitions_inside_one_block(self, ranks, comps, rng):
+        # One block of 16 elements: partition [e0, e1) is columns e0..e1 of
+        # the (p1^3, 16) slab, summed by rows and then over the row sums.
+        mesh = build_box_mesh(4, 7)
+        gs = build_gather_scatter(mesh, ranks=ranks, block=16)
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        w = gs.weight.reshape(8 ** 3, 16)
+        ref = 0.0
+        for (e0, e1) in gs.partitions:
+            part = 0.0
+            for uc, vc in zip(u.reshape(comps, 8 ** 3, 16),
+                              v.reshape(comps, 8 ** 3, 16)):
+                prod = uc[:, e0:e1] * vc[:, e0:e1] * w[:, e0:e1]
+                part += float(np.sum(np.sum(prod, axis=-1)))
+            ref += part
+        assert gs.local_dot(u, v) == ref
+        assert gs.local_dot(u, v, work=np.empty(shape)) == ref
+        ug = rng.standard_normal(gs.numbering.n_global)
+        ul = ug[gs.numbering.local_to_global]
+        assert gs.local_dot(ul, ul) == pytest.approx(float(ug @ ug),
+                                                     rel=1e-13)
 
     def test_shape_mismatch_rejected(self):
         mesh = build_box_mesh(1, 2)

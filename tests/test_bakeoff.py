@@ -325,7 +325,7 @@ class TestRun:
 
     @pytest.mark.parametrize("kwargs,iterations", [
         (dict(bp=5, p=2, k=0), 1),     # one free node: exact in one step
-        (dict(bp=3, p=2, k=3), 99),    # residual underflows to 0.0
+        (dict(bp=3, p=2, k=2), 71),    # residual underflows to 0.0
     ])
     def test_exact_solve_stops_early(self, kwargs, iterations):
         result = run(RunConfig(iterations=100, trials=1, **kwargs))

@@ -13,11 +13,11 @@ from sembench.assembly import build_gather_scatter
 from sembench.bakeoff import RunConfig, build_problem, build_rhs
 from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
                              make_preconditioner, pcg)
-from sembench.mesh import compute_geometric_factors
+from sembench.mesh import compute_geometric_factors, from_blocks
 from sembench.operators import MassOperator, StiffnessOperator
 from sembench.verify import assemble_reference_csr, inject_geom_fault
 
-from conftest import element_major, rel_err
+from conftest import rel_err
 
 
 def make_op(kind, s, geom=None, **kw):
@@ -41,8 +41,9 @@ class TestDiagonal:
         s = stack(4, "GLL", 2)
         op = make_op("mass", s, beta=2.0)
         got = compute_diagonal(op)
-        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
-        assert np.array_equal(got, 2.0 * diag)
+        # At GLL the nodes are the quadrature points, so the local layout
+        # is the layout of mass_diag itself.
+        assert np.array_equal(got, 2.0 * s.geom.mass_diag)
 
     def test_diagonal_is_positive(self, stack):
         s = stack(4, "GL", 3)
@@ -57,7 +58,9 @@ class TestBatchedDiagonal:
     def test_batch_size_does_not_change_a_bit(self, system, kind, stack,
                                               monkeypatch):
         s = stack(3, kind, 6)                     # 64 elements, one batch
-        ref = compute_diagonal(make_op(system, s))
+        # Each diagonal is in its geometry's layout; compared element-major.
+        ref = from_blocks(compute_diagonal(make_op(system, s)),
+                          s.geom.block, 4)
         q = s.basis.q
         for per_batch in (15, 1):                 # 5 and 64 batches
             monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
@@ -68,7 +71,8 @@ class TestBatchedDiagonal:
             geom = compute_geometric_factors(s.mesh, s.basis)
             assert geom.block == per_batch
             op = make_op(system, s, geom)
-            assert np.array_equal(compute_diagonal(op), ref)
+            assert np.array_equal(
+                from_blocks(compute_diagonal(op), per_batch, 4), ref)
 
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
     def test_peak_memory_is_output_plus_one_batch(self, system, stack):
@@ -199,6 +203,28 @@ class TestPcg:
         bad[0] = np.nan
         with pytest.raises(DivergenceError):
             pcg(A, s.gs, bad, max_iters=5)
+
+    def test_zero_operator_raises_curvature_error(self, stack):
+        # p'Ap = 0 with a residual far from underflow is a breakdown.
+        s, A, b, minv = poisson_setup(stack)
+
+        def zero(u, count=True, out=None):
+            out = A(u, count=count, out=out)
+            return np.multiply(out, 0.0, out=out)
+
+        with pytest.raises(DivergenceError, match="curvature"):
+            pcg(zero, s.gs, b, max_iters=5)
+
+    def test_underflowed_curvature_ends_converged(self):
+        # This solve's residual underflows without reaching 0.0 (at
+        # iteration 103 p'Ap is 0.0 and rho subnormal).  It stops there.
+        pr = build_problem(RunConfig(bp=3, p=2, k=3))
+        A = SystemApplier(pr.op, pr.gs)
+        x, run = pcg(A, pr.gs, pr.b, max_iters=200, minv=pr.minv)
+        assert run.converged and run.iterations < 200
+        assert run.residual_history.size == run.iterations + 1
+        assert 0.0 < run.residual_history[-1] ** 2 < np.finfo(float).tiny
+        assert np.all(np.isfinite(x))
 
     def test_negated_operator_raises_curvature_error(self, stack):
         s, A, b, minv = poisson_setup(stack)
@@ -353,6 +379,17 @@ class TestInPlacePcg:
         pcg(A, s.gs, b, max_iters=3, minv=minv)
         assert calls == (["local_dot"]
                          + ["gather_scatter", "local_dot", "local_dot"] * 3)
+
+
+class TestSystemApplierLayout:
+    def test_rejects_a_plan_in_another_layout(self, stack):
+        s = stack(3, "GL", 3, bc="dirichlet")
+        op = make_op("stiffness", s)
+        element_major = build_gather_scatter(s.mesh, bc="dirichlet")
+        assert element_major.block == 1 != s.geom.block
+        with pytest.raises(ValueError, match="layout"):
+            SystemApplier(op, element_major)
+        assert SystemApplier(op, s.gs).gs is s.gs
 
 
 class TestSystemApplierOut:

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sembench import tensors
 from sembench.basis import make_basis
-from sembench.mesh import (BoxMesh, GeomFactors, MeshError, box_dims,
+from sembench.mesh import (BoxMesh, GeomFactors, MeshError, block_view,
+                           box_dims, from_blocks, to_blocks,
                            build_box_mesh, compute_geometric_factors)
 
 from conftest import element_major
@@ -99,6 +102,39 @@ class TestBuildBoxMesh:
         mesh = build_box_mesh(1, 2)
         with pytest.raises(ValueError):
             mesh.elem_coords[0, 0, 0, 0, 0] = 9.9
+
+
+class TestLocalLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(E=st.integers(1, 40), block=st.integers(1, 48),
+           comps=st.sampled_from([(), (1,), (3,)]), n=st.integers(2, 4))
+    def test_round_trip(self, E, block, comps, n):
+        # Random E and block: a block larger than E, blocks that divide E,
+        # and a ragged last block all occur.
+        a = np.random.default_rng(E * 100 + block).standard_normal(
+            comps + (E, n, n, n))
+        u = to_blocks(a, block)
+        assert u.shape == comps + (E * n ** 3,) and u.flags.c_contiguous
+        assert np.array_equal(from_blocks(u, block, n), a)
+        # Each block is one (n, n, n, B) slab, element index innermost.
+        for b0 in range(0, E, block):
+            b1 = min(b0 + block, E)
+            slab = u[..., b0 * n ** 3:b1 * n ** 3].reshape(
+                comps + (n, n, n, b1 - b0))
+            assert np.array_equal(np.moveaxis(slab, -1, -4), a[..., b0:b1,
+                                                              :, :, :])
+            e = (b0 + b1) // 2
+            assert np.array_equal(block_view(u, block, e, e + 1,
+                                             (n, n, n))[..., 0],
+                                  a[..., e, :, :, :])
+
+    def test_block_of_one_is_element_major(self, rng):
+        a = rng.standard_normal((3, 5, 2, 2, 2))
+        assert np.array_equal(to_blocks(a, 1), a.reshape(3, -1))
+
+    def test_view_must_stay_inside_one_block(self):
+        with pytest.raises(ValueError, match="inside one block"):
+            block_view(np.zeros(10 * 8), 4, 3, 5, (2, 2, 2))
 
 
 class TestGeomFactors:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sembench.basis import make_basis
-from sembench.mesh import build_box_mesh, compute_geometric_factors
+from sembench.mesh import (build_box_mesh, compute_geometric_factors,
+                           from_blocks)
 from sembench.assembly import build_gather_scatter, build_numbering
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, batch_size, bytes_model,
@@ -15,7 +16,7 @@ from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 mass_flop_model, single_contraction_flops)
 from sembench.verify import assemble_reference_csr, per_element_apply
 
-from conftest import element_major, rel_err
+from conftest import rel_err
 
 
 def make_op(kind, stackobj, **kw):
@@ -228,17 +229,16 @@ class TestStrategies:
         # that starts and ends inside a batch.
         s = stack(7, "GL", 6)
         assert batch_size(s.basis.q) == 44
-        slab = s.basis.p1 ** 3
-        lo, hi = 5 * slab, 50 * slab
         for system in ("stiffness", "mass"):
             for strategy in STRATEGIES:
                 op = make_op(system, s, strategy=strategy)
                 u = rng.standard_normal(op.n_local)
                 ref = per_element_apply(op, u)
                 assert np.array_equal(op.apply_local(u), ref)
-                part = op.apply_local(u, elements=(5, 50))
-                assert np.array_equal(part[lo:hi], ref[lo:hi])
-                assert not part[:lo].any() and not part[hi:].any()
+                part = from_blocks(op.apply_local(u, elements=(5, 50)), 44, 8)
+                ref = from_blocks(ref, 44, 8)
+                assert np.array_equal(part[5:50], ref[5:50])
+                assert not part[:5].any() and not part[50:].any()
 
     def test_mass_strategies_agree(self, stack, rng):
         s = stack(3, "GL", 2)
@@ -327,15 +327,15 @@ class TestCollocatedMass:
         assert op.collocated
         u = rng.standard_normal(op.n_local)
         w = op.apply_local(u)
-        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
-        assert np.array_equal(w, u * diag)
+        # At GLL the local layout is the layout of mass_diag itself.
+        assert np.array_equal(w, u * s.geom.mass_diag)
 
     def test_beta_scales_diagonal(self, stack, rng):
         s = stack(3, "GLL", 1)
         op = make_op("mass", s, beta=2.5)
         u = rng.standard_normal(op.n_local)
-        diag = element_major(s.geom, s.geom.mass_diag).reshape(-1)
-        assert np.array_equal(op.apply_local(u), u * (2.5 * diag))
+        assert np.array_equal(op.apply_local(u),
+                              u * (2.5 * s.geom.mass_diag))
 
 
 class TestLifetime:
@@ -363,12 +363,54 @@ class TestApplyMechanics:
         s = stack(3, "GL", 2)
         op = make_op("stiffness", s)
         u = rng.standard_normal(op.n_local)
-        full = op.apply_local(u)
-        slab = s.basis.p1 ** 3
-        part = op.apply_local(u, elements=(1, 3))
-        assert np.array_equal(part[slab:3 * slab], full[slab:3 * slab])
-        assert np.array_equal(part[:slab], np.zeros(slab))
-        assert np.array_equal(part[3 * slab:], np.zeros(slab))
+        block = s.geom.block
+        full = from_blocks(op.apply_local(u), block, 4)
+        part = from_blocks(op.apply_local(u, elements=(1, 3)), block, 4)
+        assert np.array_equal(part[1:3], full[1:3])
+        assert not part[0].any() and not part[3].any()
+
+    @pytest.mark.parametrize("system", ["stiffness", "mass"])
+    def test_whole_block_batches_are_views(self, system, stack, rng,
+                                           monkeypatch):
+        # E = 64 at q = 9: a block of 44 elements and one of 20.  A batch
+        # that is a whole block reads u and writes w in place; a part of
+        # one is copied in and out.
+        s = stack(7, "GL", 6)
+        op = make_op(system, s)
+        u = rng.standard_normal((3, op.n_local))
+        w = np.zeros_like(u)
+        seen = []
+        apply_block = op._apply_block
+
+        def spy(U, data, ct, out=None):
+            seen.append((U.shape[-1], np.shares_memory(U, u),
+                         out is not None and np.shares_memory(out, w)))
+            return apply_block(U, data, ct, out)
+
+        monkeypatch.setattr(op, "_apply_block", spy)
+        op.apply_local(u, out=w)
+        assert seen == [(44, True, True)] * 3 + [(20, True, True)] * 3
+        seen.clear()
+        op.apply_local(u, out=w, elements=(5, 50))
+        assert seen == [(39, False, False)] * 3 + [(6, False, False)] * 3
+
+    @pytest.mark.parametrize("ranks", [3, 8])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_partitions_inside_one_block(self, ranks, strategy, stack, rng):
+        # E = 8 in one block: every partition is a strided column range
+        # of it.  Its apply writes exactly its elements' locals, with the
+        # bits of the per-element apply.
+        s = stack(3, "GL", 3, ranks=ranks)
+        assert s.geom.block > s.mesh.E
+        op = make_op("stiffness", s, strategy=strategy)
+        u = rng.standard_normal((3, op.n_local))
+        ref = from_blocks(per_element_apply(op, u), s.geom.block, 4)
+        for e0, e1 in s.gs.partitions:
+            out = np.full_like(u, np.nan)
+            op.apply_local(u, out=out, elements=(e0, e1))
+            got = from_blocks(out, s.geom.block, 4)
+            assert np.array_equal(got[:, e0:e1], ref[:, e0:e1])
+            assert np.isnan(got[:, :e0]).all() and np.isnan(got[:, e1:]).all()
 
     def test_ranges_tile_the_full_apply(self, stack, rng):
         s = stack(3, "GL", 2)

@@ -68,6 +68,20 @@ class TestContractDir:
             assert np.allclose(got, element_first_einsum(spec, a, u),
                                atol=1e-13, rtol=0)
 
+    @pytest.mark.parametrize("direction", [0, 1, 2])
+    def test_out_is_written_with_the_same_bits(self, direction, rng):
+        # The operators write a batch's last contraction straight into
+        # the output vector's slab.
+        a = rng.standard_normal((6, 4))
+        factor = even_odd_split(make_basis(3, "GL").J_hat, +1)
+        for batch in (1, 7):
+            u = rng.standard_normal((4, 4, 4, batch))
+            for contract, m in ((contract_dir, a), (eo_contract_dir, factor)):
+                ref = contract(m, u, direction)
+                out = np.full(ref.shape, np.nan)
+                assert contract(m, u, direction, out=out) is out
+                assert np.array_equal(out, ref)
+
     def test_fma_count_is_exact(self):
         # m*n FMAs per point of the remaining axes.
         a = np.ones((6, 4))

@@ -60,9 +60,11 @@ class TestFaultSensitivity:
         # the 1e-12 tolerance; only the per-element comparison sees it.
         apply_block = StiffnessOperator._apply_block
 
-        def batch_dependent(self, U, g, ct):
-            w = apply_block(self, U, g, ct)
-            return w * (1.0 + 1e-15) if U.shape[-1] > 1 else w
+        def batch_dependent(self, U, g, ct, out=None):
+            w = apply_block(self, U, g, ct, out)
+            if U.shape[-1] > 1:
+                w *= 1.0 + 1e-15
+            return w
 
         monkeypatch.setattr(StiffnessOperator, "_apply_block",
                             batch_dependent)
@@ -75,8 +77,10 @@ class TestFaultSensitivity:
         # agree on a fault in it; only the generic sumfact dataflow sees it.
         grad_t = StiffnessOperator._grad_t_colloc
 
-        def skewed(self, wr, ws, wt, ct):
-            return grad_t(self, wr, ws, wt, ct) * (1.0 + 1e-9)
+        def skewed(self, wr, ws, wt, ct, out=None):
+            w = grad_t(self, wr, ws, wt, ct, out)
+            w *= 1.0 + 1e-9
+            return w
 
         monkeypatch.setattr(StiffnessOperator, "_grad_t_colloc", skewed)
         args = dict(p_list=[3], k=2, n_inputs=2)
