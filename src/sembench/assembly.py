@@ -11,15 +11,15 @@ points Dirichlet boundary locals at a zero slot, so gather_scatter also
 masks.
 
 Partitioned operation simulates distributed ranks: elements are split into
-contiguous ranges.  In the layout a partition's locals are pieces: its
-whole blocks, which are contiguous, and the strided column range of each
-block that a partition boundary splits.  One precomputed plan serves every
-rank count.  Each partition first condenses its own contributions, in local
-order, and the shared sums are then completed in ascending partition order,
-so every copy of a shared node holds the same float.  Only shared values
-are exchanged and added: the lowest partition holding a global id condenses
-straight into that id's sum, so a single rank, which shares nothing, is one
-bincount.  Message and reduction counters feed the benchmark harness.
+contiguous ranges, and every local takes its element's partition.  One
+precomputed plan serves every rank count.  Each partition first condenses
+its own contributions, in local order, and the shared sums are then
+completed in ascending partition order, so every copy of a shared node
+holds the same float.  Only shared values are exchanged and added: the
+lowest partition holding a global id condenses straight into that id's
+sum, so a single rank, which shares nothing, is one bincount.  A weighted
+dot is one global reduction, summed in local order whatever the rank
+count.  Message and reduction counters feed the benchmark harness.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ def _boundary_ids(mesh: BoxMesh) -> np.ndarray:
     return (ez[:, None, None] | ey[:, None] | ex).reshape(-1)
 
 
-def _partition_elements(E: int, ranks: int):
-    # Contiguous lexicographic blocks, sizes differing by at most one.
-    bounds = np.linspace(0, E, ranks + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(ranks)]
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a; plain np.unique imports numpy.ma, about
     1 MiB of resident memory."""
@@ -109,79 +103,36 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _pieces(partitions, E: int, block: int, words: int):
-    """Per partition, the pieces of the blocked layout that hold its locals.
-
-    A piece (lo, hi, width, c0, c1) is columns [c0, c1) of locals [lo, hi)
-    read as rows of `width` (see _view).  A run of whole blocks is one
-    contiguous piece, a single row; the part of a block that a partition
-    boundary splits is a column range of that block's (words, B) slab.
-    Read row by row, a partition's pieces list its locals in ascending
-    order.
-    """
-    out = []
-    for e0, e1 in partitions:
-        pieces = []
-        for s0 in range(e0 - e0 % block, e1, block):
-            s1 = min(s0 + block, E)
-            a, b = max(e0, s0), min(e1, s1)
-            lo, hi = s0 * words, s1 * words
-            if (a, b) != (s0, s1):
-                pieces.append((lo, hi, s1 - s0, a - s0, b - s0))
-                continue
-            if pieces and pieces[-1][1] == lo and \
-                    pieces[-1][2] == lo - pieces[-1][0]:
-                lo = pieces.pop()[0]          # extends a contiguous run
-            pieces.append((lo, hi, hi - lo, 0, hi - lo))
-        out.append(pieces)
-    return out
-
-
-def _view(a: np.ndarray, piece) -> np.ndarray:
-    """The locals of one piece along a's last axis: a view, shaped
-    (..., hi - lo) for a contiguous piece and (..., rows, c1 - c0) for a
-    column range."""
-    lo, hi, width, c0, c1 = piece
-    if width == hi - lo:
-        return a[..., lo:hi]
-    return a[..., lo:hi].reshape(a.shape[:-1] + (-1, width))[..., c0:c1]
-
-
-def _shared_copies(l2g, n_global: int, pieces):
+def _shared_copies(l2g, n_global: int, bounds: np.ndarray, block: int,
+                   p1: int):
     """The local copies held above their global id's owner partition.
 
-    An id's owner is its lowest partition: the number left after every
-    partition writes its own over its ids, highest first.  Sorting the
-    distinct (id, partition) holders of the copies and of their owners
-    puts every shared id's partitions next to each other in ascending
-    order; a node has at most eight copies, so the loop over offsets d is
-    short.
+    Every local takes its element's partition, in the blocked layout; an
+    id's owner is its lowest partition.  Sorting the distinct (id,
+    partition) holders of the copies and of their owners puts every shared
+    id's partitions next to each other in ascending order; a node has at
+    most eight copies, so the loop over offsets d is short.
 
     Returns:
         (local indices of the copies, their partitions, number of
         partition pairs that share an id).
     """
-    ranks = len(pieces)
-    owner = np.empty(n_global, dtype=np.int64)
-    for r in reversed(range(ranks)):
-        for piece in pieces[r]:
-            owner[_view(l2g, piece)] = r
-    copies, part = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for r in range(ranks):
-        for piece in pieces[r]:
-            lo, hi, width, c0, c1 = piece
-            at = np.flatnonzero(owner[_view(l2g, piece)] != r)
-            if width != hi - lo:        # (row, column) of a column range
-                row, col = np.divmod(at, c1 - c0)
-                at = row * width + c0 + col
-            copies.append(lo + at)
-            part.append(np.full(at.size, r))
-    copies, part = np.concatenate(copies), np.concatenate(part)
+    ranks = bounds.size - 1
+    none = np.empty(0, dtype=np.int64)
+    if ranks == 1:
+        return none, none, 0
+    epart = np.repeat(np.arange(ranks, dtype=np.int32), np.diff(bounds))
+    part = to_blocks(np.broadcast_to(epart[:, None, None, None],
+                                     (epart.size, p1, p1, p1)), block)
+    owner = np.full(n_global, ranks, dtype=np.int32)
+    np.minimum.at(owner, l2g, part)
+    copies = np.flatnonzero(part != owner[l2g])
+    part = part[copies].astype(np.int64)
     gid = l2g[copies]
     held = _distinct(np.concatenate((gid * ranks + part,
                                      gid * ranks + owner[gid])))
     gid, held_part = np.divmod(held, ranks)
-    pairs = [np.empty(0, dtype=np.int64)]
+    pairs = [none]
     for d in range(1, gid.size):
         same = gid[d:] == gid[:-d]
         if not same.any():
@@ -204,7 +155,9 @@ class GatherScatter:
     into their slots (one bincount), zeroes the zero slot, adds the extra
     slots into their owners and copies the totals back (over the shared
     copies only, and not at all when there are none), and reads every copy
-    back through the same index.
+    back through the same index.  local_dot needs no plan: it sums each
+    component's weighted products in local order, the same at every rank
+    count.
 
     The index is the only stored form of the Dirichlet boundary; `mask` is
     derived from it.  At one rank under Neumann conditions it is the
@@ -231,11 +184,11 @@ class GatherScatter:
 
         l2g = numbering._index
         n_global = numbering.n_global
-        self.partitions = _partition_elements(mesh.E, ranks)
-        self._pieces = _pieces(self.partitions, mesh.E, self.block,
-                               mesh.p1 ** 3)
+        # Contiguous lexicographic blocks, sizes differing by at most one.
+        bounds = np.linspace(0, mesh.E, ranks + 1).astype(int)
+        self.partitions = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         copies, part, self._adjacent_pairs = _shared_copies(
-            l2g, n_global, self._pieces)
+            l2g, n_global, bounds, self.block, mesh.p1)
         # Per global id, then gathered: the same quotients, fewer divides.
         self.weight = (1.0 / numbering.multiplicity)[l2g]
 
@@ -324,12 +277,10 @@ class GatherScatter:
         Equals the assembled global dot product u^T v.  Counts as one
         global reduction.  2D inputs (ncomp, n_local) sum over components.
         The weighted products u * v * weight are formed in local order, in
-        `work` (an array of u's shape) when it is given.  Each partition
-        then sums them component by component and piece by piece, adding
-        as it goes: a contiguous piece with one ndarray.sum, a column range
-        by the sum of its row sums (a reduction along contiguous rows,
-        which numpy runs without a buffer).  The partition sums are added
-        in ascending order.
+        `work` (an array of u's shape) when it is given; each component's
+        products are summed with one ndarray.sum, and the component sums
+        are added in order.  So the result does not depend on the rank
+        count or on the block.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -344,14 +295,8 @@ class GatherScatter:
                            work.reshape(u2.shape))
         prod *= self.weight
         total = 0.0
-        for pieces in self._pieces:
-            part = 0.0
-            for row in prod:
-                for piece in pieces:
-                    seg = _view(row, piece)
-                    part += seg.sum() if seg.ndim == 1 else \
-                        seg.sum(axis=-1).sum()
-            total += part
+        for row in prod:
+            total += row.sum()
         return float(total)
 
 

@@ -121,11 +121,6 @@ class EvenOddFactor:
         self.S_minus.flags.writeable = False
 
     @property
-    def distinct_entries(self) -> int:
-        """Stored entry count (10 for the 5x4 interpolation shape)."""
-        return self.S_plus.size + self.S_minus.size
-
-    @property
     def fma_count(self) -> int:
         """Fused multiply-adds per 1D apply: |S_plus| + |S_minus|."""
         return self.S_plus.size + self.S_minus.size

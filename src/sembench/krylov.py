@@ -45,7 +45,7 @@ def compute_diagonal(op) -> np.ndarray:
     pj = np.ascontiguousarray((J * J).T)
     if op.system == "mass":
         def block(b0, b1):
-            d = op.beta * geom.slab(geom.mass_diag, b0, b1)
+            d = geom.slab(geom.mass_diag, b0, b1)
             if op.collocated:
                 return d
             d = contract_dir(pj, d, 0)

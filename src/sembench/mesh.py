@@ -104,11 +104,6 @@ class BoxMesh:
         return self.p + 1
 
     @property
-    def n_points(self) -> int:
-        """Reported problem size n = p^3 E (the rate-metric convention)."""
-        return self.p ** 3 * self.E
-
-    @property
     def n_true(self) -> int:
         """Unique global lattice nodes of the non-periodic box."""
         ex, ey, ez = self.dims
@@ -268,10 +263,6 @@ class GeomFactors:
     @property
     def E(self) -> int:
         return self.jac_det.size // self.q ** 3
-
-    @property
-    def words_per_element(self) -> int:
-        return FACTORS_PER_POINT * self.q ** 3
 
     def batches(self, e0: int, e1: int, size: int | None = None):
         """The range [e0, e1) cut at block boundaries and every `size`

@@ -374,7 +374,7 @@ class StiffnessOperator(_LocalOperator):
 
 
 class MassOperator(_LocalOperator):
-    """Matrix-free local mass apply w^e = J3^T (beta B~) J3 u^e.
+    """Matrix-free local mass apply w^e = J3^T B~ J3 u^e.
 
     With collocated GLL quadrature (q = p + 1) the interpolation J3 is the
     identity and the apply is a pure diagonal scaling by mass_diag.
@@ -382,11 +382,10 @@ class MassOperator(_LocalOperator):
 
     system = "mass"
 
-    def __init__(self, basis: Basis1D, geom: GeomFactors, beta: float = 1.0,
+    def __init__(self, basis: Basis1D, geom: GeomFactors,
                  strategy: str = "sumfact", block: int = 8,
                  instrument: bool = False):
         super().__init__(basis, geom, strategy, block, instrument)
-        self.beta = beta
         self.collocated = basis.collocated
 
     def model_flops(self, components: int = 1) -> float:
@@ -406,10 +405,7 @@ class MassOperator(_LocalOperator):
     def _element_data(self, b0, b1, ct):
         if ct is not None:
             ct.read_words += self.basis.q ** 3 * (b1 - b0)
-        # beta scales the batch's diagonal before the apply; beta = 1 keeps
-        # the exact mass_diag values so the collocated apply is exact.
-        d = self.geom.slab(self.geom.mass_diag, b0, b1)
-        return d if self.beta == 1.0 else self.beta * d
+        return self.geom.slab(self.geom.mass_diag, b0, b1)
 
     def _apply_block(self, U, d, ct, out=None):
         if ct is not None:

@@ -67,10 +67,6 @@ class OpCounters:
     def total_flops(self) -> int:
         return 2 * self.fma + self.add + self.mul
 
-    def reset(self) -> None:
-        self.fma = self.add = self.mul = 0
-        self.g_read_words = self.read_words = self.write_words = 0
-
     def copy(self) -> "OpCounters":
         return OpCounters(self.fma, self.add, self.mul,
                           self.g_read_words, self.read_words, self.write_words)
@@ -127,16 +123,12 @@ def eo_contract_dir(factor, u: np.ndarray, direction: int,
     """Contract an even-odd factored matrix along one direction of u.
 
     Same contract as contract_dir with the dense matrix replaced by its
-    EvenOddFactor (out may be any array of the result's shape); u may also
-    be a single line (n1,) with direction 0.
+    EvenOddFactor (out may be any array of the result's shape).
     u is folded into its even and odd halves along the direction, each
     half is one contract_dir call, and the two results are recombined.
     The multiply count per point drops from q*p1 to |S_plus| + |S_minus|
     at the cost of lower-order adds for the fold and the recombine.
     """
-    if u.ndim == 1:
-        return eo_contract_dir(factor, u.reshape(1, 1, -1), direction,
-                               counters).reshape(-1)
     q, p1 = factor.source_shape
     qh, ph = q // 2, p1 // 2
     axis = 2 - direction

@@ -102,7 +102,7 @@ def test_criterion_04_even_odd():
         assert q % 2 == 0
         for factor in (basis.J_even_odd, basis.D_even_odd):
             ct = OpCounters()
-            eo_contract_dir(factor, np.zeros(p1), 0, ct)
+            eo_contract_dir(factor, np.zeros((1, 1, p1)), 0, ct)
             fma_ok &= ct.fma == (p + 1) * q // 2
             add_ok &= ct.add == 2 * (p1 // 2) + 2 * (q // 2)
     ok = result.passed and fma_ok and add_ok

@@ -424,48 +424,74 @@ class TestLocalDot:
     @pytest.mark.parametrize("ranks", [1, 3, 8])
     @pytest.mark.parametrize("comps", [1, 3])
     def test_equals_per_partition_products(self, ranks, comps, rng):
-        # Element-major: every partition is one contiguous run, summed per
-        # component; products written into a scratch vector (given or
-        # not) sum to the same float as fresh ones.
+        # Element-major: each component's weighted products are summed in
+        # local order, so the partitions only split that sum, to rounding;
+        # products written into a scratch vector (given or not) sum to the
+        # same float as fresh ones.
         gs = build_gather_scatter(build_box_mesh(4, 7), ranks=ranks)
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         slab = 8 ** 3
         ref = 0.0
+        for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
+            ref += (uc * vc * gs.weight).sum()
+        assert gs.local_dot(u, v) == float(ref)
+        assert gs.local_dot(u, v, work=np.empty(shape)) == float(ref)
+        per_part = 0.0
         for (e0, e1) in gs.partitions:
             lo, hi = e0 * slab, e1 * slab
-            part = 0.0
             for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
-                part += float(np.sum(uc[lo:hi] * vc[lo:hi]
-                                     * gs.weight[lo:hi]))
-            ref += part
-        assert gs.local_dot(u, v) == ref
-        assert gs.local_dot(u, v, work=np.empty(shape)) == ref
+                per_part += float(np.sum(uc[lo:hi] * vc[lo:hi]
+                                         * gs.weight[lo:hi]))
+        assert gs.local_dot(u, v) == pytest.approx(per_part, rel=1e-12)
 
     @pytest.mark.parametrize("ranks", [3, 8])
     @pytest.mark.parametrize("comps", [1, 3])
     def test_partitions_inside_one_block(self, ranks, comps, rng):
-        # One block of 16 elements: partition [e0, e1) is columns e0..e1 of
-        # the (p1^3, 16) slab, summed by rows and then over the row sums.
+        # One block of 16 elements: partitions split the columns of the
+        # (p1^3, 16) slab, yet the dot is the one-rank plan's, bit for bit,
+        # and still the assembled global dot.
         mesh = build_box_mesh(4, 7)
         gs = build_gather_scatter(mesh, ranks=ranks, block=16)
+        one = build_gather_scatter(mesh, gs.numbering)
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-        w = gs.weight.reshape(8 ** 3, 16)
         ref = 0.0
-        for (e0, e1) in gs.partitions:
-            part = 0.0
-            for uc, vc in zip(u.reshape(comps, 8 ** 3, 16),
-                              v.reshape(comps, 8 ** 3, 16)):
-                prod = uc[:, e0:e1] * vc[:, e0:e1] * w[:, e0:e1]
-                part += float(np.sum(np.sum(prod, axis=-1)))
-            ref += part
-        assert gs.local_dot(u, v) == ref
-        assert gs.local_dot(u, v, work=np.empty(shape)) == ref
+        for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
+            ref += (uc * vc * gs.weight).sum()
+        assert gs.local_dot(u, v) == one.local_dot(u, v) == float(ref)
+        assert gs.local_dot(u, v, work=np.empty(shape)) == float(ref)
         ug = rng.standard_normal(gs.numbering.n_global)
         ul = ug[gs.numbering.local_to_global]
         assert gs.local_dot(ul, ul) == pytest.approx(float(ug @ ug),
                                                      rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_one_sum_per_component(self, data):
+        # The dot is each component's weighted products summed in local
+        # order, the component sums added in order: the same bits at every
+        # rank count and with or without a scratch array.
+        k = data.draw(st.integers(0, 5), label="k")
+        p = data.draw(st.integers(1, 4), label="p")
+        mesh = build_box_mesh(k, p)
+        block = data.draw(st.integers(1, mesh.E), label="block")
+        ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
+        comps = data.draw(st.sampled_from([1, 3]), label="comps")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        num = build_numbering(mesh, block)
+        gs = build_gather_scatter(mesh, num, ranks=ranks)
+        one = build_gather_scatter(mesh, num)
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        ref = 0.0
+        for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
+            ref += (uc * vc * gs.weight).sum()
+        for work in (None, np.empty(shape)):
+            got = gs.local_dot(u, v, work=work)
+            assert got == one.local_dot(u, v, work=work)
+            assert got == float(ref)
 
     def test_shape_mismatch_rejected(self):
         mesh = build_box_mesh(1, 2)

@@ -86,9 +86,9 @@ class TestEvenOdd:
         for matrix, factor in ((basis.J_hat, basis.J_even_odd),
                                (basis.D_hat, basis.D_even_odd)):
             for _ in range(5):
-                u = rng.standard_normal(p + 1)
-                ref = matrix @ u
-                got = eo_contract_dir(factor, u, 0)
+                u = rng.standard_normal((1, 1, p + 1))
+                ref = matrix @ u[0, 0]
+                got = eo_contract_dir(factor, u, 0)[0, 0]
                 assert np.linalg.norm(got - ref) <= 1e-12 * (
                     np.linalg.norm(ref) + 1.0)
 
@@ -99,7 +99,7 @@ class TestEvenOdd:
         assert factor.source_shape == (5, 4)
         assert factor.S_plus.shape == (3, 2)
         assert factor.S_minus.shape == (2, 2)
-        assert factor.distinct_entries == 10
+        assert factor.fma_count == 10
 
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
                                      (4, 6), (5, 6), (7, 8), (7, 9)])
@@ -111,7 +111,7 @@ class TestEvenOdd:
         for factor in (basis.J_even_odd, basis.D_even_odd):
             assert factor.fma_count == expect
             ct = OpCounters()
-            eo_contract_dir(factor, np.zeros(p1), 0, ct)
+            eo_contract_dir(factor, np.zeros((1, 1, p1)), 0, ct)
             assert ct.fma == expect
         if q % 2 == 0:
             # The headline halving: (p+1) q / 2 FMAs for even q.
@@ -137,7 +137,7 @@ class TestEvenOdd:
     def test_apply_rejects_wrong_length(self):
         factor = make_basis(3, "GL").J_even_odd
         with pytest.raises(ValueError):
-            eo_contract_dir(factor, np.zeros(7), 0)
+            eo_contract_dir(factor, np.zeros((1, 1, 7)), 0)
 
 
 class TestBasis1D:

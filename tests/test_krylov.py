@@ -39,11 +39,11 @@ class TestDiagonal:
 
     def test_collocated_mass_diagonal_is_exact(self, stack):
         s = stack(4, "GLL", 2)
-        op = make_op("mass", s, beta=2.0)
+        op = make_op("mass", s)
         got = compute_diagonal(op)
         # At GLL the nodes are the quadrature points, so the local layout
         # is the layout of mass_diag itself.
-        assert np.array_equal(got, 2.0 * s.geom.mass_diag)
+        assert np.array_equal(got, s.geom.mass_diag)
 
     def test_diagonal_is_positive(self, stack):
         s = stack(4, "GL", 3)

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sembench import tensors
+from sembench.bakeoff import RunConfig
 from sembench.basis import make_basis
-from sembench.mesh import (BoxMesh, GeomFactors, MeshError, block_view,
-                           box_dims, from_blocks, to_blocks,
-                           build_box_mesh, compute_geometric_factors)
+from sembench.mesh import (FACTORS_PER_POINT, BoxMesh, GeomFactors,
+                           MeshError, block_view, box_dims, from_blocks,
+                           to_blocks, build_box_mesh,
+                           compute_geometric_factors)
 
 from conftest import element_major
 
@@ -43,7 +45,7 @@ class TestBuildBoxMesh:
         assert mesh.E == 8
         assert mesh.p1 == 5
         assert mesh.elem_coords.shape == (8, 3, 5, 5, 5)
-        assert mesh.n_points == 4 ** 3 * 8
+        assert RunConfig(bp=1, p=4, k=3).n == 4 ** 3 * mesh.E
         assert mesh.n_true == 9 ** 3
 
     def test_n_true_anisotropic(self):
@@ -176,7 +178,9 @@ class TestGeomFactors:
         basis = make_basis(3, "GL")
         mesh = build_box_mesh(1, 3)
         geom = compute_geometric_factors(mesh, basis)
-        assert geom.words_per_element == 8 * 5 ** 3
+        stored = (geom.G, geom.mass_diag, geom.jac_det)
+        assert FACTORS_PER_POINT == 8
+        assert sum(a.size for a in stored) == 8 * 5 ** 3 * mesh.E
         assert geom.slab(geom.G, 0, 2).shape == (6, 5, 5, 5, 2)
 
     def test_inverted_element_rejected(self):

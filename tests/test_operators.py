@@ -330,13 +330,6 @@ class TestCollocatedMass:
         # At GLL the local layout is the layout of mass_diag itself.
         assert np.array_equal(w, u * s.geom.mass_diag)
 
-    def test_beta_scales_diagonal(self, stack, rng):
-        s = stack(3, "GLL", 1)
-        op = make_op("mass", s, beta=2.5)
-        u = rng.standard_normal(op.n_local)
-        assert np.array_equal(op.apply_local(u),
-                              u * (2.5 * s.geom.mass_diag))
-
 
 class TestLifetime:
     @pytest.mark.parametrize("kind", ["GL", "GLL"])

@@ -1,4 +1,4 @@
-"""Print one SHA-256 over the numbers of a fixed grid of solves.
+"""Print SHA-256 digests of the numbers of a fixed grid of solves.
 
 Two commits that print the same digest computed the same bits: x as raw
 bytes (so the sign of a zero counts), residual histories, diagnostics, the
@@ -12,10 +12,11 @@ Run it against a checkout's own sources, for example
     PYTHONPATH=src python tools/bitwise_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bitwise_digest.py
 
-and compare the last lines.  -v also prints a digest per point, to find
-where two commits part.  The script calls only pcg, run, build_problem
-and the gather-scatter's public methods, with arguments they have long
-taken, so it runs on older commits too.
+and compare the last lines: one digest over the ranks=1 half of the grid,
+one over the ranks=3 half, then the total.  -v also prints a digest per
+point, to find where two commits part.  The script calls only pcg, run,
+build_problem and the gather-scatter's public methods, with arguments they
+have long taken, so it runs on older commits too.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def main(argv=None) -> int:
                         help="also print a digest per grid point")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
+    by_ranks = {ranks: hashlib.sha256() for ranks in RANKS}
     count = 0
     for bp in BPS:
         for p in PS:
@@ -85,9 +87,12 @@ def main(argv=None) -> int:
                     point.update(a.tobytes())
                     count += 1
                 total.update(point.digest())
+                by_ranks[ranks].update(point.digest())
                 if args.verbose:
                     print(f"bp{bp} p={p} ranks={ranks} "
                           f"{point.hexdigest()}")
+    for ranks, digest in by_ranks.items():
+        print(f"ranks={ranks} points sha256 {digest.hexdigest()}")
     print(f"{count} arrays sha256 {total.hexdigest()}")
     return 0
 
