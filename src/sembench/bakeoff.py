@@ -33,11 +33,13 @@ from .basis import MAX_P, Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
 from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
                    build_box_mesh, compute_geometric_factors, to_blocks)
-from .operators import (BLOCK_SIZES, STRATEGIES, MassOperator,
-                        StiffnessOperator)
+from .operators import STRATEGIES, MassOperator, StiffnessOperator
 from .tensors import WORKING_SET_WORDS
 
 THREADS_ENV = "SEMBENCH_THREADS"
+
+# Elements per storage block that the blocked strategy accepts.
+BLOCK_SIZES = (4, 8)
 
 
 class ConfigError(ValueError):
@@ -183,11 +185,12 @@ class Problem:
 
 def make_operator(spec: BPSpec, basis: Basis1D, geom: GeomFactors,
                   strategy: str, block: int, instrument: bool = False):
-    if spec.system == "stiffness":
-        return StiffnessOperator(basis, geom, strategy=strategy, block=block,
-                                 instrument=instrument)
-    return MassOperator(basis, geom, strategy=strategy, block=block,
-                        instrument=instrument)
+    """The problem's operator; blocked needs geom in blocks of `block`."""
+    if strategy == "blocked" and geom.block != block:
+        raise ValueError(f"blocked with block {block} needs a geometry "
+                         f"stored in blocks of {block}, not {geom.block}")
+    cls = StiffnessOperator if spec.system == "stiffness" else MassOperator
+    return cls(basis, geom, strategy=strategy, instrument=instrument)
 
 
 def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
@@ -259,7 +262,8 @@ def build_problem(config: RunConfig) -> Problem:
     spec = config.spec
     basis = make_basis(config.p, spec.quad)
     mesh = build_box_mesh(config.k, config.p)
-    geom = compute_geometric_factors(mesh, basis)
+    geom = compute_geometric_factors(
+        mesh, basis, config.block if config.strategy == "blocked" else None)
     gs = build_gather_scatter(mesh, bc=spec.bc, ranks=config.ranks,
                               block=geom.block)
     op = make_operator(spec, basis, geom, config.strategy, config.block)

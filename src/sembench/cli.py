@@ -15,9 +15,9 @@ import sys
 import typing
 
 from . import bakeoff, metrics, verify
-from .bakeoff import MODES, ConfigError, RunConfig
+from .bakeoff import BLOCK_SIZES, MODES, ConfigError, RunConfig
 from .mesh import MeshError
-from .operators import BLOCK_SIZES, STRATEGIES
+from .operators import STRATEGIES
 
 # The config-file keys and how each value is parsed: RunConfig's fields and
 # their declared types.  p and k stay text, since sweep takes a list of each.
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="iteration count (default "
                              f"{RunConfig.iterations})")
         sp.add_argument("--strategy", choices=STRATEGIES)
-        sp.add_argument("--block", type=int, choices=BLOCK_SIZES,
-                        help="elements per batch for --strategy blocked")
+        sp.add_argument("--block", type=int, choices=BLOCK_SIZES, help=(
+            "elements per storage block for --strategy blocked"))
         sp.add_argument("--threads", type=int,
                         help="worker threads (default: SEMBENCH_THREADS "
                              "or hardware count)")

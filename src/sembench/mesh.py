@@ -11,9 +11,9 @@ distinct entries of the symmetric metric tensor G, the diagonal mass weight
 rho_i rho_j rho_k J, and the Jacobian determinant J.  That is 8 q^3 reals per
 element; the global tensor-product layout of the element array is never
 exploited downstream.  They are computed and stored in blocks of
-batch_size(q) elements, element index innermost, the layout of the operator
-batches that read them (see GeomFactors), so setup holds the stored factors
-plus one block of temporaries.
+batch_size(q) elements (4 or 8 for blocked), element index innermost, the
+layout of the operator batches that read them (see GeomFactors), so setup
+holds the stored factors plus one block of temporaries.
 
 Local vectors (one value per element node) use the same cut: for each
 storage block [b0, b1) the vector holds one contiguous C-ordered
@@ -264,13 +264,11 @@ class GeomFactors:
     def E(self) -> int:
         return self.jac_det.size // self.q ** 3
 
-    def batches(self, e0: int, e1: int, size: int | None = None):
-        """The range [e0, e1) cut at block boundaries and every `size`
-        elements after each cut, as a list of (b0, b1) pairs."""
-        size = size or self.block
+    def batches(self, e0: int, e1: int):
+        """The range [e0, e1) cut at block boundaries, as (b0, b1) pairs."""
         out = []
         while e0 < e1:
-            b1 = min(e1, (e0 // self.block + 1) * self.block, e0 + size)
+            b1 = min(e1, (e0 // self.block + 1) * self.block)
             out.append((e0, b1))
             e0 = b1
         return out
@@ -289,15 +287,17 @@ class GeomFactors:
                           slots + (self.q,) * 3)
 
 
-def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
+def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
+                              block: int | None = None) -> GeomFactors:
     """Evaluate metric terms of the isoparametric mapping at quadrature points.
 
     The Jacobian dx/dr is built from J_hat/D_hat contractions of the element
     coordinates, inverted in closed form (3x3 adjugate), and combined with
     the determinant and quadrature weights into
     G_mm' = sum_l (dr_m/dx_l)(dr_m'/dx_l) * J * rho_i rho_j rho_k.
-    Elements are processed one storage block at a time, one contraction
-    chain per reference direction and coordinate of the block.
+    Elements are stored and processed in blocks of `block` elements
+    (default batch_size(q)), one contraction chain per reference direction
+    and coordinate of a block.
 
     Raises:
         MeshError: if any quadrature point has a non-positive or nearly
@@ -315,7 +315,7 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D) -> GeomFactors:
     # The geometry holds frozen views of these buffers; the loop fills
     # each block through the geometry's own slab().
     G, mass_diag, jac_det = (np.empty(n * q ** 3 * E) for n in (6, 1, 1))
-    geom = GeomFactors(q, batch_size(q), G.view(), mass_diag.view(),
+    geom = GeomFactors(q, block or batch_size(q), G.view(), mass_diag.view(),
                        jac_det.view())
     for b0, b1 in geom.batches(0, E):
         # Coordinate-major and element-innermost, so each coordinate is a

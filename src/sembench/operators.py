@@ -13,28 +13,29 @@ Four interchangeable contraction strategies are provided:
                with a q x q matrix, and interpolate back.
 * evenodd:     sumfact dataflow with every 1D contraction in even-odd
                factored form (about half the multiplies).
-* blocked:     sumfact with a fixed batch of 4 or 8 elements.
+* blocked:     sumfact on a geometry stored in blocks of 4 or 8 elements.
 
 With collocated GLL quadrature (q = p + 1) J_hat is the identity, and every
 strategy runs the same six-contraction dataflow instead: ur, us, ut are the
 three D contractions of u, and w = D_x^T wr + D_y^T ws + D_z^T wt.  evenodd
-keeps its factored D and blocked its batch.  The dense output equals the
-interpfirst dataflow's bitwise, since that adds the transposed terms in the
-same order and its identity contractions are exact.
+keeps its factored D.  The dense output equals the interpfirst dataflow's
+bitwise, since that adds the transposed terms in the same order and its
+identity contractions are exact.
 
 Every strategy applies a batch of elements per contraction, as one
 (p1, p1, p1, B) field with the element index innermost, so every 1D
 contraction is one GEMM with a long right-hand side (see tensors).  Local
 vectors are stored in that form: in the blocked layout of mesh.to_blocks,
 cut at the blocks in which the geometric factors are stored, batch_size(q)
-elements each (a working set of about WORKING_SET_WORDS words per field).
-The batches are the requested element range cut at those blocks, so a
-batch that is a whole block reads its field as a view of u, writes its
-result in place into out, and reads each factor slot as one contiguous
-(q, q, q, B) slab.  A batch that covers part of a block (blocked cuts each
-block into batches of 4 or 8; an element range may start or end inside
-one) is a strided view, copied once.  The output is bitwise-identical to
-per-element application, which the verify suite checks.
+elements each (a working set of about WORKING_SET_WORDS words per field)
+or, for blocked, the 4 or 8 its geometry was built with.  The batches are
+the requested element range cut at those blocks, so a batch that is a
+whole block reads its field as a view of u, writes its result in place
+into out, and reads each factor slot as one contiguous (q, q, q, B) slab.
+A batch that covers part of a block (an element range may start or end
+inside one) is a strided view, copied once.  The output is
+bitwise-identical to per-element application, which the verify suite
+checks.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -52,9 +53,6 @@ from .tensors import (WORKING_SET_WORDS, OpCounters,  # noqa: F401
                       batch_size, contract_dir, eo_contract_dir)
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
-
-# Elements per batch that the blocked strategy accepts.
-BLOCK_SIZES = (4, 8)
 
 # Matvec-equivalence budget between any two strategies.
 STRATEGY_RTOL = 1e-12
@@ -166,23 +164,18 @@ class _LocalOperator:
     and _apply_block(U, data, ct, out=None), which applies the operator to
     one batch U of shape (p1, p1, p1, B), writing the result into out (a
     C-contiguous batch field) when it is given.  Local vectors are in the
-    blocked layout of geom.block elements (see mesh); `batch` is the most
-    elements a batch takes, geom.block except for blocked.
+    blocked layout of geom.block elements (see mesh), and every batch is
+    one of those blocks, or the part of one inside an element range.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
-                 strategy: str = "sumfact", block: int = 8,
-                 instrument: bool = False):
+                 strategy: str = "sumfact", instrument: bool = False):
         _check_strategy(strategy)
         if basis.q != geom.q:
             raise ValueError("basis and geometric factors disagree on q")
-        if strategy == "blocked" and block not in BLOCK_SIZES:
-            raise ValueError("blocked strategy supports block sizes "
-                             + " and ".join(map(str, BLOCK_SIZES)))
         self.basis = basis
         self.geom = geom
         self.strategy = strategy
-        self.batch = block if strategy == "blocked" else geom.block
         self.instrument = instrument
         self.E = geom.E
         self.n_local = self.E * basis.p1 ** 3
@@ -226,7 +219,7 @@ class _LocalOperator:
         ct = self.counters if self.instrument else None
         uc, wc = u.reshape(comps, -1), out.reshape(comps, -1)
         block = self.geom.block
-        for b0, b1 in self.geom.batches(e0, e1, self.batch):
+        for b0, b1 in self.geom.batches(e0, e1):
             # Element data is read once per batch, shared by the components.
             data = self._element_data(b0, b1, ct)
             if ct is not None:
@@ -252,16 +245,14 @@ class StiffnessOperator(_LocalOperator):
         basis: 1D operator matrices.
         geom: geometric factors on the matching quadrature grid.
         strategy: one of sumfact, interpfirst, evenodd, blocked.
-        block: elements per batch for the blocked strategy (4 or 8).
         instrument: when True, counters accumulate on every apply.
     """
 
     system = "stiffness"
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
-                 strategy: str = "sumfact", block: int = 8,
-                 instrument: bool = False):
-        super().__init__(basis, geom, strategy, block, instrument)
+                 strategy: str = "sumfact", instrument: bool = False):
+        super().__init__(basis, geom, strategy, instrument)
         # Plain functions, not bound methods: a bound method kept on the
         # instance is a reference cycle, which would keep the operator and
         # its geometric factors alive until the cyclic collector runs.
@@ -383,9 +374,8 @@ class MassOperator(_LocalOperator):
     system = "mass"
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
-                 strategy: str = "sumfact", block: int = 8,
-                 instrument: bool = False):
-        super().__init__(basis, geom, strategy, block, instrument)
+                 strategy: str = "sumfact", instrument: bool = False):
+        super().__init__(basis, geom, strategy, instrument)
         self.collocated = basis.collocated
 
     def model_flops(self, components: int = 1) -> float:

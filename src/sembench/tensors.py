@@ -24,16 +24,17 @@ width of its right-hand side: every entry is one length-n dot product, but
 BLAS promises nothing about that.  The verify suite's batched-versus-per-
 element `array_equal` check is the guard.
 
-Every batched loop (the operators, the geometric factors and the operator
-diagonal) takes batch_size(q) elements at a time, so one field of a batch
-holds about WORKING_SET_WORDS words and setup temporaries stay that small.
-The geometric factors and the local vectors are stored in blocks of that
-many elements (see mesh), and the batches of a loop are those blocks.
+The geometric factors and the local vectors are stored in blocks of
+batch_size(q) elements by default (see mesh), so one field of a block holds
+about WORKING_SET_WORDS words and setup temporaries stay that small.  Every
+batched loop (the operators, the geometric factors and the operator
+diagonal) takes those blocks as its batches; the blocked strategy's
+geometry is stored in blocks of 4 or 8 elements instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +67,6 @@ class OpCounters:
     @property
     def total_flops(self) -> int:
         return 2 * self.fma + self.add + self.mul
-
-    def copy(self) -> "OpCounters":
-        return OpCounters(self.fma, self.add, self.mul,
-                          self.g_read_words, self.read_words, self.write_words)
 
 
 def contract_dir(a: np.ndarray, u: np.ndarray, direction: int,

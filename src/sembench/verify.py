@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import build_gather_scatter, build_numbering
+from .bakeoff import BLOCK_SIZES
 from .basis import even_odd_split, make_basis
 from .krylov import SystemApplier
 from .mesh import (G_INDEX, GeomFactors, build_box_mesh,
-                   compute_geometric_factors, from_blocks)
+                   compute_geometric_factors, from_blocks, to_blocks)
 from .operators import STRATEGY_RTOL, MassOperator, StiffnessOperator
 from .quadrature import MAX_POINTS, gauss_legendre, gauss_lobatto_legendre
 from .tensors import eo_contract_dir
@@ -183,6 +184,12 @@ def per_element_apply(op, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def element_major_apply(op, u: np.ndarray) -> np.ndarray:
+    """op.apply_local of an element-major (..., E, p1, p1, p1) u, likewise."""
+    block = op.geom.block
+    return from_blocks(op.apply_local(to_blocks(u, block)), block, op.basis.p1)
+
+
 class SumfactDataflow(StiffnessOperator):
     """The generic sumfact dataflow, J contractions included, at any q.
 
@@ -202,8 +209,9 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
     """All evaluation strategies agree on random inputs.
 
     The sum-factorized kernel is the reference; interp-first, even-odd, and
-    both blocked batch sizes must match it to rtol on every input.  At GLL
-    collocation all five operators must also match the generic sumfact
+    blocked on geometries stored in both of its block sizes must match it
+    to rtol on every input, compared element by element (from_blocks).  At
+    GLL collocation all five operators must also match the generic sumfact
     dataflow (SumfactDataflow) to rtol.  Each strategy's batched apply must
     also bitwise-equal its per-element apply.
     """
@@ -218,29 +226,28 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
             geom = compute_geometric_factors(mesh, basis)
             ref_op = StiffnessOperator(basis, geom, strategy="sumfact")
             others = [StiffnessOperator(basis, geom, strategy="interpfirst"),
-                      StiffnessOperator(basis, geom, strategy="evenodd"),
-                      StiffnessOperator(basis, geom, strategy="blocked",
-                                        block=4),
-                      StiffnessOperator(basis, geom, strategy="blocked",
-                                        block=8)]
-            n = ref_op.n_local
-            inputs = rng.standard_normal((n_inputs, n))
-            refs = [ref_op.apply_local(u) for u in inputs]
+                      StiffnessOperator(basis, geom, strategy="evenodd")]
+            others += [StiffnessOperator(
+                basis, compute_geometric_factors(mesh, basis, block),
+                strategy="blocked") for block in BLOCK_SIZES]
+            inputs = rng.standard_normal((n_inputs, mesh.E) + (basis.p1,) * 3)
+            refs = element_major_apply(ref_op, inputs)
             cases = [(op, refs, "") for op in others]
             if basis.collocated:
-                generic = SumfactDataflow(basis, geom)
-                grefs = [generic.apply_local(u) for u in inputs]
+                grefs = element_major_apply(SumfactDataflow(basis, geom),
+                                            inputs)
                 cases += [(op, grefs, " vs generic sumfact")
                           for op in [ref_op] + others]
             for op, want, against in cases:
-                for u, ref in zip(inputs, want):
-                    err = _rel_err(op.apply_local(u), ref)
+                for got, ref in zip(element_major_apply(op, inputs), want):
+                    err = _rel_err(got, ref)
                     if err > worst:
                         worst = err
                         worst_case = f"{op.strategy} p={p} {kind}{against}"
+            flat = inputs.reshape(n_inputs, -1)
             for op in [ref_op] + others:
-                if not np.array_equal(op.apply_local(inputs),
-                                      per_element_apply(op, inputs)):
+                if not np.array_equal(op.apply_local(flat),
+                                      per_element_apply(op, flat)):
                     batch_mismatch = f"{op.strategy} p={p} {kind}"
     passed = worst <= rtol and not batch_mismatch
     batch = (f"differs for {batch_mismatch}" if batch_mismatch

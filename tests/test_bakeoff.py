@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sembench import bakeoff
-from sembench.bakeoff import (BP_TABLE, MODES, ConfigError, RunConfig,
-                              build_problem, default_threads,
+from sembench.bakeoff import (BLOCK_SIZES, BP_TABLE, MODES, ConfigError,
+                              RunConfig, build_problem, default_threads,
                               measure_apply_flops, run, sweep)
 from sembench.krylov import SystemApplier
-from sembench.operators import BLOCK_SIZES, STRATEGIES
+from sembench.mesh import compute_geometric_factors
+from sembench.operators import STRATEGIES
+from sembench.tensors import batch_size
 
 
 class TestBpTable:
@@ -132,6 +134,31 @@ class TestProblem:
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
 
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_blocked_stores_its_own_block(self, block):
+        # blocked's geometry, plan and operator share the config's block;
+        # every other strategy keeps the default storage block.
+        problem = build_problem(RunConfig(bp=3, p=3, k=5, strategy="blocked",
+                                          block=block))
+        assert problem.geom.block == problem.gs.block == block
+        assert problem.op.geom is problem.geom
+        other = build_problem(RunConfig(bp=3, p=3, k=5, block=block))
+        assert other.geom.block == other.gs.block == batch_size(5)
+
+    def test_blocked_operator_needs_its_block(self):
+        # The geometry is stored in blocks of batch_size(5) = 262, not 8.
+        problem = build_problem(RunConfig(bp=3, p=3, k=3))
+        with pytest.raises(ValueError, match="blocks of 8"):
+            bakeoff.make_operator(problem.config.spec, problem.basis,
+                                  problem.geom, "blocked", 8)
+        geom = compute_geometric_factors(problem.mesh, problem.basis, 4)
+        with pytest.raises(ValueError, match="blocks of 8"):
+            bakeoff.make_operator(problem.config.spec, problem.basis, geom,
+                                  "blocked", 8)
+        op = bakeoff.make_operator(problem.config.spec, problem.basis, geom,
+                                   "blocked", 4)
+        assert op.geom.block == 4
+
     def test_bk_mode_skips_preconditioner(self):
         assert build_problem(RunConfig(bp=3, p=2, k=1, mode="bk")).minv is None
         assert build_problem(RunConfig(bp=3, p=2, k=1)).minv is not None
@@ -243,6 +270,23 @@ class TestMeasureApplyFlops:
                                       strategy, cfg.block, instrument=True)
         probe.apply_local(problem.b)
         assert measure_apply_flops(problem) == probe.counters.total_flops
+
+    # Counts at p = 3, k = 3 for (sumfact, interpfirst, evenodd); blocked
+    # runs the sumfact dataflow, so it counts as sumfact at either block.
+    PINNED = {1: (40040, 40040, 28328), 3: (123032, 116040, 90968),
+              5: (33280, 33280, 27136)}
+
+    @pytest.mark.parametrize("bp", sorted(PINNED))
+    def test_counts_are_pinned_for_every_strategy(self, bp):
+        sumfact, interpfirst, evenodd = self.PINNED[bp]
+        want = dict(sumfact=sumfact, interpfirst=interpfirst,
+                    evenodd=evenodd, blocked=sumfact)
+        for strategy in STRATEGIES:
+            for block in BLOCK_SIZES:
+                problem = build_problem(RunConfig(
+                    bp=bp, p=3, k=3, mode="bk", strategy=strategy,
+                    block=block))
+                assert measure_apply_flops(problem) == want[strategy]
 
     def test_close_to_model(self):
         problem = build_problem(RunConfig(bp=3, p=5, k=2))

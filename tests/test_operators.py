@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sembench.basis import make_basis
+from sembench.bakeoff import BLOCK_SIZES, ConfigError, RunConfig, build_problem
 from sembench.mesh import (build_box_mesh, compute_geometric_factors,
                            from_blocks)
 from sembench.assembly import build_gather_scatter, build_numbering
@@ -14,7 +15,8 @@ from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, batch_size, bytes_model,
                                 collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
-from sembench.verify import assemble_reference_csr, per_element_apply
+from sembench.verify import (assemble_reference_csr, element_major_apply,
+                             per_element_apply)
 
 from conftest import rel_err
 
@@ -22,6 +24,13 @@ from conftest import rel_err
 def make_op(kind, stackobj, **kw):
     cls = StiffnessOperator if kind == "stiffness" else MassOperator
     return cls(stackobj.basis, stackobj.geom, **kw)
+
+
+def blocked_ops(kind, s):
+    """blocked on geometries stored in each of its block sizes."""
+    cls = StiffnessOperator if kind == "stiffness" else MassOperator
+    return [cls(s.basis, compute_geometric_factors(s.mesh, s.basis, block),
+                strategy="blocked") for block in BLOCK_SIZES]
 
 
 class TestFlopModels:
@@ -207,52 +216,60 @@ class TestStrategies:
         s = stack(p, kind, 1)
         ref_op = make_op("stiffness", s, strategy="sumfact")
         others = [make_op("stiffness", s, strategy="interpfirst"),
-                  make_op("stiffness", s, strategy="evenodd"),
-                  make_op("stiffness", s, strategy="blocked", block=4),
-                  make_op("stiffness", s, strategy="blocked", block=8)]
+                  make_op("stiffness", s, strategy="evenodd")]
+        others += blocked_ops("stiffness", s)
         for _ in range(3):
-            u = rng.standard_normal(ref_op.n_local)
-            ref = ref_op.apply_local(u)
+            u = rng.standard_normal((s.mesh.E,) + (p + 1,) * 3)
+            ref = element_major_apply(ref_op, u)
             for op in others:
-                assert rel_err(op.apply_local(u), ref) <= STRATEGY_RTOL
+                got = element_major_apply(op, u)
+                assert rel_err(got, ref) <= STRATEGY_RTOL
 
     def test_blocked_is_bitwise_per_element(self, stack, rng):
         s = stack(4, "GL", 3)
         ref_op = make_op("stiffness", s, strategy="sumfact")
-        u = rng.standard_normal(ref_op.n_local)
-        ref = ref_op.apply_local(u)
-        for block in (4, 8):
-            op = make_op("stiffness", s, strategy="blocked", block=block)
-            assert np.array_equal(op.apply_local(u), ref)
-        # Every strategy at its default batch on E = 64 elements, more than
-        # and not a multiple of batch_size(9) = 44, and on an element range
-        # that starts and ends inside a batch.
+        u = rng.standard_normal((s.mesh.E, 5, 5, 5))
+        ref = element_major_apply(ref_op, u)
+        for op in blocked_ops("stiffness", s):
+            assert np.array_equal(element_major_apply(op, u), ref)
+        # Every strategy on E = 64 elements: the default strategies in
+        # blocks of batch_size(9) = 44 (more than and not a multiple of),
+        # blocked in blocks of 4 and 8; and on an element range that
+        # starts and ends inside a block.
         s = stack(7, "GL", 6)
         assert batch_size(s.basis.q) == 44
         for system in ("stiffness", "mass"):
-            for strategy in STRATEGIES:
-                op = make_op(system, s, strategy=strategy)
+            ops = [make_op(system, s, strategy=strategy)
+                   for strategy in STRATEGIES if strategy != "blocked"]
+            for op in ops + blocked_ops(system, s):
                 u = rng.standard_normal(op.n_local)
                 ref = per_element_apply(op, u)
                 assert np.array_equal(op.apply_local(u), ref)
-                part = from_blocks(op.apply_local(u, elements=(5, 50)), 44, 8)
-                ref = from_blocks(ref, 44, 8)
+                block = op.geom.block
+                part = from_blocks(op.apply_local(u, elements=(5, 50)),
+                                   block, 8)
+                ref = from_blocks(ref, block, 8)
                 assert np.array_equal(part[5:50], ref[5:50])
                 assert not part[:5].any() and not part[50:].any()
 
     def test_mass_strategies_agree(self, stack, rng):
         s = stack(3, "GL", 2)
         ref_op = make_op("mass", s)
-        u = rng.standard_normal(ref_op.n_local)
-        ref = ref_op.apply_local(u)
-        for strategy in ("interpfirst", "evenodd", "blocked"):
-            op = make_op("mass", s, strategy=strategy)
-            assert rel_err(op.apply_local(u), ref) <= STRATEGY_RTOL
+        u = rng.standard_normal((s.mesh.E, 4, 4, 4))
+        ref = element_major_apply(ref_op, u)
+        others = [make_op("mass", s, strategy="interpfirst"),
+                  make_op("mass", s, strategy="evenodd")]
+        for op in others + blocked_ops("mass", s):
+            assert rel_err(element_major_apply(op, u), ref) <= STRATEGY_RTOL
 
     def test_block_size_validation(self, stack):
+        # The block is the geometry's, validated by RunConfig alone; the
+        # operators take none.
         s = stack(2, "GL", 1)
-        with pytest.raises(ValueError):
-            make_op("stiffness", s, strategy="blocked", block=3)
+        with pytest.raises(ConfigError, match="block"):
+            RunConfig(bp=3, p=2, k=1, strategy="blocked", block=3)
+        with pytest.raises(TypeError):
+            make_op("stiffness", s, strategy="blocked", block=8)
 
     def test_unknown_strategy(self, stack):
         s = stack(2, "GL", 1)
@@ -368,24 +385,33 @@ class TestApplyMechanics:
         # E = 64 at q = 9: a block of 44 elements and one of 20.  A batch
         # that is a whole block reads u and writes w in place; a part of
         # one is copied in and out.
+        def batches(op, elements=None):
+            u = rng.standard_normal((3, op.n_local))
+            w = np.zeros_like(u)
+            seen = []
+            apply_block = type(op)._apply_block
+
+            def spy(U, data, ct, out=None):
+                seen.append((U.shape[-1], np.shares_memory(U, u),
+                             out is not None and np.shares_memory(out, w)))
+                return apply_block(op, U, data, ct, out)
+
+            monkeypatch.setattr(op, "_apply_block", spy)
+            op.apply_local(u, out=w, elements=elements)
+            return seen
+
         s = stack(7, "GL", 6)
         op = make_op(system, s)
-        u = rng.standard_normal((3, op.n_local))
-        w = np.zeros_like(u)
-        seen = []
-        apply_block = op._apply_block
-
-        def spy(U, data, ct, out=None):
-            seen.append((U.shape[-1], np.shares_memory(U, u),
-                         out is not None and np.shares_memory(out, w)))
-            return apply_block(U, data, ct, out)
-
-        monkeypatch.setattr(op, "_apply_block", spy)
-        op.apply_local(u, out=w)
-        assert seen == [(44, True, True)] * 3 + [(20, True, True)] * 3
-        seen.clear()
-        op.apply_local(u, out=w, elements=(5, 50))
-        assert seen == [(39, False, False)] * 3 + [(6, False, False)] * 3
+        assert batches(op) == [(44, True, True)] * 3 + [(20, True, True)] * 3
+        assert batches(op, (5, 50)) == ([(39, False, False)] * 3
+                                        + [(6, False, False)] * 3)
+        # blocked as a run builds it: every batch is one of its blocks.
+        bp = 3 if system == "stiffness" else 1
+        for block in BLOCK_SIZES:
+            problem = build_problem(RunConfig(bp=bp, p=7, k=6, mode="bk",
+                                              strategy="blocked", block=block))
+            whole = [(block, True, True)] * 3
+            assert batches(problem.op) == whole * (64 // block)
 
     @pytest.mark.parametrize("ranks", [3, 8])
     @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -152,9 +152,3 @@ class TestOpCounters:
     def test_total_flops_weighting(self):
         ct = OpCounters(fma=10, add=3, mul=4)
         assert ct.total_flops == 2 * 10 + 3 + 4
-
-    def test_copy_is_independent(self):
-        ct = OpCounters(fma=7)
-        dup = ct.copy()
-        ct.fma = 99
-        assert dup.fma == 7
