@@ -12,7 +12,7 @@ from .bakeoff import (BP_TABLE, ConfigError, RunConfig, RunResult,
                       build_problem, build_rhs, run, sweep)
 from .basis import (Basis1D, BasisError, EvenOddFactor, even_odd_split,
                     lagrange_deriv_matrix, lagrange_interp_matrix, make_basis)
-from .krylov import (DivergenceError, PcgRun, SystemApplier, compute_diagonal,
+from .krylov import (DivergenceError, PcgRun, SystemApplier,
                      make_preconditioner, pcg)
 from .mesh import (BoxMesh, GeomFactors, MeshError, box_dims, build_box_mesh,
                    compute_geometric_factors, from_blocks, to_blocks)
@@ -36,12 +36,11 @@ __all__ = [
     "QuadRule1D", "RunConfig", "RunResult", "STRATEGIES", "StiffnessOperator",
     "SystemApplier", "assemble_reference_csr", "box_dims", "build_box_mesh",
     "build_gather_scatter", "build_numbering", "build_problem", "build_rhs",
-    "bytes_model", "compute_diagonal", "compute_geometric_factors",
-    "contract_dir", "emit_csv", "emit_plot_data", "even_odd_split",
-    "extract_metrics", "flop_model", "from_blocks", "gauss_legendre",
-    "gauss_lobatto_legendre", "group_metrics", "lagrange_deriv_matrix",
-    "lagrange_interp_matrix", "latency_floor", "legendre_eval", "make_basis",
-    "make_preconditioner", "make_rule", "mass_flop_model",
-    "parallel_efficiency", "pcg", "read_csv", "run",
-    "single_contraction_flops", "sweep", "to_blocks",
+    "bytes_model", "compute_geometric_factors", "contract_dir", "emit_csv",
+    "emit_plot_data", "even_odd_split", "extract_metrics", "flop_model",
+    "from_blocks", "gauss_legendre", "gauss_lobatto_legendre",
+    "group_metrics", "lagrange_deriv_matrix", "lagrange_interp_matrix",
+    "latency_floor", "legendre_eval", "make_basis", "make_preconditioner",
+    "make_rule", "mass_flop_model", "parallel_efficiency", "pcg", "read_csv",
+    "run", "single_contraction_flops", "sweep", "to_blocks",
 ]

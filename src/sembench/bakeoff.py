@@ -280,12 +280,13 @@ def measure_apply_flops(problem: Problem) -> int:
     """Counted flops of one full local operator apply (all components).
 
     Every counter increment is proportional to the element count, so one
-    element is applied and its count scaled by E.
+    element's factors are applied and the count scaled by E.
     """
     cfg = problem.config
-    probe = make_operator(cfg.spec, problem.basis, problem.geom,
-                          cfg.strategy, cfg.block, instrument=True)
-    probe.apply_local(problem.b, elements=(0, 1))
+    one = problem.geom.element(0)
+    probe = make_operator(cfg.spec, problem.basis, one, cfg.strategy,
+                          one.block, instrument=True)
+    probe.apply_local(problem.b[..., :probe.n_local])
     return probe.counters.total_flops * cfg.E
 
 

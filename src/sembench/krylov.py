@@ -5,9 +5,8 @@ call, which also masks.  Dot products use the multiplicity-weighted local
 form, so each is one global reduction; per iteration exactly two are counted
 (p'Ap and r'z), matching the latency model of the scalability analysis.
 
-The operator diagonal is extracted matrix-free by contracting the metric
-factors with elementwise-squared operator matrices, then assembled (and so
-masked); it is the only preconditioner offered.
+The operator's own diagonal (op.diagonal(), computed matrix-free block by
+block) is assembled, and so masked, into the only preconditioner offered.
 """
 
 from __future__ import annotations
@@ -18,64 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter
-from .mesh import block_view
-from .tensors import contract_dir
 
 
 class DivergenceError(RuntimeError):
     """Non-finite value or loss of positive definiteness during CG."""
-
-
-def compute_diagonal(op) -> np.ndarray:
-    """Per-element diagonal of the local operator (unassembled).
-
-    For the stiffness operator diag(A^e) at node (c,b,a) is a sum of
-    contractions of the metric entries with products of squared (or
-    cross-multiplied) rows of J_hat/D_hat; for the mass operator it is the
-    J3-squared contraction of the diagonal weights, which collapses to the
-    stored mass_diag itself in the collocated case.  Both are computed one
-    storage block of the geometric factors at a time, like the operator
-    applies, and each block is written as it comes into the local layout,
-    which has the same blocks.
-    """
-    basis, geom = op.basis, op.geom
-    J, D = basis.J_hat, basis.D_hat
-    p1 = basis.p1
-    out = np.empty(geom.E * p1 ** 3)
-    pj = np.ascontiguousarray((J * J).T)
-    if op.system == "mass":
-        def block(b0, b1):
-            d = geom.slab(geom.mass_diag, b0, b1)
-            if op.collocated:
-                return d
-            d = contract_dir(pj, d, 0)
-            d = contract_dir(pj, d, 1)
-            return contract_dir(pj, d, 2)
-    else:
-        pd = np.ascontiguousarray((D * D).T)
-        px = np.ascontiguousarray((J * D).T)
-
-        def block(b0, b1):
-            g = geom.slab(geom.G, b0, b1)
-
-            def term(mx, my, mz, slot, factor):
-                t = contract_dir(mx, g[slot], 0)
-                t = contract_dir(my, t, 1)
-                t = contract_dir(mz, t, 2)
-                t *= factor
-                return t
-
-            d = term(pd, pj, pj, 0, 1.0)      # G11 pairs with D in x
-            d += term(pj, pd, pj, 3, 1.0)     # G22
-            d += term(pj, pj, pd, 5, 1.0)     # G33
-            d += term(px, px, pj, 1, 2.0)     # G12 cross term
-            d += term(px, pj, px, 2, 2.0)     # G13
-            d += term(pj, px, px, 4, 2.0)     # G23
-            return d
-
-    for b0, b1 in geom.batches(0, geom.E):
-        block_view(out, geom.block, b0, b1, (p1, p1, p1))[...] = block(b0, b1)
-    return out
 
 
 def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
@@ -83,7 +28,7 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
 
     Masked (Dirichlet) slots get 1.0; they never see a nonzero residual.
     """
-    d = gs.gather_scatter(compute_diagonal(op), count=False)
+    d = gs.gather_scatter(op.diagonal(), count=False)
     live = gs.mask > 0.0
     if np.any(live & (d <= 0.0)):
         raise DivergenceError("assembled diagonal not positive on free nodes")
@@ -93,15 +38,16 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
 
 
 class SystemApplier:
-    """mask . QQ^T . A_L with element work fanned out over rank partitions.
+    """mask . QQ^T . A_L with element work fanned out over storage blocks.
 
     A system apply writes A_L u into `out` and then runs one in-place
     gather_scatter on it, which sums and masks.  The applier owns no
     buffer, so a call with `out` allocates only the gather-scatter's one
-    bincount output.  With an executor the local apply runs one task per
-    partition of gs; instrumented operators stay serial because their
-    counters are plain ints.  `phases` accumulates operator and
-    gather-scatter seconds over the applier's lifetime.
+    bincount output.  With an executor the local apply runs one
+    op.apply_local task per storage block (a geometry of one block runs
+    serially); instrumented operators stay serial because their counters
+    are plain ints.  `phases` accumulates operator and gather-scatter
+    seconds over the applier's lifetime.
 
     Raises:
         ValueError: if the plan's local layout (gs.block) is not the
@@ -126,11 +72,11 @@ class SystemApplier:
         """
         if out is None:
             out = np.empty_like(u)
-        parts = self.gs.partitions
-        if self.executor is None or len(parts) == 1 or self.op.instrument:
+        blocks = len(self.op.geom.batches())
+        if self.executor is None or blocks == 1 or self.op.instrument:
             return self.op.apply_local(u, out=out)
-        futures = [self.executor.submit(self.op.apply_local, u, out, part)
-                   for part in parts]
+        futures = [self.executor.submit(self.op.apply_local, u, out, i)
+                   for i in range(blocks)]
         for fut in futures:
             fut.result()
         return out

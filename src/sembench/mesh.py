@@ -20,7 +20,8 @@ storage block [b0, b1) the vector holds one contiguous C-ordered
 (p1, p1, p1, b1 - b0) slab at [b0 p1^3, b1 p1^3).  A block of 1 is the
 element-major order.  to_blocks and from_blocks convert per-element
 (..., E, n, n, n) arrays to and from that layout, and block_view is the one
-reader of a block, for the factors and the local vectors alike.
+reader of a whole block, for the factors and the local vectors alike;
+GeomFactors.element copies out one element's factors.
 """
 
 from __future__ import annotations
@@ -164,24 +165,16 @@ def from_blocks(u: np.ndarray, block: int, n: int) -> np.ndarray:
     return out
 
 
-def block_view(a: np.ndarray, block: int, e0: int, e1: int,
-               shape: tuple) -> np.ndarray:
-    """View of elements [e0, e1), inside one block, of a blocked array.
+def block_view(a: np.ndarray, b0: int, b1: int, shape: tuple) -> np.ndarray:
+    """View of the storage block [b0, b1) of a blocked array.
 
-    a holds prod(shape) words per element along its last axis, in blocks
-    of `block` elements; the view is (..., *shape, e1 - e0).  It is
-    contiguous per leading index when [e0, e1) is a whole block and
-    strided otherwise.
+    a holds prod(shape) words per element along its last axis, and [b0, b1)
+    must be one of its blocks; the view is (..., *shape, b1 - b0),
+    contiguous per leading index.
     """
     words = int(np.prod(shape))
-    E = a.shape[-1] // words
-    b0 = e0 - e0 % block
-    b1 = min(b0 + block, E)
-    if not e0 < e1 <= b1:
-        raise ValueError(f"elements [{e0}, {e1}) are not inside one block")
-    slab = a[..., words * b0:words * b1].reshape(
+    return a[..., words * b0:words * b1].reshape(
         a.shape[:-1] + tuple(shape) + (b1 - b0,))
-    return slab[..., e0 - b0:e1 - b0]
 
 
 def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
@@ -246,8 +239,8 @@ class GeomFactors:
     G22, G23, G33); in mass_diag and jac_det it is one (q, q, q, b1 - b0)
     slab.  The element index is innermost, as in an operator batch, so a
     batch reads each metric slot as one contiguous block.  Exactly 8 q^3
-    stored reals per element.  slab() reads the layout, through
-    block_view.  Local vectors are stored in the same blocks.
+    stored reals per element.  slab() reads a block, through block_view.
+    Local vectors are stored in the same blocks.
     """
 
     q: int
@@ -264,27 +257,29 @@ class GeomFactors:
     def E(self) -> int:
         return self.jac_det.size // self.q ** 3
 
-    def batches(self, e0: int, e1: int):
-        """The range [e0, e1) cut at block boundaries, as (b0, b1) pairs."""
-        out = []
-        while e0 < e1:
-            b1 = min(e1, (e0 // self.block + 1) * self.block)
-            out.append((e0, b1))
-            e0 = b1
-        return out
+    def batches(self):
+        """The storage blocks, as (b0, b1) element ranges in order."""
+        return [(b0, min(b0 + self.block, self.E))
+                for b0 in range(0, self.E, self.block)]
 
-    def slab(self, factor: np.ndarray, e0: int, e1: int) -> np.ndarray:
-        """View of elements [e0, e1), inside one block, of a stored factor.
+    def slab(self, factor: np.ndarray, b0: int, b1: int) -> np.ndarray:
+        """View of the storage block [b0, b1) of a stored factor.
 
         factor is G, mass_diag, jac_det or an array of the same layout.
-        The view is (6, q, q, q, e1 - e0) for G and (q, q, q, e1 - e0) for
-        the one-slot factors; it is contiguous when [e0, e1) is a block.
+        The view is a contiguous (6, q, q, q, b1 - b0) for G and
+        (q, q, q, b1 - b0) for the one-slot factors.
         """
         q3 = self.q ** 3
         words = factor.size // self.E
         slots = (words // q3,) if words > q3 else ()
-        return block_view(factor, self.block, e0, e1,
-                          slots + (self.q,) * 3)
+        return block_view(factor, b0, b1, slots + (self.q,) * 3)
+
+    def element(self, e: int) -> "GeomFactors":
+        """A one-element geometry holding a copy of element e's factors."""
+        b0, b1 = self.batches()[e // self.block]
+        return GeomFactors(self.q, 1, *(
+            self.slab(a, b0, b1)[..., e - b0].flatten()
+            for a in (self.G, self.mass_diag, self.jac_det)))
 
 
 def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
@@ -317,7 +312,7 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     G, mass_diag, jac_det = (np.empty(n * q ** 3 * E) for n in (6, 1, 1))
     geom = GeomFactors(q, block or batch_size(q), G.view(), mass_diag.view(),
                        jac_det.view())
-    for b0, b1 in geom.batches(0, E):
+    for b0, b1 in geom.batches():
         # Coordinate-major and element-innermost, so each coordinate is a
         # contiguous (p1, p1, p1, B) batch field.  One chain per coordinate
         # keeps every GEMM the size of an apply's: a chain over all three

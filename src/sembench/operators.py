@@ -24,16 +24,13 @@ identity contractions are exact.
 
 Every strategy applies a batch of elements per contraction, as one
 (p1, p1, p1, B) field with the element index innermost, so every 1D
-contraction is one GEMM with a long right-hand side (see tensors).  Local
-vectors are stored in that form: in the blocked layout of mesh.to_blocks,
-cut at the blocks in which the geometric factors are stored, batch_size(q)
-elements each (a working set of about WORKING_SET_WORDS words per field)
-or, for blocked, the 4 or 8 its geometry was built with.  The batches are
-the requested element range cut at those blocks, so a batch that is a
-whole block reads its field as a view of u, writes its result in place
-into out, and reads each factor slot as one contiguous (q, q, q, B) slab.
-A batch that covers part of a block (an element range may start or end
-inside one) is a strided view, copied once.  The output is
+contraction is one GEMM with a long right-hand side (see tensors).  A
+batch is always one whole storage block of the geometric factors:
+batch_size(q) elements each or, for blocked, the 4 or 8 its geometry was
+built with.  Local vectors are stored in the same blocks (mesh.to_blocks),
+so a batch reads its field as a view of u, writes its result in place into
+out, and reads each factor slot as one contiguous (q, q, q, B) slab.  The
+operator diagonal runs over the same blocks.  The output is
 bitwise-identical to per-element application, which the verify suite
 checks.
 
@@ -47,10 +44,7 @@ import numpy as np
 
 from .basis import Basis1D, even_odd_split
 from .mesh import GeomFactors, block_view
-# WORKING_SET_WORDS and batch_size are re-exported: the batch rule lives in
-# tensors, where setup shares it.
-from .tensors import (WORKING_SET_WORDS, OpCounters,  # noqa: F401
-                      batch_size, contract_dir, eo_contract_dir)
+from .tensors import OpCounters, contract_dir, eo_contract_dir
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
 
@@ -160,12 +154,12 @@ class _LocalOperator:
     """Validation, element batching and counting shared by both operators.
 
     Subclasses provide _element_data(b0, b1, ct), which returns the stored
-    factors of a batch as (..., q, q, q, B) slabs and counts their reads,
-    and _apply_block(U, data, ct, out=None), which applies the operator to
-    one batch U of shape (p1, p1, p1, B), writing the result into out (a
-    C-contiguous batch field) when it is given.  Local vectors are in the
-    blocked layout of geom.block elements (see mesh), and every batch is
-    one of those blocks, or the part of one inside an element range.
+    factors of a batch as (..., q, q, q, B) slabs and counts their reads;
+    _apply_block(U, data, ct, out), which applies the operator to one batch
+    U of shape (p1, p1, p1, B) and writes the result into out; and
+    _diagonal_block(b0, b1), the batch's block of the diagonal.  Local
+    vectors are in the blocked layout of geom.block elements (see mesh),
+    and every batch is one whole block, a view of u and of out.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -192,20 +186,20 @@ class _LocalOperator:
             self._j, self._d = basis.J_hat, basis.D_hat
             self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
-    def apply_local(self, u, out=None, elements=None):
-        """Apply the unassembled operator batch by batch.
+    def apply_local(self, u, out=None, batch=None):
+        """Apply the unassembled operator block by block, in place.
 
         Args:
             u: local vector in the layout of geom.block, shape (n_local,)
                 or (ncomp, n_local).
             out: optional output array of the same shape.
-            elements: optional (start, stop) element range; only those
-                elements' locals of out are written.
+            batch: optional storage block index; only that block of out is
+                written.
 
         Returns:
             w with w^e = A^e u^e; each row of a 2D input bitwise-equals
-            the apply of that row alone.  Other elements' locals are zero
-            when a range is given and out is None.
+            the apply of that row alone.  Other blocks' locals are zero
+            when a batch is given and out is None.
         """
         u = np.asarray(u)
         comps = u.shape[0] if u.ndim == 2 else 1
@@ -215,26 +209,31 @@ class _LocalOperator:
             out = np.zeros_like(u)
         p1 = self.basis.p1
         node = (p1, p1, p1)
-        e0, e1 = elements if elements is not None else (0, self.E)
         ct = self.counters if self.instrument else None
         uc, wc = u.reshape(comps, -1), out.reshape(comps, -1)
         block = self.geom.block
-        for b0, b1 in self.geom.batches(e0, e1):
+        for b0 in range(0, self.E, block) if batch is None else [batch * block]:
+            b1 = min(b0 + block, self.E)
             # Element data is read once per batch, shared by the components.
             data = self._element_data(b0, b1, ct)
             if ct is not None:
                 ct.read_words += comps * (b1 - b0) * p1 ** 3
                 ct.write_words += comps * (b1 - b0) * p1 ** 3
-            uv = block_view(uc, block, b0, b1, node)
-            wv = block_view(wc, block, b0, b1, node)
+            uv, wv = block_view(uc, b0, b1, node), block_view(wc, b0, b1, node)
             for c in range(comps):
-                # A whole block is read and written in place; part of one
-                # is copied in and out.
-                U, W = np.ascontiguousarray(uv[c]), wv[c]
-                if W.flags.c_contiguous:
-                    self._apply_block(U, data, ct, W)
-                else:
-                    W[...] = self._apply_block(U, data, ct)
+                self._apply_block(uv[c], data, ct, wv[c])
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """Per-element diagonal of the local operator (unassembled).
+
+        Computed one storage block at a time, like the apply, and written
+        into the local layout, which has the same blocks.
+        """
+        node = (self.basis.p1,) * 3
+        out = np.empty(self.n_local)
+        for b0, b1 in self.geom.batches():
+            block_view(out, b0, b1, node)[...] = self._diagonal_block(b0, b1)
         return out
 
 
@@ -363,6 +362,29 @@ class StiffnessOperator(_LocalOperator):
             ct.g_read_words += 6 * self.basis.q ** 3 * (b1 - b0)
         return self.geom.slab(self.geom.G, b0, b1)
 
+    def _diagonal_block(self, b0, b1):
+        # diag(A^e) at node (c,b,a) sums the metric entries contracted with
+        # squared (or cross-multiplied) rows of J_hat and D_hat.
+        J, D = self.basis.J_hat, self.basis.D_hat
+        pj, pd, px = (np.ascontiguousarray((a * b).T)
+                      for a, b in ((J, J), (D, D), (J, D)))
+        g = self.geom.slab(self.geom.G, b0, b1)
+
+        def term(mx, my, mz, slot, factor):
+            t = contract_dir(mx, g[slot], 0)
+            t = contract_dir(my, t, 1)
+            t = contract_dir(mz, t, 2)
+            t *= factor
+            return t
+
+        d = term(pd, pj, pj, 0, 1.0)      # G11 pairs with D in x
+        d += term(pj, pd, pj, 3, 1.0)     # G22
+        d += term(pj, pj, pd, 5, 1.0)     # G33
+        d += term(px, px, pj, 1, 2.0)     # G12 cross term
+        d += term(px, pj, px, 2, 2.0)     # G13
+        d += term(pj, px, px, 4, 2.0)     # G23
+        return d
+
 
 class MassOperator(_LocalOperator):
     """Matrix-free local mass apply w^e = J3^T B~ J3 u^e.
@@ -396,6 +418,18 @@ class MassOperator(_LocalOperator):
         if ct is not None:
             ct.read_words += self.basis.q ** 3 * (b1 - b0)
         return self.geom.slab(self.geom.mass_diag, b0, b1)
+
+    def _diagonal_block(self, b0, b1):
+        # The J3-squared contraction of the weights, which is the stored
+        # mass_diag itself when collocated.
+        d = self.geom.slab(self.geom.mass_diag, b0, b1)
+        if self.collocated:
+            return d
+        J = self.basis.J_hat
+        pj = np.ascontiguousarray((J * J).T)
+        d = contract_dir(pj, d, 0)
+        d = contract_dir(pj, d, 1)
+        return contract_dir(pj, d, 2)
 
     def _apply_block(self, U, d, ct, out=None):
         if ct is not None:

@@ -27,9 +27,9 @@ element `array_equal` check is the guard.
 The geometric factors and the local vectors are stored in blocks of
 batch_size(q) elements by default (see mesh), so one field of a block holds
 about WORKING_SET_WORDS words and setup temporaries stay that small.  Every
-batched loop (the operators, the geometric factors and the operator
-diagonal) takes those blocks as its batches; the blocked strategy's
-geometry is stored in blocks of 4 or 8 elements instead.
+batched loop (the operators, their diagonal and the geometric factors)
+takes whole blocks as its batches; the blocked strategy's geometry is
+stored in blocks of 4 or 8 elements instead.
 """
 
 from __future__ import annotations
@@ -167,6 +167,6 @@ def eo_contract_dir(factor, u: np.ndarray, direction: int,
 
     if counters is not None:
         rest = u.size // p1
-        counters.fma += (factor.S_plus.size + factor.S_minus.size) * rest
+        counters.fma += factor.fma_count * rest
         counters.add += (2 * ph + 2 * qh) * rest
     return v

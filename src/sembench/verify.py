@@ -82,7 +82,7 @@ def assemble_reference_csr(op, gs, mask: bool = True):
     if op.system == "stiffness":
         Dm = [_kron3(J, J, D), _kron3(J, D, J), _kron3(D, J, J)]
         for e in range(E):
-            g_e = op.geom.slab(op.geom.G, e, e + 1)[..., 0]
+            g_e = op.geom.element(e).G.reshape((6,) + (basis.q,) * 3)
             a_e = np.zeros((p1 ** 3, p1 ** 3))
             for m in range(3):
                 inner = np.zeros_like(Dm[0])
@@ -96,7 +96,7 @@ def assemble_reference_csr(op, gs, mask: bool = True):
     else:
         J3 = _kron3(J, J, J)
         for e in range(E):
-            dvals = op.geom.slab(op.geom.mass_diag, e, e + 1).reshape(-1)
+            dvals = op.geom.element(e).mass_diag
             b_e = J3.T @ (dvals[:, None] * J3)
             rows.append(np.repeat(l2g[e], p1 ** 3))
             cols.append(np.tile(l2g[e], p1 ** 3))
@@ -121,8 +121,8 @@ def inject_geom_fault(geom: GeomFactors, element: int, slot: int,
     same memory access pattern as the original.
     """
     g = geom.G.copy()
-    iz, iy, ix = point
-    geom.slab(g, element, element + 1)[slot, iz, iy, ix] *= scale
+    b0, b1 = geom.batches()[element // geom.block]
+    geom.slab(g, b0, b1)[(slot, *point, element - b0)] *= scale
     return GeomFactors(geom.q, geom.block, g, geom.mass_diag.copy(),
                        geom.jac_det.copy())
 
@@ -177,11 +177,20 @@ def check_csr_equivalence(pairs=((2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
 
 
 def per_element_apply(op, u: np.ndarray) -> np.ndarray:
-    """op.apply_local(u) one element at a time, the batch-free reference."""
-    out = np.zeros_like(u)
+    """op.apply_local(u) one element at a time, the batch-free reference.
+
+    Each element is applied by an operator of op's class and strategy on
+    that element's own factors (geom.element), so no batch is shared.
+    """
+    block, n = op.geom.block, op.basis.p1
+    ue = from_blocks(u, block, n)
+    we = np.empty_like(ue)
     for e in range(op.E):
-        op.apply_local(u, out=out, elements=(e, e + 1))
-    return out
+        one = type(op)(op.basis, op.geom.element(e), op.strategy)
+        # A block of one element is the element-major order.
+        we[..., e:e + 1, :, :, :] = from_blocks(
+            one.apply_local(to_blocks(ue[..., e:e + 1, :, :, :], 1)), 1, n)
+    return to_blocks(we, block)
 
 
 def element_major_apply(op, u: np.ndarray) -> np.ndarray:

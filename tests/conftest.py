@@ -51,7 +51,7 @@ def rng():
 def element_major(geom, factor):
     """(E, ...) copy of a stored geometric factor, read through geom.slab."""
     return np.concatenate([np.moveaxis(geom.slab(factor, b0, b1), -1, 0)
-                           for b0, b1 in geom.batches(0, geom.E)])
+                           for b0, b1 in geom.batches()])
 
 
 def rel_err(got, ref):

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from sembench import tensors
 from sembench.assembly import build_gather_scatter
 from sembench.bakeoff import RunConfig, build_problem, build_rhs
-from sembench.krylov import (DivergenceError, SystemApplier, compute_diagonal,
+from sembench.krylov import (DivergenceError, SystemApplier,
                              make_preconditioner, pcg)
 from sembench.mesh import compute_geometric_factors, from_blocks
 from sembench.operators import MassOperator, StiffnessOperator
@@ -33,14 +33,14 @@ class TestDiagonal:
         s = stack(3, kind, 2)
         op = make_op(system, s)
         csr = assemble_reference_csr(op, s.gs, mask=False)
-        got = s.gs.gather_scatter(compute_diagonal(op), count=False)
+        got = s.gs.gather_scatter(op.diagonal(), count=False)
         ref = csr.diagonal()[s.gs.numbering.local_to_global]
         assert rel_err(got, ref) <= 1e-13
 
     def test_collocated_mass_diagonal_is_exact(self, stack):
         s = stack(4, "GLL", 2)
         op = make_op("mass", s)
-        got = compute_diagonal(op)
+        got = op.diagonal()
         # At GLL the nodes are the quadrature points, so the local layout
         # is the layout of mass_diag itself.
         assert np.array_equal(got, s.geom.mass_diag)
@@ -48,7 +48,7 @@ class TestDiagonal:
     def test_diagonal_is_positive(self, stack):
         s = stack(4, "GL", 3)
         for system in ("stiffness", "mass"):
-            assert np.all(compute_diagonal(make_op(system, s)) > 0)
+            assert np.all(make_op(system, s).diagonal() > 0)
 
 
 class TestBatchedDiagonal:
@@ -59,7 +59,7 @@ class TestBatchedDiagonal:
                                               monkeypatch):
         s = stack(3, kind, 6)                     # 64 elements, one batch
         # Each diagonal is in its geometry's layout; compared element-major.
-        ref = from_blocks(compute_diagonal(make_op(system, s)),
+        ref = from_blocks(make_op(system, s).diagonal(),
                           s.geom.block, 4)
         q = s.basis.q
         for per_batch in (15, 1):                 # 5 and 64 batches
@@ -72,7 +72,7 @@ class TestBatchedDiagonal:
             assert geom.block == per_batch
             op = make_op(system, s, geom)
             assert np.array_equal(
-                from_blocks(compute_diagonal(op), per_batch, 4), ref)
+                from_blocks(op.diagonal(), per_batch, 4), ref)
 
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
     def test_peak_memory_is_output_plus_one_batch(self, system, stack):
@@ -81,7 +81,7 @@ class TestBatchedDiagonal:
         op = make_op(system, s)
         tracemalloc.start()
         try:
-            d = compute_diagonal(op)
+            d = op.diagonal()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -94,7 +94,7 @@ class TestPreconditioner:
         op = make_op("stiffness", s)
         minv = make_preconditioner(op, s.gs)
         d = s.gs.apply_mask(
-            s.gs.gather_scatter(compute_diagonal(op), count=False))
+            s.gs.gather_scatter(op.diagonal(), count=False))
         live = s.gs.mask > 0
         assert np.allclose(minv[live] * d[live], 1.0, atol=1e-15, rtol=0)
         assert np.array_equal(minv[~live], np.ones(np.sum(~live)))
@@ -413,9 +413,9 @@ class TestSystemApplierOut:
         seen = {"local": [], "out": []}
         apply_local, gather = pr.op.apply_local, pr.gs.gather_scatter
 
-        def spy_apply(u, out=None, elements=None):
+        def spy_apply(u, out=None, batch=None):
             seen["local"].append(out)
-            return apply_local(u, out=out, elements=elements)
+            return apply_local(u, out=out, batch=batch)
 
         def spy_gather(u, count=True, out=None):
             seen["out"].append(out)
@@ -431,16 +431,21 @@ class TestSystemApplierOut:
             assert all(b is bufs[0] for b in bufs)
 
     def test_thread_pool_is_bitwise_serial(self):
-        # At q = 9 a storage block is 44 elements, and the partitions of
-        # 128 elements start at 42 and 85, inside blocks.
+        # At q = 9 a storage block is 44 elements, so 128 elements are
+        # blocks of 44, 44 and 40, whatever the 3 rank partitions are.
         pr = build_problem(RunConfig(bp=3, p=7, k=7, ranks=3, mode="bk"))
-        assert pr.geom.block == 44
-        assert [e0 for e0, _ in pr.gs.partitions] == [0, 42, 85]
+        assert pr.geom.batches() == [(0, 44), (44, 88), (88, 128)]
         u = np.random.default_rng(4).standard_normal(pr.gs.n_local)
         serial = SystemApplier(pr.op, pr.gs)
         with ThreadPoolExecutor(max_workers=2) as pool:
+            tasks = []
+            submit = pool.submit
+            pool.submit = lambda fn, *args: tasks.append(args) or submit(
+                fn, *args)
             pooled = SystemApplier(pr.op, pr.gs, pool)
             assert np.array_equal(pooled.apply_local(u), serial.apply_local(u))
+            # One task per storage block.
+            assert [batch for _, _, batch in tasks] == [0, 1, 2]
             assert np.array_equal(pooled(u, count=False),
                                   serial(u, count=False))
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from sembench.bakeoff import BLOCK_SIZES, ConfigError, RunConfig, build_problem
 from sembench.mesh import (build_box_mesh, compute_geometric_factors,
                            from_blocks)
 from sembench.assembly import build_gather_scatter, build_numbering
+from sembench.krylov import SystemApplier
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
-                                StiffnessOperator, batch_size, bytes_model,
+                                StiffnessOperator, bytes_model,
                                 collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
+from sembench.tensors import batch_size
 from sembench.verify import (assemble_reference_csr, element_major_apply,
                              per_element_apply)
 
@@ -234,8 +237,7 @@ class TestStrategies:
             assert np.array_equal(element_major_apply(op, u), ref)
         # Every strategy on E = 64 elements: the default strategies in
         # blocks of batch_size(9) = 44 (more than and not a multiple of),
-        # blocked in blocks of 4 and 8; and on an element range that
-        # starts and ends inside a block.
+        # blocked in blocks of 4 and 8.
         s = stack(7, "GL", 6)
         assert batch_size(s.basis.q) == 44
         for system in ("stiffness", "mass"):
@@ -243,14 +245,8 @@ class TestStrategies:
                    for strategy in STRATEGIES if strategy != "blocked"]
             for op in ops + blocked_ops(system, s):
                 u = rng.standard_normal(op.n_local)
-                ref = per_element_apply(op, u)
-                assert np.array_equal(op.apply_local(u), ref)
-                block = op.geom.block
-                part = from_blocks(op.apply_local(u, elements=(5, 50)),
-                                   block, 8)
-                ref = from_blocks(ref, block, 8)
-                assert np.array_equal(part[5:50], ref[5:50])
-                assert not part[:5].any() and not part[50:].any()
+                assert np.array_equal(op.apply_local(u),
+                                      per_element_apply(op, u))
 
     def test_mass_strategies_agree(self, stack, rng):
         s = stack(3, "GL", 2)
@@ -369,23 +365,34 @@ class TestLifetime:
 
 
 class TestApplyMechanics:
-    def test_element_range_writes_only_that_slice(self, stack, rng):
-        s = stack(3, "GL", 2)
+    def test_batch_writes_only_that_block(self, stack, rng):
+        # E = 64 at q = 9: blocks of 44 and a ragged last block of 20.
+        s = stack(7, "GL", 6)
         op = make_op("stiffness", s)
-        u = rng.standard_normal(op.n_local)
-        block = s.geom.block
-        full = from_blocks(op.apply_local(u), block, 4)
-        part = from_blocks(op.apply_local(u, elements=(1, 3)), block, 4)
-        assert np.array_equal(part[1:3], full[1:3])
-        assert not part[0].any() and not part[3].any()
+        u = rng.standard_normal((3, op.n_local))
+        full = from_blocks(op.apply_local(u), s.geom.block, 8)
+        for i, (b0, b1) in enumerate(s.geom.batches()):
+            part = from_blocks(op.apply_local(u, batch=i), s.geom.block, 8)
+            assert np.array_equal(part[:, b0:b1], full[:, b0:b1])
+            assert not part[:, :b0].any() and not part[:, b1:].any()
+
+    def test_batches_tile_the_full_apply(self, stack, rng):
+        s = stack(7, "GL", 6)
+        assert s.geom.batches() == [(0, 44), (44, 64)]
+        for system in ("stiffness", "mass"):
+            op = make_op(system, s)
+            u = rng.standard_normal(op.n_local)
+            out = np.full_like(u, np.nan)
+            for i in range(2):
+                op.apply_local(u, out=out, batch=i)
+            assert np.array_equal(out, op.apply_local(u))
 
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
     def test_whole_block_batches_are_views(self, system, stack, rng,
                                            monkeypatch):
-        # E = 64 at q = 9: a block of 44 elements and one of 20.  A batch
-        # that is a whole block reads u and writes w in place; a part of
-        # one is copied in and out.
-        def batches(op, elements=None):
+        # Every batch of every strategy is one whole storage block, read
+        # from u and written into w in place.
+        def batches(op):
             u = rng.standard_normal((3, op.n_local))
             w = np.zeros_like(u)
             seen = []
@@ -397,14 +404,15 @@ class TestApplyMechanics:
                 return apply_block(op, U, data, ct, out)
 
             monkeypatch.setattr(op, "_apply_block", spy)
-            op.apply_local(u, out=w, elements=elements)
+            op.apply_local(u, out=w)
             return seen
 
+        # E = 64 at q = 9: a block of 44 elements and one of 20.
         s = stack(7, "GL", 6)
-        op = make_op(system, s)
-        assert batches(op) == [(44, True, True)] * 3 + [(20, True, True)] * 3
-        assert batches(op, (5, 50)) == ([(39, False, False)] * 3
-                                        + [(6, False, False)] * 3)
+        for strategy in ("sumfact", "interpfirst", "evenodd"):
+            op = make_op(system, s, strategy=strategy)
+            assert batches(op) == ([(44, True, True)] * 3
+                                   + [(20, True, True)] * 3)
         # blocked as a run builds it: every batch is one of its blocks.
         bp = 3 if system == "stiffness" else 1
         for block in BLOCK_SIZES:
@@ -416,29 +424,17 @@ class TestApplyMechanics:
     @pytest.mark.parametrize("ranks", [3, 8])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_partitions_inside_one_block(self, ranks, strategy, stack, rng):
-        # E = 8 in one block: every partition is a strided column range
-        # of it.  Its apply writes exactly its elements' locals, with the
-        # bits of the per-element apply.
+        # E = 8 in one block, cut into rank partitions: a pooled system
+        # apply still runs the block whole, with the bits of the
+        # per-element apply.
         s = stack(3, "GL", 3, ranks=ranks)
-        assert s.geom.block > s.mesh.E
+        assert s.geom.batches() == [(0, s.mesh.E)]
+        assert len(s.gs.partitions) == ranks
         op = make_op("stiffness", s, strategy=strategy)
         u = rng.standard_normal((3, op.n_local))
-        ref = from_blocks(per_element_apply(op, u), s.geom.block, 4)
-        for e0, e1 in s.gs.partitions:
-            out = np.full_like(u, np.nan)
-            op.apply_local(u, out=out, elements=(e0, e1))
-            got = from_blocks(out, s.geom.block, 4)
-            assert np.array_equal(got[:, e0:e1], ref[:, e0:e1])
-            assert np.isnan(got[:, :e0]).all() and np.isnan(got[:, e1:]).all()
-
-    def test_ranges_tile_the_full_apply(self, stack, rng):
-        s = stack(3, "GL", 2)
-        op = make_op("stiffness", s)
-        u = rng.standard_normal(op.n_local)
-        out = np.zeros_like(u)
-        op.apply_local(u, out=out, elements=(0, 2))
-        op.apply_local(u, out=out, elements=(2, 4))
-        assert np.array_equal(out, op.apply_local(u))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = SystemApplier(op, s.gs, pool).apply_local(u)
+        assert np.array_equal(got, per_element_apply(op, u))
 
     def test_vector_apply_components_bitwise_equal_scalar(self, stack, rng):
         s = stack(3, "GL", 2)
