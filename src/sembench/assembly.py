@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoxMesh, lattice_index, to_blocks
+from .mesh import BoxMesh, lattice_index, storage_block, to_blocks
 
 
 @dataclass
@@ -70,12 +70,17 @@ def build_numbering(mesh: BoxMesh, block: int = 1) -> GlobalNumbering:
 
     Coincident physical nodes (shared faces/edges/vertices) get the same id;
     multiplicity counts how many elements share each global node.  The
-    locals are in the blocked layout of `block` elements (mesh.to_blocks);
-    an operator's layout is its geometry's block.
+    locals are in the blocked layout of mesh.storage_block(block, E)
+    elements (mesh.to_blocks); an operator's layout is its geometry's
+    block.
+
+    Raises:
+        MeshError: if block neither divides E nor holds all of it.
     """
     gx, gy, gz = lattice_index(mesh.dims, mesh.p)
     nx, ny = (mesh.p * d + 1 for d in mesh.dims[:2])
     gid = gx + nx * (gy + ny * gz)
+    block = storage_block(block, mesh.E)
     l2g = to_blocks(gid, block).astype(np.int64, copy=False)
     mult = np.bincount(l2g, minlength=mesh.n_true)
     return GlobalNumbering(l2g, mesh.n_true, mult, block)

@@ -32,7 +32,8 @@ from .assembly import GatherScatter, build_gather_scatter
 from .basis import MAX_P, Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
 from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
-                   build_box_mesh, compute_geometric_factors, to_blocks)
+                   build_box_mesh, compute_geometric_factors, storage_block,
+                   to_blocks)
 from .operators import STRATEGIES, MassOperator, StiffnessOperator
 from .tensors import WORKING_SET_WORDS
 
@@ -185,8 +186,9 @@ class Problem:
 
 def make_operator(spec: BPSpec, basis: Basis1D, geom: GeomFactors,
                   strategy: str, block: int, instrument: bool = False):
-    """The problem's operator; blocked needs geom in blocks of `block`."""
-    if strategy == "blocked" and geom.block != block:
+    """The problem's operator; blocked needs geom in blocks of `block`,
+    capped at E (storage_block)."""
+    if strategy == "blocked" and geom.block != storage_block(block, geom.E):
         raise ValueError(f"blocked with block {block} needs a geometry "
                          f"stored in blocks of {block}, not {geom.block}")
     cls = StiffnessOperator if spec.system == "stiffness" else MassOperator
@@ -216,14 +218,16 @@ def estimate_bytes(config: RunConfig) -> int:
 
     Setup and the operator run in element batches, so their temporaries
     are a fixed cost; what grows with the mesh is the stored geometric
-    factors, the mesh, the plan and the vectors.
+    factors, the mesh, the plan and the vectors.  A batch field holds
+    batch_size(q) q^3 <= WORKING_SET_WORDS words, so the allowance of 24
+    such fields bounds the temporaries of one block.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
     # coordinates (3); the numbering's map and multiplicity, the plan's
     # slot index and weights and the preconditioner's diagonal (about 5);
     # and per component the right-hand side, the six PCG vectors, the
     # A_L u output and the global-length sums (about 8).  The factors and
-    # the local vectors are stored in the same ragged blocks, with no
+    # the local vectors are stored in the same full blocks, with no
     # padding.  Setup's metric terms take about 24 batch fields, enough
     # for an apply on up to three threads, whose batches read and write
     # the local vectors in place.

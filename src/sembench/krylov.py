@@ -72,7 +72,7 @@ class SystemApplier:
         """
         if out is None:
             out = np.empty_like(u)
-        blocks = len(self.op.geom.batches())
+        blocks = self.op.E // self.op.geom.block
         if self.executor is None or blocks == 1 or self.op.instrument:
             return self.op.apply_local(u, out=out)
         futures = [self.executor.submit(self.op.apply_local, u, out, i)

@@ -15,12 +15,12 @@ batch_size(q) elements (4 or 8 for blocked), element index innermost, the
 layout of the operator batches that read them (see GeomFactors), so setup
 holds the stored factors plus one block of temporaries.
 
-Local vectors (one value per element node) use the same cut: for each
-storage block [b0, b1) the vector holds one contiguous C-ordered
-(p1, p1, p1, b1 - b0) slab at [b0 p1^3, b1 p1^3).  A block of 1 is the
-element-major order.  to_blocks and from_blocks convert per-element
-(..., E, n, n, n) arrays to and from that layout, and block_view is the one
-reader of a whole block, for the factors and the local vectors alike;
+E is a power of two and so is every block, so a block either divides E or
+is capped at E (storage_block); every block is full.  A blocked array is
+then a plain C-ordered (..., E/B, n, n, n, B) array and block i is [i].
+Local vectors (one value per element node) are its flattening, (..., E n^3);
+a block of 1 is the element-major order.  to_blocks and from_blocks convert
+per-element (..., E, n, n, n) arrays to and from that layout, and
 GeomFactors.element copies out one element's factors.
 """
 
@@ -131,50 +131,39 @@ def lattice_index(dims: tuple, p: int) -> tuple:
     return gx[:, None, None, :], gy[:, None, :, None], gz[:, :, None, None]
 
 
+def storage_block(block: int, E: int) -> int:
+    """The stored block of `block` elements on a mesh of E: min(block, E).
+
+    Raises:
+        MeshError: unless block divides E or is at least E, so every
+            stored block is full.
+    """
+    if block < 1 or (block < E and E % block):
+        raise MeshError(f"a block of {block} elements neither divides "
+                        f"E = {E} nor holds all of them")
+    return min(block, E)
+
+
 def to_blocks(a: np.ndarray, block: int) -> np.ndarray:
     """Per-element node array (..., E, n, n, n) in the blocked layout.
 
-    Returns a new C-ordered (..., E n^3) array in which each block [b0, b1)
-    of `block` elements (the last holds the rest) is one (n, n, n, b1 - b0)
-    slab at [b0 n^3, b1 n^3), element index innermost.
+    Returns a new C-ordered (..., E n^3) array, the flattening of
+    (..., E/B, n, n, n, B) with B = storage_block(block, E): element index
+    innermost within each block.
     """
     lead, node, E = a.shape[:-4], a.shape[-3:], a.shape[-4]
-    words, full = int(np.prod(node)), E - E % block
-    out = np.empty(lead + (E * words,), dtype=a.dtype)
-    out[..., :full * words].reshape(lead + (full // block,) + node
-                                    + (block,))[...] = np.moveaxis(
-        a[..., :full, :, :, :].reshape(lead + (full // block, block) + node),
-        -4, -1)
-    out[..., full * words:].reshape(lead + node + (E - full,))[...] = \
-        np.moveaxis(a[..., full:, :, :, :], -4, -1)
-    return out
+    block = storage_block(block, E)
+    return np.moveaxis(a.reshape(lead + (E // block, block) + node),
+                       -4, -1).copy().reshape(lead + (-1,))
 
 
 def from_blocks(u: np.ndarray, block: int, n: int) -> np.ndarray:
     """The inverse of to_blocks: (..., E n^3) to a new (..., E, n, n, n)."""
-    lead, node, words = u.shape[:-1], (n, n, n), n ** 3
-    E = u.shape[-1] // words
-    full = E - E % block
-    out = np.empty(lead + (E,) + node, dtype=u.dtype)
-    out[..., :full, :, :, :].reshape(lead + (full // block, block)
-                                     + node)[...] = np.moveaxis(
-        u[..., :full * words].reshape(lead + (full // block,) + node
-                                      + (block,)), -1, -4)
-    out[..., full:, :, :, :] = np.moveaxis(
-        u[..., full * words:].reshape(lead + node + (E - full,)), -1, -4)
-    return out
-
-
-def block_view(a: np.ndarray, b0: int, b1: int, shape: tuple) -> np.ndarray:
-    """View of the storage block [b0, b1) of a blocked array.
-
-    a holds prod(shape) words per element along its last axis, and [b0, b1)
-    must be one of its blocks; the view is (..., *shape, b1 - b0),
-    contiguous per leading index.
-    """
-    words = int(np.prod(shape))
-    return a[..., words * b0:words * b1].reshape(
-        a.shape[:-1] + tuple(shape) + (b1 - b0,))
+    lead, node = u.shape[:-1], (n, n, n)
+    E = u.shape[-1] // n ** 3
+    block = storage_block(block, E)
+    return np.moveaxis(u.reshape(lead + (E // block,) + node + (block,)),
+                       -1, -4).copy().reshape(lead + (E,) + node)
 
 
 def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
@@ -233,18 +222,15 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
 class GeomFactors:
     """Quadrature-point geometry: G tensor, mass diagonal, Jacobian det.
 
-    Elements are stored in blocks of `block` elements (the last block holds
-    the rest), each factor as one flat array.  In G, block [b0, b1) is one
-    contiguous (6, q, q, q, b1 - b0) slab in the slot order (G11, G12, G13,
-    G22, G23, G33); in mass_diag and jac_det it is one (q, q, q, b1 - b0)
-    slab.  The element index is innermost, as in an operator batch, so a
-    batch reads each metric slot as one contiguous block.  Exactly 8 q^3
-    stored reals per element.  slab() reads a block, through block_view.
-    Local vectors are stored in the same blocks.
+    Elements are stored in E/B blocks of B = `block` elements each, element
+    index innermost: G is a C-ordered (E/B, 6, q, q, q, B) array in the
+    slot order (G11, G12, G13, G22, G23, G33), and mass_diag and jac_det
+    are (E/B, q, q, q, B).  So block i of a factor is [i], and a batch
+    reads each metric slot as one contiguous (q, q, q, B) block.  Exactly
+    8 q^3 stored reals per element.  q, block and E are read from the
+    shapes.  Local vectors are stored in the same blocks.
     """
 
-    q: int
-    block: int
     G: np.ndarray
     mass_diag: np.ndarray
     jac_det: np.ndarray
@@ -254,32 +240,22 @@ class GeomFactors:
             a.flags.writeable = False
 
     @property
+    def q(self) -> int:
+        return self.jac_det.shape[1]
+
+    @property
+    def block(self) -> int:
+        return self.jac_det.shape[-1]
+
+    @property
     def E(self) -> int:
-        return self.jac_det.size // self.q ** 3
-
-    def batches(self):
-        """The storage blocks, as (b0, b1) element ranges in order."""
-        return [(b0, min(b0 + self.block, self.E))
-                for b0 in range(0, self.E, self.block)]
-
-    def slab(self, factor: np.ndarray, b0: int, b1: int) -> np.ndarray:
-        """View of the storage block [b0, b1) of a stored factor.
-
-        factor is G, mass_diag, jac_det or an array of the same layout.
-        The view is a contiguous (6, q, q, q, b1 - b0) for G and
-        (q, q, q, b1 - b0) for the one-slot factors.
-        """
-        q3 = self.q ** 3
-        words = factor.size // self.E
-        slots = (words // q3,) if words > q3 else ()
-        return block_view(factor, b0, b1, slots + (self.q,) * 3)
+        return self.jac_det.shape[0] * self.block
 
     def element(self, e: int) -> "GeomFactors":
         """A one-element geometry holding a copy of element e's factors."""
-        b0, b1 = self.batches()[e // self.block]
-        return GeomFactors(self.q, 1, *(
-            self.slab(a, b0, b1)[..., e - b0].flatten()
-            for a in (self.G, self.mass_diag, self.jac_det)))
+        i, j = divmod(e, self.block)
+        return GeomFactors(*(a[i, ..., j:j + 1][None].copy()
+                             for a in (self.G, self.mass_diag, self.jac_det)))
 
 
 def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
@@ -290,14 +266,16 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     coordinates, inverted in closed form (3x3 adjugate), and combined with
     the determinant and quadrature weights into
     G_mm' = sum_l (dr_m/dx_l)(dr_m'/dx_l) * J * rho_i rho_j rho_k.
-    Elements are stored and processed in blocks of `block` elements
-    (default batch_size(q)), one contraction chain per reference direction
-    and coordinate of a block.
+    Elements are stored and processed in blocks of
+    storage_block(block, E) elements (block defaults to batch_size(q)),
+    one contraction chain per reference direction and coordinate of a
+    block.
 
     Raises:
         MeshError: if any quadrature point has a non-positive or nearly
             singular Jacobian determinant (inverted element); the message
-            names the global element index.
+            names the global element index.  Also if block neither
+            divides E nor holds all of it.
     """
     if basis.p != mesh.p:
         raise MeshError("basis order must match mesh geometry order")
@@ -307,19 +285,19 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     hx, hy, hz = mesh.element_widths
     floor = 1e-14 * abs(hx * hy * hz)
 
-    # The geometry holds frozen views of these buffers; the loop fills
-    # each block through the geometry's own slab().
-    G, mass_diag, jac_det = (np.empty(n * q ** 3 * E) for n in (6, 1, 1))
-    geom = GeomFactors(q, block or batch_size(q), G.view(), mass_diag.view(),
-                       jac_det.view())
-    for b0, b1 in geom.batches():
+    block = storage_block(block or batch_size(q), E)
+    G = np.empty((E // block, 6) + (q,) * 3 + (block,))
+    mass_diag, jac_det = (np.empty((E // block,) + (q,) * 3 + (block,))
+                          for _ in range(2))
+    for i in range(E // block):
+        b0 = i * block
         # Coordinate-major and element-innermost, so each coordinate is a
         # contiguous (p1, p1, p1, B) batch field.  One chain per coordinate
         # keeps every GEMM the size of an apply's: a chain over all three
         # crosses OpenBLAS's threading threshold, and its threads ran setup
         # 2x slower on a busy host.
         coords = np.ascontiguousarray(
-            mesh.elem_coords[b0:b1].transpose(1, 2, 3, 4, 0))
+            mesh.elem_coords[b0:b0 + block].transpose(1, 2, 3, 4, 0))
         # dxdr[m][l] = d x_l / d r_m at every quadrature point.
         dxdr = [[None] * 3 for _ in range(3)]
         for m in range(3):
@@ -357,12 +335,11 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
         # The Jacobian entries are not needed past here; dropping them
         # before the G products lowers the batch's peak memory.
         del dxdr, xr, yr, zr, xs, ys, zs, xt, yt, zt, inv_det
-        wj = np.multiply(w3, det, out=geom.slab(mass_diag, b0, b1))
-        geom.slab(jac_det, b0, b1)[...] = det
-        g = geom.slab(G, b0, b1)
+        wj = np.multiply(w3, det, out=mass_diag[i])
+        jac_det[i] = det
         for (m, mp), slot in G_INDEX.items():
             acc = drdx[m][0] * drdx[mp][0]
             acc += drdx[m][1] * drdx[mp][1]
             acc += drdx[m][2] * drdx[mp][2]
-            np.multiply(acc, wj, out=g[slot])
-    return geom
+            np.multiply(acc, wj, out=G[i, slot])
+    return GeomFactors(G, mass_diag, jac_det)

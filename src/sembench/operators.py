@@ -26,11 +26,12 @@ Every strategy applies a batch of elements per contraction, as one
 (p1, p1, p1, B) field with the element index innermost, so every 1D
 contraction is one GEMM with a long right-hand side (see tensors).  A
 batch is always one whole storage block of the geometric factors:
-batch_size(q) elements each or, for blocked, the 4 or 8 its geometry was
-built with.  Local vectors are stored in the same blocks (mesh.to_blocks),
-so a batch reads its field as a view of u, writes its result in place into
-out, and reads each factor slot as one contiguous (q, q, q, B) slab.  The
-operator diagonal runs over the same blocks.  The output is
+batch_size(q) elements or, for blocked, the 4 or 8 its geometry was built
+with, either capped at E.  Local vectors are stored in the same blocks
+(mesh.to_blocks), so u viewed as (E/B, p1, p1, p1, B) gives batch i as
+[i], read in place; the result is written in place into out, and each
+factor slot is read as one contiguous (q, q, q, B) block.  The operator
+diagonal runs over the same blocks.  The output is
 bitwise-identical to per-element application, which the verify suite
 checks.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import Basis1D, even_odd_split
-from .mesh import GeomFactors, block_view
+from .mesh import GeomFactors
 from .tensors import OpCounters, contract_dir, eo_contract_dir
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
@@ -153,13 +154,14 @@ def bytes_model(p: int, q: int, components: int = 1,
 class _LocalOperator:
     """Validation, element batching and counting shared by both operators.
 
-    Subclasses provide _element_data(b0, b1, ct), which returns the stored
-    factors of a batch as (..., q, q, q, B) slabs and counts their reads;
+    Subclasses provide _element_data(i, ct), which returns the stored
+    factors of block i as (..., q, q, q, B) arrays and counts their reads;
     _apply_block(U, data, ct, out), which applies the operator to one batch
     U of shape (p1, p1, p1, B) and writes the result into out; and
-    _diagonal_block(b0, b1), the batch's block of the diagonal.  Local
-    vectors are in the blocked layout of geom.block elements (see mesh),
-    and every batch is one whole block, a view of u and of out.
+    _diagonal_block(i), block i of the diagonal.  Local vectors are in the
+    blocked layout of geom.block elements, (..., E/B, p1, p1, p1, B)
+    flattened (see mesh), and every batch is one whole block, a view of u
+    and of out.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -207,21 +209,18 @@ class _LocalOperator:
             raise ValueError(f"expected local vector of length {self.n_local}")
         if out is None:
             out = np.zeros_like(u)
-        p1 = self.basis.p1
-        node = (p1, p1, p1)
+        p1, block = self.basis.p1, self.geom.block
         ct = self.counters if self.instrument else None
-        uc, wc = u.reshape(comps, -1), out.reshape(comps, -1)
-        block = self.geom.block
-        for b0 in range(0, self.E, block) if batch is None else [batch * block]:
-            b1 = min(b0 + block, self.E)
+        shape = (comps, self.E // block) + (p1,) * 3 + (block,)
+        uv, wv = u.reshape(shape), out.reshape(shape)
+        for i in range(self.E // block) if batch is None else (batch,):
             # Element data is read once per batch, shared by the components.
-            data = self._element_data(b0, b1, ct)
+            data = self._element_data(i, ct)
             if ct is not None:
-                ct.read_words += comps * (b1 - b0) * p1 ** 3
-                ct.write_words += comps * (b1 - b0) * p1 ** 3
-            uv, wv = block_view(uc, b0, b1, node), block_view(wc, b0, b1, node)
+                ct.read_words += comps * block * p1 ** 3
+                ct.write_words += comps * block * p1 ** 3
             for c in range(comps):
-                self._apply_block(uv[c], data, ct, wv[c])
+                self._apply_block(uv[c, i], data, ct, wv[c, i])
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -230,11 +229,11 @@ class _LocalOperator:
         Computed one storage block at a time, like the apply, and written
         into the local layout, which has the same blocks.
         """
-        node = (self.basis.p1,) * 3
-        out = np.empty(self.n_local)
-        for b0, b1 in self.geom.batches():
-            block_view(out, b0, b1, node)[...] = self._diagonal_block(b0, b1)
-        return out
+        block = self.geom.block
+        out = np.empty((self.E // block,) + (self.basis.p1,) * 3 + (block,))
+        for i in range(self.E // block):
+            out[i] = self._diagonal_block(i)
+        return out.reshape(-1)
 
 
 class StiffnessOperator(_LocalOperator):
@@ -357,18 +356,18 @@ class StiffnessOperator(_LocalOperator):
         wr, ws, wt = self._apply_g(*self._grad(self, U, ct), g, ct)
         return self._grad_t(self, wr, ws, wt, ct, out)
 
-    def _element_data(self, b0, b1, ct):
+    def _element_data(self, i, ct):
         if ct is not None:
-            ct.g_read_words += 6 * self.basis.q ** 3 * (b1 - b0)
-        return self.geom.slab(self.geom.G, b0, b1)
+            ct.g_read_words += 6 * self.basis.q ** 3 * self.geom.block
+        return self.geom.G[i]
 
-    def _diagonal_block(self, b0, b1):
+    def _diagonal_block(self, i):
         # diag(A^e) at node (c,b,a) sums the metric entries contracted with
         # squared (or cross-multiplied) rows of J_hat and D_hat.
         J, D = self.basis.J_hat, self.basis.D_hat
         pj, pd, px = (np.ascontiguousarray((a * b).T)
                       for a, b in ((J, J), (D, D), (J, D)))
-        g = self.geom.slab(self.geom.G, b0, b1)
+        g = self.geom.G[i]
 
         def term(mx, my, mz, slot, factor):
             t = contract_dir(mx, g[slot], 0)
@@ -414,15 +413,15 @@ class MassOperator(_LocalOperator):
         U = self._contract(J, U, 1, ct)
         return self._contract(J, U, 2, ct, out)
 
-    def _element_data(self, b0, b1, ct):
+    def _element_data(self, i, ct):
         if ct is not None:
-            ct.read_words += self.basis.q ** 3 * (b1 - b0)
-        return self.geom.slab(self.geom.mass_diag, b0, b1)
+            ct.read_words += self.basis.q ** 3 * self.geom.block
+        return self.geom.mass_diag[i]
 
-    def _diagonal_block(self, b0, b1):
+    def _diagonal_block(self, i):
         # The J3-squared contraction of the weights, which is the stored
         # mass_diag itself when collocated.
-        d = self.geom.slab(self.geom.mass_diag, b0, b1)
+        d = self.geom.mass_diag[i]
         if self.collocated:
             return d
         J = self.basis.J_hat

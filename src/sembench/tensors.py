@@ -25,11 +25,12 @@ BLAS promises nothing about that.  The verify suite's batched-versus-per-
 element `array_equal` check is the guard.
 
 The geometric factors and the local vectors are stored in blocks of
-batch_size(q) elements by default (see mesh), so one field of a block holds
-about WORKING_SET_WORDS words and setup temporaries stay that small.  Every
-batched loop (the operators, their diagonal and the geometric factors)
-takes whole blocks as its batches; the blocked strategy's geometry is
-stored in blocks of 4 or 8 elements instead.
+batch_size(q) elements by default, a power of two capped at E (see mesh),
+so one field of a block holds at most WORKING_SET_WORDS words and setup
+temporaries stay that small.  Every batched loop (the operators, their
+diagonal and the geometric factors) takes whole blocks as its batches; the
+blocked strategy's geometry is stored in blocks of 4 or 8 elements
+instead.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ WORKING_SET_WORDS = 2 ** 15
 
 
 def batch_size(q: int) -> int:
-    """Default elements per batch: max(1, WORKING_SET_WORDS // q^3)."""
-    return max(1, WORKING_SET_WORDS // q ** 3)
+    """Default elements per batch: the largest power of two that is at most
+    max(1, WORKING_SET_WORDS // q^3), so that it divides E = 2^k or covers
+    it."""
+    return 1 << (max(1, WORKING_SET_WORDS // q ** 3).bit_length() - 1)
 
 
 @dataclass

@@ -96,7 +96,7 @@ def assemble_reference_csr(op, gs, mask: bool = True):
     else:
         J3 = _kron3(J, J, J)
         for e in range(E):
-            dvals = op.geom.element(e).mass_diag
+            dvals = op.geom.element(e).mass_diag.reshape(-1)
             b_e = J3.T @ (dvals[:, None] * J3)
             rows.append(np.repeat(l2g[e], p1 ** 3))
             cols.append(np.tile(l2g[e], p1 ** 3))
@@ -121,10 +121,9 @@ def inject_geom_fault(geom: GeomFactors, element: int, slot: int,
     same memory access pattern as the original.
     """
     g = geom.G.copy()
-    b0, b1 = geom.batches()[element // geom.block]
-    geom.slab(g, b0, b1)[(slot, *point, element - b0)] *= scale
-    return GeomFactors(geom.q, geom.block, g, geom.mass_diag.copy(),
-                       geom.jac_det.copy())
+    i, j = divmod(element, geom.block)
+    g[(i, slot, *point, j)] *= scale
+    return GeomFactors(g, geom.mass_diag.copy(), geom.jac_det.copy())
 
 
 def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
@@ -206,8 +205,8 @@ class SumfactDataflow(StiffnessOperator):
     dataflow, so this is the independent reference they are held to there.
     """
 
-    def __init__(self, basis, geom):
-        super().__init__(basis, geom, strategy="sumfact")
+    def __init__(self, basis, geom, strategy="sumfact"):
+        super().__init__(basis, geom, strategy)
         self._grad = StiffnessOperator._grad_sumfact
         self._grad_t = StiffnessOperator._grad_t_sumfact
 
@@ -221,8 +220,9 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
     blocked on geometries stored in both of its block sizes must match it
     to rtol on every input, compared element by element (from_blocks).  At
     GLL collocation all five operators must also match the generic sumfact
-    dataflow (SumfactDataflow) to rtol.  Each strategy's batched apply must
-    also bitwise-equal its per-element apply.
+    dataflow (SumfactDataflow) to rtol.  Each strategy's batched apply, and
+    at GLL the generic dataflow's, must also bitwise-equal its per-element
+    apply.
     """
     worst = 0.0
     worst_case = ""
@@ -242,11 +242,13 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
             inputs = rng.standard_normal((n_inputs, mesh.E) + (basis.p1,) * 3)
             refs = element_major_apply(ref_op, inputs)
             cases = [(op, refs, "") for op in others]
+            batched = [ref_op] + others
             if basis.collocated:
-                grefs = element_major_apply(SumfactDataflow(basis, geom),
-                                            inputs)
+                generic = SumfactDataflow(basis, geom)
+                grefs = element_major_apply(generic, inputs)
                 cases += [(op, grefs, " vs generic sumfact")
-                          for op in [ref_op] + others]
+                          for op in batched]
+                batched.append(generic)
             for op, want, against in cases:
                 for got, ref in zip(element_major_apply(op, inputs), want):
                     err = _rel_err(got, ref)
@@ -254,10 +256,11 @@ def check_strategy_equivalence(p_list=range(1, 11), kinds=("GL", "GLL"),
                         worst = err
                         worst_case = f"{op.strategy} p={p} {kind}{against}"
             flat = inputs.reshape(n_inputs, -1)
-            for op in [ref_op] + others:
+            for op in batched:
                 if not np.array_equal(op.apply_local(flat),
                                       per_element_apply(op, flat)):
-                    batch_mismatch = f"{op.strategy} p={p} {kind}"
+                    batch_mismatch = (f"{type(op).__name__} {op.strategy} "
+                                      f"p={p} {kind}")
     passed = worst <= rtol and not batch_mismatch
     batch = (f"differs for {batch_mismatch}" if batch_mismatch
              else "bitwise equal")
@@ -328,16 +331,17 @@ def check_qtq_multiplicity(cases=((0, 1), (1, 2), (3, 3), (6, 3)),
 
     The explicit sparse Q built here is the oracle; E up to 64, p up to 3.
     Every case runs in the local layouts of blocks of 1 element (the
-    element-major order) and of 3, where partition boundaries fall inside
-    blocks, and at each rank count in `ranks` (capped at E); at k = 6 and
-    8 ranks, partitions that are not neighbours in rank order share nodes.
+    element-major order) and of 4, capped at E, where partition boundaries
+    fall inside blocks at k = 1 and k = 3, and at each rank count in
+    `ranks` (capped at E); at k = 6 and 8 ranks, partitions that are not
+    neighbours in rank order share nodes.
     Every local copy of a node must hold the bitwise-same sum.
     """
     worst = 0.0
     worst_case = ""
     split_case = ""
     rng = np.random.default_rng(99)
-    for (k, p), block in itertools.product(cases, (1, 3)):
+    for (k, p), block in itertools.product(cases, (1, 4)):
         mesh = build_box_mesh(k, p)
         numbering = build_numbering(mesh, block)
         l2g = numbering.local_to_global

@@ -49,9 +49,8 @@ def rng():
 
 
 def element_major(geom, factor):
-    """(E, ...) copy of a stored geometric factor, read through geom.slab."""
-    return np.concatenate([np.moveaxis(geom.slab(factor, b0, b1), -1, 0)
-                           for b0, b1 in geom.batches()])
+    """(E, ...) copy of a stored (E/B, ..., B) geometric factor."""
+    return np.moveaxis(factor, -1, 1).reshape((geom.E,) + factor.shape[1:-1])
 
 
 def rel_err(got, ref):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sembench.assembly import (GatherScatter, build_gather_scatter,
                                build_numbering)
-from sembench.mesh import build_box_mesh, to_blocks
+from sembench.mesh import MeshError, build_box_mesh, to_blocks
 from sembench.verify import build_q_matrix
 
 
@@ -49,6 +49,17 @@ class TestNumbering:
         mesh = build_box_mesh(3, 2)
         num = build_numbering(mesh)
         assert num.multiplicity.max() == 8
+
+    def test_block_is_capped_at_e(self):
+        num = build_numbering(build_box_mesh(3, 2), 16)
+        assert num.block == 8
+        assert np.array_equal(num.local_to_global,
+                              build_numbering(build_box_mesh(3, 2),
+                                              8).local_to_global)
+
+    def test_block_that_does_not_divide_e_is_rejected(self):
+        with pytest.raises(MeshError, match="block of 3 .*E = 8"):
+            build_numbering(build_box_mesh(3, 2), 3)
 
     def test_coincident_nodes_have_identical_coordinates(self):
         mesh = build_box_mesh(2, 3)
@@ -298,7 +309,8 @@ class TestPartitioned:
         ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
         bc = data.draw(st.sampled_from(["neumann", "dirichlet"]), label="bc")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-        block = data.draw(st.integers(1, mesh.E), label="block")
+        # A power of two, which divides E or is capped at it.
+        block = 2 ** data.draw(st.integers(0, k + 1), label="log2 block")
         num = build_numbering(mesh, block)
         gs = build_gather_scatter(mesh, num, bc=bc, ranks=ranks)
         l2g = num.local_to_global
@@ -475,7 +487,8 @@ class TestLocalDot:
         k = data.draw(st.integers(0, 5), label="k")
         p = data.draw(st.integers(1, 4), label="p")
         mesh = build_box_mesh(k, p)
-        block = data.draw(st.integers(1, mesh.E), label="block")
+        # A power of two, which divides E or is capped at it.
+        block = 2 ** data.draw(st.integers(0, k + 1), label="log2 block")
         ranks = data.draw(st.integers(1, min(mesh.E, 16)), label="ranks")
         comps = data.draw(st.sampled_from([1, 3]), label="comps")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")

@@ -143,11 +143,24 @@ class TestProblem:
         assert problem.geom.block == problem.gs.block == block
         assert problem.op.geom is problem.geom
         other = build_problem(RunConfig(bp=3, p=3, k=5, block=block))
-        assert other.geom.block == other.gs.block == batch_size(5)
+        # batch_size(5) = 256, capped at E = 32.
+        assert batch_size(5) == 256
+        assert other.geom.block == other.gs.block == 32
+
+    def test_blocked_block_is_capped_at_e(self):
+        # At E = 4 a block of 8 is stored as one block of 4, and
+        # make_operator accepts it as blocked's block of 8.
+        problem = build_problem(RunConfig(bp=3, p=2, k=2, strategy="blocked",
+                                          block=8))
+        assert problem.geom.block == problem.gs.block == 4
+        op = bakeoff.make_operator(problem.config.spec, problem.basis,
+                                   problem.geom, "blocked", 8)
+        assert op.geom is problem.geom
 
     def test_blocked_operator_needs_its_block(self):
-        # The geometry is stored in blocks of batch_size(5) = 262, not 8.
-        problem = build_problem(RunConfig(bp=3, p=3, k=3))
+        # The geometry is stored in blocks of batch_size(5) = 256, capped
+        # at E = 32, not 8.
+        problem = build_problem(RunConfig(bp=3, p=3, k=5))
         with pytest.raises(ValueError, match="blocks of 8"):
             bakeoff.make_operator(problem.config.spec, problem.basis,
                                   problem.geom, "blocked", 8)

@@ -43,7 +43,7 @@ class TestDiagonal:
         got = op.diagonal()
         # At GLL the nodes are the quadrature points, so the local layout
         # is the layout of mass_diag itself.
-        assert np.array_equal(got, s.geom.mass_diag)
+        assert np.array_equal(got, s.geom.mass_diag.reshape(-1))
 
     def test_diagonal_is_positive(self, stack):
         s = stack(4, "GL", 3)
@@ -62,7 +62,7 @@ class TestBatchedDiagonal:
         ref = from_blocks(make_op(system, s).diagonal(),
                           s.geom.block, 4)
         q = s.basis.q
-        for per_batch in (15, 1):                 # 5 and 64 batches
+        for per_batch in (16, 1):                 # 4 and 64 batches
             monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
                                 per_batch * q ** 3)
             assert tensors.batch_size(q) == per_batch
@@ -76,7 +76,7 @@ class TestBatchedDiagonal:
 
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
     def test_peak_memory_is_output_plus_one_batch(self, system, stack):
-        s = stack(7, "GL", 9)                     # 512 elements, 12 batches
+        s = stack(7, "GL", 9)                     # 512 elements, 16 batches
         assert s.mesh.E >= 8 * tensors.batch_size(s.basis.q)
         op = make_op(system, s)
         tracemalloc.start()
@@ -431,10 +431,12 @@ class TestSystemApplierOut:
             assert all(b is bufs[0] for b in bufs)
 
     def test_thread_pool_is_bitwise_serial(self):
-        # At q = 9 a storage block is 44 elements, so 128 elements are
-        # blocks of 44, 44 and 40, whatever the 3 rank partitions are.
+        # At q = 9 a storage block is 32 elements, so 128 elements are
+        # four blocks, whatever the 3 rank partitions (42, 43 and 43
+        # elements, each boundary inside a block) are.
         pr = build_problem(RunConfig(bp=3, p=7, k=7, ranks=3, mode="bk"))
-        assert pr.geom.batches() == [(0, 44), (44, 88), (88, 128)]
+        assert (pr.geom.block, pr.geom.E) == (32, 128)
+        assert pr.gs.partitions == [(0, 42), (42, 85), (85, 128)]
         u = np.random.default_rng(4).standard_normal(pr.gs.n_local)
         serial = SystemApplier(pr.op, pr.gs)
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -445,7 +447,7 @@ class TestSystemApplierOut:
             pooled = SystemApplier(pr.op, pr.gs, pool)
             assert np.array_equal(pooled.apply_local(u), serial.apply_local(u))
             # One task per storage block.
-            assert [batch for _, _, batch in tasks] == [0, 1, 2]
+            assert [batch for _, _, batch in tasks] == [0, 1, 2, 3]
             assert np.array_equal(pooled(u, count=False),
                                   serial(u, count=False))
 

@@ -12,7 +12,7 @@ from sembench import tensors
 from sembench.bakeoff import RunConfig
 from sembench.basis import make_basis
 from sembench.mesh import (FACTORS_PER_POINT, BoxMesh, GeomFactors,
-                           MeshError, block_view, box_dims, from_blocks,
+                           MeshError, box_dims, from_blocks,
                            to_blocks, build_box_mesh,
                            compute_geometric_factors)
 
@@ -108,26 +108,33 @@ class TestBuildBoxMesh:
 
 class TestLocalLayout:
     @settings(max_examples=60, deadline=None)
-    @given(E=st.integers(1, 40), block=st.integers(1, 48),
+    @given(k=st.integers(0, 5), b=st.integers(0, 6),
            comps=st.sampled_from([(), (1,), (3,)]), n=st.integers(2, 4))
-    def test_round_trip(self, E, block, comps, n):
-        # Random E and block: a block larger than E, blocks that divide E,
-        # and a ragged last block all occur.
+    def test_round_trip(self, k, b, comps, n):
+        # E = 2^k and a block of 2^b: blocks that divide E and blocks
+        # larger than E, which are capped at E, both occur.
+        E, block = 2 ** k, min(2 ** b, 2 ** k)
         a = np.random.default_rng(E * 100 + block).standard_normal(
             comps + (E, n, n, n))
-        u = to_blocks(a, block)
+        u = to_blocks(a, 2 ** b)
         assert u.shape == comps + (E * n ** 3,) and u.flags.c_contiguous
-        assert np.array_equal(from_blocks(u, block, n), a)
-        # Each block is one (n, n, n, B) slab, element index innermost.
-        for b0 in range(0, E, block):
-            b1 = min(b0 + block, E)
-            slab = u[..., b0 * n ** 3:b1 * n ** 3].reshape(
-                comps + (n, n, n, b1 - b0))
-            assert np.array_equal(np.moveaxis(slab, -1, -4), a[..., b0:b1,
-                                                              :, :, :])
-            view = block_view(u, b0, b1, (n, n, n))
-            assert np.shares_memory(view, u)
-            assert np.array_equal(view, slab)
+        assert not np.shares_memory(u, a)
+        assert np.array_equal(from_blocks(u, 2 ** b, n), a)
+        # Block i is [i] of the (E/B, n, n, n, B) view, element innermost.
+        blocks = u.reshape(comps + (E // block, n, n, n, block))
+        for i in range(E // block):
+            assert np.array_equal(
+                np.moveaxis(blocks[..., i, :, :, :, :], -1, -4),
+                a[..., i * block:(i + 1) * block, :, :, :])
+
+    @pytest.mark.parametrize("E,block", [(8, 3), (16, 6), (32, 12), (8, 0)])
+    def test_block_that_does_not_divide_e_is_rejected(self, E, block):
+        a = np.zeros((E, 2, 2, 2))
+        for convert in (lambda: to_blocks(a, block),
+                        lambda: from_blocks(a.reshape(-1), block, 2)):
+            with pytest.raises(ValueError, match=f"block of {block} .*"
+                                                 f"E = {E}"):
+                convert()
 
     def test_block_of_one_is_element_major(self, rng):
         a = rng.standard_normal((3, 5, 2, 2, 2))
@@ -176,7 +183,9 @@ class TestGeomFactors:
         stored = (geom.G, geom.mass_diag, geom.jac_det)
         assert FACTORS_PER_POINT == 8
         assert sum(a.size for a in stored) == 8 * 5 ** 3 * mesh.E
-        assert geom.slab(geom.G, 0, 2).shape == (6, 5, 5, 5, 2)
+        assert geom.G.shape == (1, 6, 5, 5, 5, 2)
+        assert geom.mass_diag.shape == geom.jac_det.shape == (1, 5, 5, 5, 2)
+        assert (geom.q, geom.block, geom.E) == (5, 2, 2)
 
     def test_inverted_element_rejected(self):
         basis = make_basis(2, "GL")
@@ -194,8 +203,9 @@ class TestGeomFactors:
         basis = make_basis(2, "GL")
         mesh = build_box_mesh(1, 2)
         geom = compute_geometric_factors(mesh, basis)
-        with pytest.raises(ValueError):
-            geom.slab(geom.G, 0, 2)[0, 0, 0, 0, 0] = 1.0
+        for a in (geom.G, geom.mass_diag, geom.jac_det):
+            with pytest.raises(ValueError):
+                a[0, 0, 0, 0, 0] = 1.0
 
     def test_g_symmetry_slots_consistent(self, stack):
         # G is built from a symmetric product, so slot values match the
@@ -208,23 +218,45 @@ class TestGeomFactors:
 
 
 class TestBatchedGeomFactors:
-    @pytest.mark.parametrize("block", [1, 4, 44])
+    @pytest.mark.parametrize("block", [1, 4, 32])
     def test_element_is_that_element_alone(self, block, stack):
         s = stack(7, "GL", 6)                     # 64 elements, q = 9
         geom = compute_geometric_factors(s.mesh, s.basis, block)
         for name in ("G", "mass_diag", "jac_det"):
             ref = element_major(geom, getattr(geom, name))
-            for e in (0, 3, 43, 44, 63):
+            for e in (0, 3, 31, 32, 45, 63):
                 one = geom.element(e)
                 assert one.E == 1 and one.block == 1
                 got = element_major(one, getattr(one, name))
                 assert np.array_equal(got[0], ref[e])
 
+    @pytest.mark.parametrize("q", range(1, 18))
+    def test_batch_size_is_a_power_of_two_within_the_working_set(self, q):
+        # So it divides E = 2^k or covers it, and one batch field of q^3
+        # points per element stays within WORKING_SET_WORDS.
+        b = tensors.batch_size(q)
+        assert b & (b - 1) == 0
+        assert b * q ** 3 <= tensors.WORKING_SET_WORDS
+        assert 2 * b * q ** 3 > tensors.WORKING_SET_WORDS
+
+    def test_block_is_capped_at_e(self):
+        basis = make_basis(3, "GL")               # batch_size(5) = 256
+        geom = compute_geometric_factors(build_box_mesh(5, 3), basis)
+        assert tensors.batch_size(5) == 256
+        assert geom.block == geom.E == 32
+        assert geom.G.shape == (1, 6, 5, 5, 5, 32)
+
+    def test_block_that_does_not_divide_e_is_rejected(self):
+        basis = make_basis(3, "GL")
+        mesh = build_box_mesh(5, 3)               # 32 elements
+        with pytest.raises(MeshError, match="block of 12 .*E = 32"):
+            compute_geometric_factors(mesh, basis, 12)
+
     def test_batch_size_does_not_change_a_bit(self, monkeypatch):
         basis = make_basis(3, "GL")               # q = 5
         mesh = build_box_mesh(6, 3)               # 64 elements, one batch
         ref = compute_geometric_factors(mesh, basis)
-        for per_batch in (15, 1):                 # 5 and 64 batches
+        for per_batch in (16, 1):                 # 4 and 64 batches
             monkeypatch.setattr(tensors, "WORKING_SET_WORDS",
                                 per_batch * 5 ** 3)
             assert tensors.batch_size(5) == per_batch
@@ -235,7 +267,7 @@ class TestBatchedGeomFactors:
                     element_major(ref, getattr(ref, name)))
 
     def test_peak_memory_is_output_plus_one_batch(self, stack):
-        s = stack(7, "GL", 9)                     # 512 elements, 12 batches
+        s = stack(7, "GL", 9)                     # 512 elements, 16 batches
         assert s.mesh.E >= 8 * tensors.batch_size(s.basis.q)
         tracemalloc.start()
         try:
@@ -254,10 +286,8 @@ class TestBatchedGeomFactors:
         monkeypatch.setattr(tensors, "WORKING_SET_WORDS", 3 * 5 ** 3)
         basis = make_basis(3, kind)
         geom = compute_geometric_factors(build_box_mesh(4, 3), basis)
-        step = tensors.batch_size(basis.q)
-        assert step < geom.E
-        for b0 in range(0, geom.E, step):
-            g = geom.slab(geom.G, b0, min(b0 + step, geom.E))
+        assert 1 < geom.block == tensors.batch_size(basis.q) < geom.E
+        for g in geom.G:
             for slot in range(6):
                 assert g[slot].flags.c_contiguous
 

@@ -236,10 +236,9 @@ class TestStrategies:
         for op in blocked_ops("stiffness", s):
             assert np.array_equal(element_major_apply(op, u), ref)
         # Every strategy on E = 64 elements: the default strategies in
-        # blocks of batch_size(9) = 44 (more than and not a multiple of),
-        # blocked in blocks of 4 and 8.
+        # two blocks of batch_size(9) = 32, blocked in blocks of 4 and 8.
         s = stack(7, "GL", 6)
-        assert batch_size(s.basis.q) == 44
+        assert batch_size(s.basis.q) == 32
         for system in ("stiffness", "mass"):
             ops = [make_op(system, s, strategy=strategy)
                    for strategy in STRATEGIES if strategy != "blocked"]
@@ -288,7 +287,7 @@ class TestCollocatedStiffness:
         s = stack(p, "GLL", 2)
         op = make_op("stiffness", s)
         U = rng.standard_normal((p + 1, p + 1, p + 1, s.mesh.E))
-        g = s.geom.slab(s.geom.G, 0, s.mesh.E)
+        g = s.geom.G[0]
         grads = op._grad_colloc(U, None)
         ref_grads = op._grad_interpfirst(U, None)
         for got, ref in zip(grads, ref_grads):
@@ -325,7 +324,7 @@ class TestPointwiseMetric:
         op = make_op("stiffness", s)
         q = s.basis.q
         ur, us, ut = rng.standard_normal((3, q, q, q, s.mesh.E))
-        g = s.geom.slab(s.geom.G, 0, s.mesh.E)
+        g = s.geom.G[0]
         g11, g12, g13, g22, g23, g33 = g
         wr, ws, wt = op._apply_g(ur, us, ut, g, None)
         assert np.array_equal(wr, g11 * ur + g12 * us + g13 * ut)
@@ -341,7 +340,7 @@ class TestCollocatedMass:
         u = rng.standard_normal(op.n_local)
         w = op.apply_local(u)
         # At GLL the local layout is the layout of mass_diag itself.
-        assert np.array_equal(w, u * s.geom.mass_diag)
+        assert np.array_equal(w, u * s.geom.mass_diag.reshape(-1))
 
 
 class TestLifetime:
@@ -366,19 +365,20 @@ class TestLifetime:
 
 class TestApplyMechanics:
     def test_batch_writes_only_that_block(self, stack, rng):
-        # E = 64 at q = 9: blocks of 44 and a ragged last block of 20.
+        # E = 64 at q = 9: two blocks of 32.
         s = stack(7, "GL", 6)
         op = make_op("stiffness", s)
         u = rng.standard_normal((3, op.n_local))
         full = from_blocks(op.apply_local(u), s.geom.block, 8)
-        for i, (b0, b1) in enumerate(s.geom.batches()):
+        for i in range(2):
+            b0, b1 = 32 * i, 32 * (i + 1)
             part = from_blocks(op.apply_local(u, batch=i), s.geom.block, 8)
             assert np.array_equal(part[:, b0:b1], full[:, b0:b1])
             assert not part[:, :b0].any() and not part[:, b1:].any()
 
     def test_batches_tile_the_full_apply(self, stack, rng):
         s = stack(7, "GL", 6)
-        assert s.geom.batches() == [(0, 44), (44, 64)]
+        assert (s.geom.block, s.geom.E) == (32, 64)
         for system in ("stiffness", "mass"):
             op = make_op(system, s)
             u = rng.standard_normal(op.n_local)
@@ -407,12 +407,11 @@ class TestApplyMechanics:
             op.apply_local(u, out=w)
             return seen
 
-        # E = 64 at q = 9: a block of 44 elements and one of 20.
+        # E = 64 at q = 9: two blocks of 32 elements.
         s = stack(7, "GL", 6)
         for strategy in ("sumfact", "interpfirst", "evenodd"):
             op = make_op(system, s, strategy=strategy)
-            assert batches(op) == ([(44, True, True)] * 3
-                                   + [(20, True, True)] * 3)
+            assert batches(op) == [(32, True, True)] * 6
         # blocked as a run builds it: every batch is one of its blocks.
         bp = 3 if system == "stiffness" else 1
         for block in BLOCK_SIZES:
@@ -428,7 +427,7 @@ class TestApplyMechanics:
         # apply still runs the block whole, with the bits of the
         # per-element apply.
         s = stack(3, "GL", 3, ranks=ranks)
-        assert s.geom.batches() == [(0, s.mesh.E)]
+        assert s.geom.block == s.mesh.E == 8
         assert len(s.gs.partitions) == ranks
         op = make_op("stiffness", s, strategy=strategy)
         u = rng.standard_normal((3, op.n_local))

@@ -7,11 +7,11 @@ import pytest
 
 from sembench.operators import StiffnessOperator
 
-from sembench.verify import (CHECKS, check_csr_equivalence, check_even_odd,
-                             check_qtq_multiplicity,
+from sembench.verify import (CHECKS, SumfactDataflow, check_csr_equivalence,
+                             check_even_odd, check_qtq_multiplicity,
                              check_quadrature_exactness,
                              check_strategy_equivalence, inject_geom_fault,
-                             run_suites)
+                             per_element_apply, run_suites)
 
 from conftest import element_major
 
@@ -89,10 +89,38 @@ class TestFaultSensitivity:
         assert not result.passed
         assert "vs generic sumfact" in result.detail
 
+    def test_batch_dependent_generic_dataflow_is_detected(self,
+                                                           monkeypatch):
+        # The generic sumfact dataflow is the reference at GLL, so its
+        # batched apply is held to its per-element apply too.
+        apply_block = SumfactDataflow._apply_block
+
+        def batch_dependent(self, U, g, ct, out=None):
+            w = apply_block(self, U, g, ct, out)
+            if U.shape[-1] > 1:
+                w *= 1.0 + 1e-15
+            return w
+
+        monkeypatch.setattr(SumfactDataflow, "_apply_block", batch_dependent)
+        args = dict(p_list=[2], k=2, n_inputs=2)
+        assert check_strategy_equivalence(kinds=("GL",), **args).passed
+        result = check_strategy_equivalence(kinds=("GLL",), **args)
+        assert not result.passed
+        assert "differs for SumfactDataflow" in result.detail
+
     def test_identity_override_passes(self):
         result = check_csr_equivalence(pairs=((3, 5),), ks=(1,),
                                        geom_override=lambda geom: geom)
         assert result.passed
+
+
+class TestPerElementApply:
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    def test_generic_dataflow_is_bitwise_per_element(self, kind, stack, rng):
+        s = stack(3, kind, 3)
+        op = SumfactDataflow(s.basis, s.geom)
+        u = rng.standard_normal((2, op.n_local))
+        assert np.array_equal(op.apply_local(u), per_element_apply(op, u))
 
 
 class TestInjectGeomFault:
