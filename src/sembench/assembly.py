@@ -185,6 +185,7 @@ class GatherScatter:
         self.ranks = ranks
         self.block = numbering.block
         self.n_local = numbering.n_local
+        self._vector = (self.n_local,)
         self.counters = ExchangeCounters()
 
         l2g = numbering._index
@@ -237,12 +238,13 @@ class GatherScatter:
             out = np.empty_like(u)
         elif out.shape != u.shape:
             raise ValueError("out must have the shape of u")
-        if u.ndim == 2:
+        if u.shape != self._vector:
+            if u.ndim != 2:
+                raise ValueError(
+                    f"expected local vector of length {self.n_local}")
             for i, c in enumerate(u):
                 self.gather_scatter(c, count=(count and i == 0), out=out[i])
             return out
-        if u.shape != (self.n_local,):
-            raise ValueError(f"expected local vector of length {self.n_local}")
         n_global = self.numbering.n_global
         sums = np.bincount(self._slot, weights=u, minlength=self._n_sums)
         sums[n_global] = 0.0            # what Dirichlet copies read back
@@ -252,10 +254,10 @@ class GatherScatter:
             # numpy from copying the overlapping operands.
             np.add.at(totals, self._extra_gid, extra)
             # mode="clip" writes straight into out; "raise" buffers it.
-            np.take(totals, self._extra_gid, out=extra, mode="clip")
+            totals.take(self._extra_gid, out=extra, mode="clip")
         if count:
             self.counters.messages += self._adjacent_pairs
-        return np.take(sums, self._slot, out=out, mode="clip")
+        return sums.take(self._slot, out=out, mode="clip")
 
     def apply_mask(self, u: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -284,23 +286,23 @@ class GatherScatter:
         The weighted products u * v * weight are formed in local order, in
         `work` (an array of u's shape) when it is given; each component's
         products are summed with one ndarray.sum, and the component sums
-        are added in order.  So the result does not depend on the rank
-        count or on the block.
+        are added in order to 0.0, so a -0.0 sum reads +0.0 (a single
+        vector is one sum, with no row loop).  So the result does not
+        depend on the rank count or on the block.  A call checks only the
+        operands' shapes.
         """
         u = np.asarray(u)
         v = np.asarray(v)
-        n_local = self.n_local
-        if u.shape != v.shape or u.shape[-1] != n_local:
+        if u.shape != v.shape or u.shape[-1] != self.n_local:
             raise ValueError("local_dot operands must be local vectors")
         if count:
             self.counters.reductions += 1
-        u2 = u.reshape(-1, n_local)
-        prod = np.multiply(u2, v.reshape(-1, n_local),
-                           out=None if work is None else
-                           work.reshape(u2.shape))
+        prod = np.multiply(u, v, out=work)
         prod *= self.weight
+        if u.ndim == 1:
+            return float(0.0 + prod.sum())
         total = 0.0
-        for row in prod:
+        for row in prod.reshape(-1, self.n_local):
             total += row.sum()
         return float(total)
 

@@ -11,6 +11,7 @@ block) is assembled, and so masked, into the only preconditioner offered.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -46,8 +47,9 @@ class SystemApplier:
     bincount output.  With an executor the local apply runs one
     op.apply_local task per storage block (a geometry of one block runs
     serially); instrumented operators stay serial because their counters
-    are plain ints.  `phases` accumulates operator and gather-scatter
-    seconds over the applier's lifetime.
+    are plain ints.  The path is chosen at construction, and a serial
+    call is op.apply_local itself.  `phases` accumulates operator and
+    gather-scatter seconds over the applier's lifetime.
 
     Raises:
         ValueError: if the plan's local layout (gs.block) is not the
@@ -62,6 +64,8 @@ class SystemApplier:
         self.op = op
         self.gs = gs
         self.executor = executor
+        self._blocks = op.E // op.geom.block
+        self._serial = executor is None or self._blocks == 1 or op.instrument
         self.phases = {"operator": 0.0, "gather_scatter": 0.0}
 
     def apply_local(self, u: np.ndarray,
@@ -72,11 +76,10 @@ class SystemApplier:
         """
         if out is None:
             out = np.empty_like(u)
-        blocks = self.op.E // self.op.geom.block
-        if self.executor is None or blocks == 1 or self.op.instrument:
-            return self.op.apply_local(u, out=out)
+        if self._serial:
+            return self.op.apply_local(u, out)
         futures = [self.executor.submit(self.op.apply_local, u, out, i)
-                   for i in range(blocks)]
+                   for i in range(self._blocks)]
         for fut in futures:
             fut.result()
         return out
@@ -85,7 +88,8 @@ class SystemApplier:
                  out: np.ndarray | None = None) -> np.ndarray:
         """mask(QQ^T(A_L u)), written into out (allocated when omitted)."""
         t0 = time.perf_counter()
-        w = self.apply_local(u, out=out)
+        w = (self.op.apply_local(u, out) if self._serial
+             else self.apply_local(u, out))
         t1 = time.perf_counter()
         w = self.gs.gather_scatter(w, count=count, out=w)
         self.phases["operator"] += t1 - t0
@@ -161,9 +165,9 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     t1 = time.perf_counter()
     rho = gs.local_dot(b, p, work=tmp)
     timings = {"dots": time.perf_counter() - t1, "axpy": t1 - t0}
-    if not np.isfinite(rho) or rho < 0.0:
+    if not math.isfinite(rho) or rho < 0.0:
         raise DivergenceError("initial preconditioned residual is not finite")
-    history = [np.sqrt(rho)]
+    history = [math.sqrt(rho)]
     energy = [0.0] if record_energy else None
 
     it = 0
@@ -182,7 +186,7 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
             it -= 1
             converged = True
             break
-        if not np.isfinite(pap) or pap <= 0.0:
+        if not math.isfinite(pap) or pap <= 0.0:
             raise DivergenceError(
                 f"curvature p'Ap = {pap} at iteration {it}")
         alpha = rho / pap
@@ -198,9 +202,9 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         t0 = time.perf_counter()
         rho_new = gs.local_dot(r, z, work=tmp)
         timings["dots"] += time.perf_counter() - t0
-        if not np.isfinite(rho_new):
+        if not math.isfinite(rho_new):
             raise DivergenceError(f"residual lost finiteness at iteration {it}")
-        history.append(np.sqrt(max(rho_new, 0.0)))
+        history.append(math.sqrt(max(rho_new, 0.0)))
         if record_energy:
             ax = apply_a(x, count=False)
             energy.append(0.5 * gs.local_dot(x, ax, count=False)
@@ -221,11 +225,11 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
 
     b_norm = residual_gap = true_norm = None
     if diagnostics:
-        b_norm = np.sqrt(gs.local_dot(b, b, count=False))
+        b_norm = math.sqrt(gs.local_dot(b, b, count=False))
         r_true = b - apply_a(x, count=False)
         gap = r - r_true
-        residual_gap = np.sqrt(gs.local_dot(gap, gap, count=False))
-        true_norm = np.sqrt(gs.local_dot(r_true, r_true, count=False))
+        residual_gap = math.sqrt(gs.local_dot(gap, gap, count=False))
+        true_norm = math.sqrt(gs.local_dot(r_true, r_true, count=False))
 
     timings.update({k: v - phases_before.get(k, 0.0)
                     for k, v in phases.items()})

@@ -204,13 +204,11 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         lat[-1] = hi
         lattices.append(lat)
 
-    # Gather per-element coordinates from the lattices.
+    # Gather per-element coordinates, deformed before they are broadcast.
     gx, gy, gz = lattice_index(dims, p)
-    x = lattices[0][gx] * np.ones((1, p1, p1, 1))
-    y = lattices[1][gy] * np.ones((1, p1, 1, p1))
-    z = lattices[2][gz] * np.ones((1, 1, p1, p1))
-
+    x, y, z = lattices[0][gx], lattices[1][gy], lattices[2][gz]
     delta = DEFORMATIONS[deformation](x, y, z, amplitude, extents)
+    delta = np.broadcast_to(delta, (len(x), p1, p1, p1))
     widths = np.array([extents[1][d] - extents[0][d] for d in range(3)])
     coords = np.stack([x + widths[0] * delta,
                        y + widths[1] * delta,

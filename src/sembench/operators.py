@@ -176,6 +176,9 @@ class _LocalOperator:
         self.E = geom.E
         self.n_local = self.E * basis.p1 ** 3
         self.counters = OpCounters()
+        # A local vector seen as (E/B, p1, p1, p1, B): block i is [i].
+        self._blocks = range(self.E // geom.block)
+        self._view = (len(self._blocks),) + (basis.p1,) * 3 + (geom.block,)
         # The 1D matrices of the sumfact dataflow and the contraction that
         # applies them: even-odd factors for evenodd, dense otherwise.
         if strategy == "evenodd":
@@ -191,6 +194,9 @@ class _LocalOperator:
     def apply_local(self, u, out=None, batch=None):
         """Apply the unassembled operator block by block, in place.
 
+        A call checks only the length of u; the block view's shape is
+        fixed at construction.
+
         Args:
             u: local vector in the layout of geom.block, shape (n_local,)
                 or (ncomp, n_local).
@@ -204,21 +210,20 @@ class _LocalOperator:
             when a batch is given and out is None.
         """
         u = np.asarray(u)
-        comps = u.shape[0] if u.ndim == 2 else 1
         if u.shape[-1] != self.n_local:
             raise ValueError(f"expected local vector of length {self.n_local}")
         if out is None:
             out = np.zeros_like(u)
-        p1, block = self.basis.p1, self.geom.block
         ct = self.counters if self.instrument else None
-        shape = (comps, self.E // block) + (p1,) * 3 + (block,)
-        uv, wv = u.reshape(shape), out.reshape(shape)
-        for i in range(self.E // block) if batch is None else (batch,):
+        uv = u.reshape((-1,) + self._view)
+        wv = out.reshape(uv.shape)
+        comps = len(uv)
+        for i in self._blocks if batch is None else (batch,):
             # Element data is read once per batch, shared by the components.
             data = self._element_data(i, ct)
             if ct is not None:
-                ct.read_words += comps * block * p1 ** 3
-                ct.write_words += comps * block * p1 ** 3
+                ct.read_words += comps * uv[0, i].size
+                ct.write_words += comps * uv[0, i].size
             for c in range(comps):
                 self._apply_block(uv[c, i], data, ct, wv[c, i])
         return out
@@ -229,9 +234,8 @@ class _LocalOperator:
         Computed one storage block at a time, like the apply, and written
         into the local layout, which has the same blocks.
         """
-        block = self.geom.block
-        out = np.empty((self.E // block,) + (self.basis.p1,) * 3 + (block,))
-        for i in range(self.E // block):
+        out = np.empty(self._view)
+        for i in self._blocks:
             out[i] = self._diagonal_block(i)
         return out.reshape(-1)
 

@@ -506,6 +506,18 @@ class TestLocalDot:
             assert got == one.local_dot(u, v, work=work)
             assert got == float(ref)
 
+    @pytest.mark.parametrize("comps", [1, 3])
+    def test_negative_zero_sum_reads_positive_zero(self, comps):
+        # Every weighted product is -0.0, yet the dot reads +0.0, with or
+        # without a scratch array: == cannot tell the two zeros apart.
+        gs = build_gather_scatter(build_box_mesh(2, 3))
+        shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
+        u, v = -np.zeros(shape), np.ones(shape)
+        assert np.signbit(u * v * gs.weight).all()
+        for work in (None, np.empty(shape)):
+            got = gs.local_dot(u, v, work=work)
+            assert got == 0.0 and not np.signbit(got)
+
     def test_shape_mismatch_rejected(self):
         mesh = build_box_mesh(1, 2)
         gs = build_gather_scatter(mesh)
