@@ -169,9 +169,9 @@ class GatherScatter:
     numbering's writeable map itself, not a copy.  Either way it is
     writeable, so no gather_scatter call copies the index.  The plan holds
     no scratch: gather_scatter and apply_mask take an optional `out` array
-    and local_dot a `work` array from the caller (a solve makes them once,
-    see krylov.pcg); without one they allocate for that call, with the
-    same bits.
+    from the caller (a solve makes it once, see krylov.pcg); without one
+    they allocate for that call, with the same bits.  local_dot is one
+    read-only pass per component and writes no vector.
     """
 
     def __init__(self, mesh: BoxMesh, numbering: GlobalNumbering,
@@ -277,19 +277,17 @@ class GatherScatter:
         g[self.numbering.local_to_global[self.mask == 0.0]] = 0.0
         return g
 
-    def local_dot(self, u: np.ndarray, v: np.ndarray, count: bool = True,
-                  work: np.ndarray | None = None) -> float:
+    def local_dot(self, u: np.ndarray, v: np.ndarray,
+                  count: bool = True) -> float:
         """Multiplicity-weighted dot product of continuous local fields.
 
         Equals the assembled global dot product u^T v.  Counts as one
         global reduction.  2D inputs (ncomp, n_local) sum over components.
-        The weighted products u * v * weight are formed in local order, in
-        `work` (an array of u's shape) when it is given; each component's
-        products are summed with one ndarray.sum, and the component sums
-        are added in order to 0.0, so a -0.0 sum reads +0.0 (a single
-        vector is one sum, with no row loop).  So the result does not
-        depend on the rank count or on the block.  A call checks only the
-        operands' shapes.
+        Each component is one read-only pass that writes no vector: an
+        einsum of u, v and weight in local order.  The component sums are
+        added in order to 0.0, so a -0.0 sum reads +0.0, and the result
+        does not depend on the rank count or on the block.  A call checks
+        only the operands' shapes.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -297,13 +295,12 @@ class GatherScatter:
             raise ValueError("local_dot operands must be local vectors")
         if count:
             self.counters.reductions += 1
-        prod = np.multiply(u, v, out=work)
-        prod *= self.weight
         if u.ndim == 1:
-            return float(0.0 + prod.sum())
+            return float(0.0 + np.einsum("i,i,i->", u, v, self.weight))
         total = 0.0
-        for row in prod.reshape(-1, self.n_local):
-            total += row.sum()
+        for ur, vr in zip(u.reshape(-1, self.n_local),
+                          v.reshape(-1, self.n_local)):
+            total += np.einsum("i,i,i->", ur, vr, self.weight)
         return float(total)
 
 

@@ -2,8 +2,9 @@
 
 Every matvec is mask . QQ^T . A_L: a local apply, then one gather_scatter
 call, which also masks.  Dot products use the multiplicity-weighted local
-form, so each is one global reduction; per iteration exactly two are counted
-(p'Ap and r'z), matching the latency model of the scalability analysis.
+form, so each is one global reduction and one read-only pass that writes no
+vector; per iteration exactly two are counted (p'Ap and r'z), matching the
+latency model of the scalability analysis.
 
 The operator's own diagonal (op.diagonal(), computed matrix-free block by
 block) is assembled, and so masked, into the only preconditioner offered.
@@ -122,11 +123,11 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     vector-sized as long as apply_a honours `out`.  Because x0 = 0, nothing
     is copied to start: b is read as r0, z0 = minv b is written straight
     into p, and the first step writes x = alpha p + 0 (so a -0.0 product
-    gives +0.0, as from a zeroed x) and r = b - alpha w.  A solve that
-    ends before its first step sets x = 0 and r = b.  The last step skips
-    the p update, which nothing reads, so the solve ends with its final
-    r.z dot.  It also ends, converged, when p'Ap underflows to 0.0 with a
-    subnormal rho.
+    gives +0.0, as from a zeroed x) and r = b - alpha w in place, with no
+    pass through the scratch.  A solve that ends before its first step
+    sets x = 0 and r = b.  The last step skips the p update, which nothing
+    reads, so the solve ends with its final r.z dot.  It also ends,
+    converged, when p'Ap underflows to 0.0 with a subnormal rho.
 
     Args:
         apply_a: callable apply(u, count=True, out=None) that writes A u
@@ -159,11 +160,11 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     # whole solve.
     t0 = time.perf_counter()
     # Unfilled: each vector is written before it is read; tmp holds the
-    # axpy products and the dot scratch.
+    # products of the later steps' x and r updates.
     x, r, z, p, w, tmp = (np.empty(b.shape) for _ in range(6))
     np.multiply(minv, b, out=p)           # z0 = minv r0, used only as p0
     t1 = time.perf_counter()
-    rho = gs.local_dot(b, p, work=tmp)
+    rho = gs.local_dot(b, p)
     timings = {"dots": time.perf_counter() - t1, "axpy": t1 - t0}
     if not math.isfinite(rho) or rho < 0.0:
         raise DivergenceError("initial preconditioned residual is not finite")
@@ -178,7 +179,7 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         it += 1
         w = apply_a(p, out=w)
         t0 = time.perf_counter()
-        pap = gs.local_dot(p, w, work=tmp)
+        pap = gs.local_dot(p, w)
         timings["dots"] += time.perf_counter() - t0
         if pap == 0.0 and rho < np.finfo(np.float64).tiny:
             # Both have underflowed: r is as converged as floats allow,
@@ -192,15 +193,15 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         alpha = rho / pap
         t0 = time.perf_counter()
         if it == 1:                       # x0 = 0, r0 = b
-            np.add(np.multiply(p, alpha, out=tmp), 0.0, out=x)
-            np.subtract(b, np.multiply(w, alpha, out=tmp), out=r)
+            np.add(np.multiply(p, alpha, out=x), 0.0, out=x)
+            np.subtract(b, np.multiply(w, alpha, out=r), out=r)
         else:
             x += np.multiply(p, alpha, out=tmp)
             r -= np.multiply(w, alpha, out=tmp)
         np.multiply(minv, r, out=z)
         timings["axpy"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        rho_new = gs.local_dot(r, z, work=tmp)
+        rho_new = gs.local_dot(r, z)
         timings["dots"] += time.perf_counter() - t0
         if not math.isfinite(rho_new):
             raise DivergenceError(f"residual lost finiteness at iteration {it}")

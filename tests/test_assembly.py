@@ -437,18 +437,16 @@ class TestLocalDot:
     @pytest.mark.parametrize("comps", [1, 3])
     def test_equals_per_partition_products(self, ranks, comps, rng):
         # Element-major: each component's weighted products are summed in
-        # local order, so the partitions only split that sum, to rounding;
-        # products written into a scratch vector (given or not) sum to the
-        # same float as fresh ones.
+        # local order by one read-only einsum, so the partitions only split
+        # that sum, to rounding.
         gs = build_gather_scatter(build_box_mesh(4, 7), ranks=ranks)
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         slab = 8 ** 3
         ref = 0.0
         for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
-            ref += (uc * vc * gs.weight).sum()
+            ref += np.einsum("i,i,i->", uc, vc, gs.weight)
         assert gs.local_dot(u, v) == float(ref)
-        assert gs.local_dot(u, v, work=np.empty(shape)) == float(ref)
         per_part = 0.0
         for (e0, e1) in gs.partitions:
             lo, hi = e0 * slab, e1 * slab
@@ -470,9 +468,8 @@ class TestLocalDot:
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         ref = 0.0
         for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
-            ref += (uc * vc * gs.weight).sum()
+            ref += np.einsum("i,i,i->", uc, vc, gs.weight)
         assert gs.local_dot(u, v) == one.local_dot(u, v) == float(ref)
-        assert gs.local_dot(u, v, work=np.empty(shape)) == float(ref)
         ug = rng.standard_normal(gs.numbering.n_global)
         ul = ug[gs.numbering.local_to_global]
         assert gs.local_dot(ul, ul) == pytest.approx(float(ug @ ug),
@@ -483,7 +480,7 @@ class TestLocalDot:
     def test_property_one_sum_per_component(self, data):
         # The dot is each component's weighted products summed in local
         # order, the component sums added in order: the same bits at every
-        # rank count and with or without a scratch array.
+        # rank count.
         k = data.draw(st.integers(0, 5), label="k")
         p = data.draw(st.integers(1, 4), label="p")
         mesh = build_box_mesh(k, p)
@@ -500,23 +497,64 @@ class TestLocalDot:
         u, v = rng.standard_normal(shape), rng.standard_normal(shape)
         ref = 0.0
         for uc, vc in zip(u.reshape(comps, -1), v.reshape(comps, -1)):
-            ref += (uc * vc * gs.weight).sum()
-        for work in (None, np.empty(shape)):
-            got = gs.local_dot(u, v, work=work)
-            assert got == one.local_dot(u, v, work=work)
-            assert got == float(ref)
+            ref += np.einsum("i,i,i->", uc, vc, gs.weight)
+        got = gs.local_dot(u, v)
+        assert got == one.local_dot(u, v)
+        assert got == float(ref)
 
     @pytest.mark.parametrize("comps", [1, 3])
     def test_negative_zero_sum_reads_positive_zero(self, comps):
-        # Every weighted product is -0.0, yet the dot reads +0.0, with or
-        # without a scratch array: == cannot tell the two zeros apart.
+        # Every weighted product is -0.0, yet the dot reads +0.0: ==
+        # cannot tell the two zeros apart.
         gs = build_gather_scatter(build_box_mesh(2, 3))
         shape = (gs.n_local,) if comps == 1 else (comps, gs.n_local)
         u, v = -np.zeros(shape), np.ones(shape)
         assert np.signbit(u * v * gs.weight).all()
-        for work in (None, np.empty(shape)):
-            got = gs.local_dot(u, v, work=work)
-            assert got == 0.0 and not np.signbit(got)
+        got = gs.local_dot(u, v)
+        assert got == 0.0 and not np.signbit(got)
+
+    @pytest.fixture(scope="class")
+    def long_gs(self):
+        # 2^9 elements of order 7: 2^18 locals.
+        return build_gather_scatter(build_box_mesh(9, 7))
+
+    def test_operand_offsets_keep_the_bits(self, long_gs, rng):
+        # The same values at 8 different 8-byte offsets, u and v shifted
+        # opposite ways, sum to the same bits: a residual history does not
+        # depend on where the solve's vectors were allocated.
+        gs = long_gs
+        n = gs.n_local
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        ref = gs.local_dot(u, v)
+        bu, bv = np.empty(n + 7), np.empty(n + 7)
+        for off in range(8):
+            bu[off:off + n] = u
+            bv[7 - off:n + 7 - off] = v
+            assert gs.local_dot(bu[off:off + n], bv[7 - off:n + 7 - off]) \
+                == ref
+
+    @pytest.mark.parametrize("comps", [2, 3])
+    def test_stack_is_its_rows_in_order(self, comps, rng):
+        gs = build_gather_scatter(build_box_mesh(4, 7), ranks=3)
+        u = rng.standard_normal((comps, gs.n_local))
+        v = rng.standard_normal((comps, gs.n_local))
+        total = 0.0
+        for uc, vc in zip(u, v):
+            total += gs.local_dot(uc, vc)
+        assert gs.local_dot(u, v) == total
+
+    def test_writes_no_vector(self, long_gs, rng):
+        # A read-only pass: a 2^18-long dot (2 MiB operands) allocates
+        # less than 64 KiB.
+        u, v = rng.standard_normal((2, long_gs.n_local))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            long_gs.local_dot(u, v)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rise < 64 * 1024
 
     def test_shape_mismatch_rejected(self):
         mesh = build_box_mesh(1, 2)

@@ -215,12 +215,18 @@ class TestPcg:
         with pytest.raises(DivergenceError, match="curvature"):
             pcg(zero, s.gs, b, max_iters=5)
 
-    def test_underflowed_curvature_ends_converged(self):
-        # This solve's residual underflows without reaching 0.0 (at
-        # iteration 103 p'Ap is 0.0 and rho subnormal).  It stops there.
-        pr = build_problem(RunConfig(bp=3, p=2, k=3))
-        A = SystemApplier(pr.op, pr.gs)
-        x, run = pcg(A, pr.gs, pr.b, max_iters=200, minv=pr.minv)
+    def test_underflowed_curvature_ends_converged(self, stack):
+        # A constant b of 2^-530 puts rho, 2^-1060 times the free node
+        # count, in the subnormal range, and a stub operator 2^-60 u makes
+        # p'Ap underflow to 0.0 in the first step.  The solve stops there,
+        # converged, and the step does not count.
+        s = stack(2, "GL", 2, bc="dirichlet")
+        b = s.gs.apply_mask(np.full(s.gs.n_local, 2.0 ** -530))
+
+        def stub(u, count=True, out=None):
+            return np.multiply(u, 2.0 ** -60, out=out)
+
+        x, run = pcg(stub, s.gs, b, max_iters=200)
         assert run.converged and run.iterations < 200
         assert run.residual_history.size == run.iterations + 1
         assert 0.0 < run.residual_history[-1] ** 2 < np.finfo(float).tiny
