@@ -23,7 +23,6 @@ import gc
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ MODES = ("bk", "bp")
 
 
 def default_threads() -> int:
-    """Thread-count default: environment override, else hardware count."""
+    """Recorded thread count: environment override, else hardware count."""
     env = os.environ.get(THREADS_ENV)
     if env is not None:
         try:
@@ -99,7 +98,7 @@ class RunConfig:
     iterations: int = 100
     strategy: str = "sumfact"
     block: int = 8
-    threads: int | None = None
+    threads: int | None = None  # recorded, no effect: the apply is serial
     deterministic: bool = True  # accepted, no effect
     trials: int = 3
 
@@ -228,9 +227,9 @@ def estimate_bytes(config: RunConfig) -> int:
     # and per component the right-hand side, the six PCG vectors, the
     # A_L u output and the global-length sums (about 8).  The factors and
     # the local vectors are stored in the same full blocks, with no
-    # padding.  Setup's metric terms take about 24 batch fields, enough
-    # for an apply on up to three threads, whose batches read and write
-    # the local vectors in place.
+    # padding.  Setup's metric terms take about 24 batch fields, more
+    # than the serial apply, whose batches read and write the local
+    # vectors in place.
     p1 = config.p + 1
     node_words = 3 + 5 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
@@ -309,44 +308,37 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         problem = build_problem(config)
     gs, op, b = problem.gs, problem.op, problem.b
 
-    threads = config.resolved_threads()
-    executor = None
-    if threads > 1 and config.ranks > 1:
-        executor = ThreadPoolExecutor(max_workers=min(threads, config.ranks))
-    applier = SystemApplier(op, gs, executor)
+    threads = config.resolved_threads()   # recorded only: the apply is serial
+    flops_measured = measure_apply_flops(problem)
+
+    def bp_trial():
+        m0 = gs.counters.messages
+        t0 = time.perf_counter()
+        _, rec = pcg(applier, gs, b, max_iters=config.iterations,
+                     minv=problem.minv)
+        dt = time.perf_counter() - t0
+        return dt, gs.counters.messages - m0, rec
+
+    def bk_trial():
+        t0 = time.perf_counter()
+        for _ in range(config.iterations):
+            op.apply_local(b, out=w)
+        return time.perf_counter() - t0, 0, None
+
+    if config.mode == "bp":
+        applier = SystemApplier(op, gs)
+        trial = bp_trial
+    else:
+        w = np.empty_like(b)         # one output for every apply
+        trial = bk_trial
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        flops_measured = measure_apply_flops(problem)
-
-        def bp_trial():
-            m0 = gs.counters.messages
-            t0 = time.perf_counter()
-            _, rec = pcg(applier, gs, b, max_iters=config.iterations,
-                         minv=problem.minv)
-            dt = time.perf_counter() - t0
-            return dt, gs.counters.messages - m0, rec
-
-        def bk_trial():
-            t0 = time.perf_counter()
-            for _ in range(config.iterations):
-                applier.apply_local(b, out=w)
-            return time.perf_counter() - t0, 0, None
-
-        if config.mode == "bp":
-            trial = bp_trial
-        else:
-            w = np.empty_like(b)     # one output for every apply
-            trial = bk_trial
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            trial()                               # warm-up, discarded
-            outcomes = [trial() for _ in range(config.trials)]
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        trial()                                   # warm-up, discarded
+        outcomes = [trial() for _ in range(config.trials)]
     finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if gc_was_enabled:
+            gc.enable()
 
     times = [t for (t, _, _) in outcomes]
     seconds = statistics.median(times)

@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--block", type=int, choices=BLOCK_SIZES, help=(
             "elements per storage block for --strategy blocked"))
         sp.add_argument("--threads", type=int,
-                        help="worker threads (default: SEMBENCH_THREADS "
-                             "or hardware count)")
+                        help="recorded in the CSV; the apply is serial "
+                             "(default: SEMBENCH_THREADS or hardware count)")
         sp.add_argument("--deterministic", action="store_true", default=None,
                         help="accepted and ignored: every run sums in one "
                              "fixed order and is bitwise reproducible")

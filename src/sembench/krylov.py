@@ -1,10 +1,11 @@
 """Diagonally preconditioned conjugate gradient over the assembled operator.
 
-Every matvec is mask . QQ^T . A_L: a local apply, then one gather_scatter
-call, which also masks.  Dot products use the multiplicity-weighted local
-form, so each is one global reduction and one read-only pass that writes no
-vector; per iteration exactly two are counted (p'Ap and r'z), matching the
-latency model of the scalability analysis.
+Every matvec is mask . QQ^T . A_L: a serial local apply, then one
+gather_scatter call, which also masks.  Dot products use the
+multiplicity-weighted local form, so each is one global reduction and one
+read-only pass that writes no vector; per iteration exactly two are
+counted (p'Ap and r'z), matching the latency model of the scalability
+analysis.
 
 The operator's own diagonal (op.diagonal(), computed matrix-free block by
 block) is assembled, and so masked, into the only preconditioner offered.
@@ -13,12 +14,16 @@ block) is assembled, and so masked, into the only preconditioner offered.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import GatherScatter
+
+# The smallest normal float64, for pcg's underflow test.
+TINY = sys.float_info.min
 
 
 class DivergenceError(RuntimeError):
@@ -40,57 +45,35 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
 
 
 class SystemApplier:
-    """mask . QQ^T . A_L with element work fanned out over storage blocks.
+    """mask . QQ^T . A_L, applied serially.
 
-    A system apply writes A_L u into `out` and then runs one in-place
-    gather_scatter on it, which sums and masks.  The applier owns no
-    buffer, so a call with `out` allocates only the gather-scatter's one
-    bincount output.  With an executor the local apply runs one
-    op.apply_local task per storage block (a geometry of one block runs
-    serially); instrumented operators stay serial because their counters
-    are plain ints.  The path is chosen at construction, and a serial
-    call is op.apply_local itself.  `phases` accumulates operator and
-    gather-scatter seconds over the applier's lifetime.
+    A system apply writes A_L u into `out` with op.apply_local and then
+    runs one in-place gather_scatter on it, which sums and masks.  The
+    applier owns no buffer, so a call with `out` allocates only the
+    gather-scatter's one bincount output.  The simulated ranks set the
+    plan's partitions, sum order and message count; they run no threads.
+    `phases` accumulates operator and gather-scatter seconds over the
+    applier's lifetime.
 
     Raises:
         ValueError: if the plan's local layout (gs.block) is not the
             operator's (its geometry's block).
     """
 
-    def __init__(self, op, gs: GatherScatter, executor=None):
+    def __init__(self, op, gs: GatherScatter):
         if gs.block != op.geom.block:
             raise ValueError(
                 f"the plan's layout has blocks of {gs.block} elements, the "
                 f"operator's of {op.geom.block}")
         self.op = op
         self.gs = gs
-        self.executor = executor
-        self._blocks = op.E // op.geom.block
-        self._serial = executor is None or self._blocks == 1 or op.instrument
         self.phases = {"operator": 0.0, "gather_scatter": 0.0}
-
-    def apply_local(self, u: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """A_L u alone: no exchange, no mask, nothing counted.
-
-        Every element of out is written; it is allocated when omitted.
-        """
-        if out is None:
-            out = np.empty_like(u)
-        if self._serial:
-            return self.op.apply_local(u, out)
-        futures = [self.executor.submit(self.op.apply_local, u, out, i)
-                   for i in range(self._blocks)]
-        for fut in futures:
-            fut.result()
-        return out
 
     def __call__(self, u: np.ndarray, count: bool = True,
                  out: np.ndarray | None = None) -> np.ndarray:
         """mask(QQ^T(A_L u)), written into out (allocated when omitted)."""
         t0 = time.perf_counter()
-        w = (self.op.apply_local(u, out) if self._serial
-             else self.apply_local(u, out))
+        w = self.op.apply_local(u, out)
         t1 = time.perf_counter()
         w = self.gs.gather_scatter(w, count=count, out=w)
         self.phases["operator"] += t1 - t0
@@ -181,7 +164,7 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         t0 = time.perf_counter()
         pap = gs.local_dot(p, w)
         timings["dots"] += time.perf_counter() - t0
-        if pap == 0.0 and rho < np.finfo(np.float64).tiny:
+        if pap == 0.0 and rho < TINY:
             # Both have underflowed: r is as converged as floats allow,
             # and the step would divide by zero.  It does not count.
             it -= 1

@@ -30,8 +30,9 @@ batch_size(q) elements or, for blocked, the 4 or 8 its geometry was built
 with, either capped at E.  Local vectors are stored in the same blocks
 (mesh.to_blocks), so u viewed as (E/B, p1, p1, p1, B) gives batch i as
 [i], read in place; the result is written in place into out, and each
-factor slot is read as one contiguous (q, q, q, B) block.  The operator
-diagonal runs over the same blocks.  The output is
+factor slot is read as one contiguous (q, q, q, B) block.  apply_local
+runs every block in turn, on the calling thread.  The operator diagonal
+runs over the same blocks.  The output is
 bitwise-identical to per-element application, which the verify suite
 checks.
 
@@ -191,7 +192,7 @@ class _LocalOperator:
             self._j, self._d = basis.J_hat, basis.D_hat
             self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
-    def apply_local(self, u, out=None, batch=None):
+    def apply_local(self, u, out=None):
         """Apply the unassembled operator block by block, in place.
 
         A call checks only the length of u; the block view's shape is
@@ -200,25 +201,23 @@ class _LocalOperator:
         Args:
             u: local vector in the layout of geom.block, shape (n_local,)
                 or (ncomp, n_local).
-            out: optional output array of the same shape.
-            batch: optional storage block index; only that block of out is
-                written.
+            out: optional output array of the same shape; every element
+                of it is written.
 
         Returns:
             w with w^e = A^e u^e; each row of a 2D input bitwise-equals
-            the apply of that row alone.  Other blocks' locals are zero
-            when a batch is given and out is None.
+            the apply of that row alone.
         """
         u = np.asarray(u)
         if u.shape[-1] != self.n_local:
             raise ValueError(f"expected local vector of length {self.n_local}")
         if out is None:
-            out = np.zeros_like(u)
+            out = np.empty_like(u)
         ct = self.counters if self.instrument else None
         uv = u.reshape((-1,) + self._view)
         wv = out.reshape(uv.shape)
         comps = len(uv)
-        for i in self._blocks if batch is None else (batch,):
+        for i in self._blocks:
             # Element data is read once per batch, shared by the components.
             data = self._element_data(i, ct)
             if ct is not None:

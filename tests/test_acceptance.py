@@ -5,7 +5,7 @@ conftest terminal-summary hook echoes all of them after the run, so the
 verdicts stay visible under pytest's output capture.  Criterion 10 is a
 soft, hardware-dependent shape check: it warns instead of failing when time
 per iteration does not collapse onto points per rank, and its warning states
-what was measured (worst spread, cores, worker threads, largest rank count)
+what was measured (worst spread, cores, a serial apply, largest rank count)
 rather than a presumed cause.
 """
 
@@ -199,9 +199,8 @@ def test_criterion_10_scaling_shape_soft():
         detail = (f"BP5 p=7 data collapse not observed: worst "
                   f"seconds/iter spread {worst:.2f}x > 1.25x over "
                   f"{len(spreads)} group(s), measured with "
-                  f"{os.cpu_count()} core(s), "
-                  f"{max(r.threads for r in rows)} worker thread(s) and "
-                  f"up to {max(r.config.ranks for r in rows)} simulated "
+                  f"{os.cpu_count()} core(s), a serial apply and up "
+                  f"to {max(r.config.ranks for r in rows)} simulated "
                   f"ranks; this soft criterion downgrades to a warning")
         announce(10, "WARN", detail)
         warnings.warn(detail)

@@ -4,8 +4,8 @@ import gc
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from sembench import bakeoff
 from sembench.bakeoff import (BLOCK_SIZES, BP_TABLE, MODES, ConfigError,
                               RunConfig, build_problem, default_threads,
                               measure_apply_flops, run, sweep)
-from sembench.krylov import SystemApplier
 from sembench.mesh import compute_geometric_factors
 from sembench.operators import STRATEGIES
 from sembench.tensors import batch_size
@@ -236,31 +235,30 @@ class TestMemoryCheck:
         assert available is None or available > 0
 
 
-class TestSystemApplier:
-    def test_partitioned_executor_matches_serial(self, rng):
-        problem = build_problem(RunConfig(bp=3, p=3, k=3, ranks=4))
-        serial = SystemApplier(problem.op, problem.gs)
-        u = rng.standard_normal(problem.op.n_local)
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            par = SystemApplier(problem.op, problem.gs, ex)
-            assert np.array_equal(par.apply_local(u), serial.apply_local(u))
-            assert np.array_equal(par(u, count=False), serial(u, count=False))
-
-
 class TestPartitionedApplier:
-    """SystemApplier.apply_local, the local-only apply of BK mode."""
+    """A BK-mode run: the local-only apply, with no exchange or dot."""
 
-    def test_local_only_output(self, rng):
-        problem = build_problem(RunConfig(bp=1, p=3, k=2, mode="bk"))
-        applier = SystemApplier(problem.op, problem.gs)
-        u = rng.standard_normal(problem.op.n_local)
-        assert np.array_equal(applier.apply_local(u),
-                              problem.op.apply_local(u))
+    def test_local_only_output(self, monkeypatch):
+        cfg = RunConfig(bp=1, p=3, k=2, mode="bk", iterations=2, trials=1)
+        problem = build_problem(cfg)
+        apply_local, outs = problem.op.apply_local, []
 
-    def test_local_only_counts_nothing(self, rng):
-        problem = build_problem(RunConfig(bp=3, p=2, k=3, mode="bk", ranks=2))
-        applier = SystemApplier(problem.op, problem.gs)
-        applier.apply_local(rng.standard_normal(problem.op.n_local))
+        def spy(u, out=None):
+            outs.append(out)
+            return apply_local(u, out=out)
+
+        monkeypatch.setattr(problem.op, "apply_local", spy)
+        run(cfg, problem)
+        assert len(outs) == 2 * cfg.iterations       # warm-up and one trial
+        assert all(out is outs[0] for out in outs)
+        assert np.array_equal(outs[0], apply_local(problem.b))
+
+    def test_local_only_counts_nothing(self):
+        cfg = RunConfig(bp=3, p=2, k=3, mode="bk", ranks=2, iterations=2,
+                        trials=1)
+        problem = build_problem(cfg)
+        result = run(cfg, problem)
+        assert result.messages == result.reductions == 0
         assert problem.gs.counters.messages == 0
         assert problem.gs.counters.reductions == 0
 
@@ -354,6 +352,34 @@ class TestRun:
                         trials=2)
         result = run(cfg)
         assert sum(result.solver.timings.values()) <= result.trial_seconds[-1]
+
+    # k = 10 is two storage blocks (512 elements each at q = 4), as on the
+    # bp5-p3-r2 benchmark workload; k = 6 is one.
+    @pytest.mark.parametrize("fields", [
+        dict(k=6), dict(k=10, iterations=5, trials=1)])
+    def test_threads_start_no_thread(self, fields, monkeypatch):
+        # threads is recorded only: the apply is serial, so the setting
+        # changes neither the thread count nor a bit.
+        counts = []
+        solve = bakeoff.pcg
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            counts.append(threading.active_count())
+            return out
+
+        monkeypatch.setattr(bakeoff, "pcg", spy)
+        before = threading.active_count()
+        histories = {}
+        for threads in (1, 2):
+            cfg = RunConfig(bp=5, p=3, ranks=2, threads=threads, **fields)
+            result = run(cfg)
+            assert result.threads == threads
+            histories[threads] = result.solver.residual_history
+        # The warm-up and every trial, once per thread count.
+        assert counts == [before] * 2 * (1 + cfg.trials)
+        assert threading.active_count() == before
+        assert histories[1].tobytes() == histories[2].tobytes()
 
     def test_collector_is_paused_over_the_trials(self, monkeypatch):
         # A collection of the caller's heap must not stall a trial or the

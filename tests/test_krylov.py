@@ -2,7 +2,6 @@
 
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -419,9 +418,9 @@ class TestSystemApplierOut:
         seen = {"local": [], "out": []}
         apply_local, gather = pr.op.apply_local, pr.gs.gather_scatter
 
-        def spy_apply(u, out=None, batch=None):
+        def spy_apply(u, out=None):
             seen["local"].append(out)
-            return apply_local(u, out=out, batch=batch)
+            return apply_local(u, out=out)
 
         def spy_gather(u, count=True, out=None):
             seen["out"].append(out)
@@ -435,27 +434,6 @@ class TestSystemApplierOut:
         for bufs in seen.values():
             assert bufs[0] is not None
             assert all(b is bufs[0] for b in bufs)
-
-    def test_thread_pool_is_bitwise_serial(self):
-        # At q = 9 a storage block is 32 elements, so 128 elements are
-        # four blocks, whatever the 3 rank partitions (42, 43 and 43
-        # elements, each boundary inside a block) are.
-        pr = build_problem(RunConfig(bp=3, p=7, k=7, ranks=3, mode="bk"))
-        assert (pr.geom.block, pr.geom.E) == (32, 128)
-        assert pr.gs.partitions == [(0, 42), (42, 85), (85, 128)]
-        u = np.random.default_rng(4).standard_normal(pr.gs.n_local)
-        serial = SystemApplier(pr.op, pr.gs)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            tasks = []
-            submit = pool.submit
-            pool.submit = lambda fn, *args: tasks.append(args) or submit(
-                fn, *args)
-            pooled = SystemApplier(pr.op, pr.gs, pool)
-            assert np.array_equal(pooled.apply_local(u), serial.apply_local(u))
-            # One task per storage block.
-            assert [batch for _, _, batch in tasks] == [0, 1, 2, 3]
-            assert np.array_equal(pooled(u, count=False),
-                                  serial(u, count=False))
 
     @pytest.mark.parametrize("comps", [1, 3])
     def test_system_apply_keeps_no_vector(self, comps):

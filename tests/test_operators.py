@@ -2,15 +2,13 @@
 
 import gc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sembench.basis import make_basis
 from sembench.bakeoff import BLOCK_SIZES, ConfigError, RunConfig, build_problem
-from sembench.mesh import (build_box_mesh, compute_geometric_factors,
-                           from_blocks)
+from sembench.mesh import build_box_mesh, compute_geometric_factors
 from sembench.assembly import build_gather_scatter, build_numbering
 from sembench.krylov import SystemApplier
 from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
@@ -364,29 +362,6 @@ class TestLifetime:
 
 
 class TestApplyMechanics:
-    def test_batch_writes_only_that_block(self, stack, rng):
-        # E = 64 at q = 9: two blocks of 32.
-        s = stack(7, "GL", 6)
-        op = make_op("stiffness", s)
-        u = rng.standard_normal((3, op.n_local))
-        full = from_blocks(op.apply_local(u), s.geom.block, 8)
-        for i in range(2):
-            b0, b1 = 32 * i, 32 * (i + 1)
-            part = from_blocks(op.apply_local(u, batch=i), s.geom.block, 8)
-            assert np.array_equal(part[:, b0:b1], full[:, b0:b1])
-            assert not part[:, :b0].any() and not part[:, b1:].any()
-
-    def test_batches_tile_the_full_apply(self, stack, rng):
-        s = stack(7, "GL", 6)
-        assert (s.geom.block, s.geom.E) == (32, 64)
-        for system in ("stiffness", "mass"):
-            op = make_op(system, s)
-            u = rng.standard_normal(op.n_local)
-            out = np.full_like(u, np.nan)
-            for i in range(2):
-                op.apply_local(u, out=out, batch=i)
-            assert np.array_equal(out, op.apply_local(u))
-
     @pytest.mark.parametrize("system", ["stiffness", "mass"])
     def test_whole_block_batches_are_views(self, system, stack, rng,
                                            monkeypatch):
@@ -423,17 +398,16 @@ class TestApplyMechanics:
     @pytest.mark.parametrize("ranks", [3, 8])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_partitions_inside_one_block(self, ranks, strategy, stack, rng):
-        # E = 8 in one block, cut into rank partitions: a pooled system
-        # apply still runs the block whole, with the bits of the
-        # per-element apply.
+        # E = 8 in one block, cut into rank partitions: the system apply
+        # runs the block whole, with the bits of the per-element apply.
         s = stack(3, "GL", 3, ranks=ranks)
         assert s.geom.block == s.mesh.E == 8
         assert len(s.gs.partitions) == ranks
         op = make_op("stiffness", s, strategy=strategy)
         u = rng.standard_normal((3, op.n_local))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = SystemApplier(op, s.gs, pool).apply_local(u)
-        assert np.array_equal(got, per_element_apply(op, u))
+        got = SystemApplier(op, s.gs)(u, count=False)
+        want = s.gs.gather_scatter(per_element_apply(op, u), count=False)
+        assert np.array_equal(got, want)
 
     def test_vector_apply_components_bitwise_equal_scalar(self, stack, rng):
         s = stack(3, "GL", 2)

@@ -3,11 +3,9 @@
 Two commits that print the same digest computed the same bits: x as raw
 bytes (so the sign of a zero counts), residual histories, diagnostics, the
 right-hand side, the preconditioner, gather-scatter and system-apply
-outputs, and the histories of bakeoff.run with threads=2.  The grid is
-BP1-6 x p in {1, 2, 4, 7} x ranks in {1, 3} at k = 4, ten arrays a point,
-480 in all.  At k = 4 every mesh is a single storage block, so those runs
-apply it serially; tests/test_krylov.py::TestSystemApplierOut::
-test_thread_pool_is_bitwise_serial is the check on the pooled apply.
+outputs, and the histories of bakeoff.run with threads=2 (recorded only:
+every apply is serial).  The grid is BP1-6 x p in {1, 2, 4, 7} x ranks in
+{1, 3} at k = 4, ten arrays a point, 480 in all.
 
 Run it against a checkout's own sources, for example
 
