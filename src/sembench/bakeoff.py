@@ -34,7 +34,7 @@ from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
                    build_box_mesh, compute_geometric_factors, storage_block,
                    to_blocks)
 from .operators import STRATEGIES, MassOperator, StiffnessOperator
-from .tensors import WORKING_SET_WORDS
+from .tensors import WORKING_SET_WORDS, aligned_empty
 
 THREADS_ENV = "SEMBENCH_THREADS"
 
@@ -200,15 +200,17 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
 
     f(x, y, z) = sin(pi x) sin(pi y) sin(pi z) sampled at the nodes, in the
     layout of geom.block; vector problems repeat it identically per
-    component.  gs is not checked against that layout.
+    component, as the rows of one (3, n_local) array.  b starts on a
+    64-byte line.  gs is not checked against that layout.
     """
     x, y, z = (mesh.elem_coords[:, c] for c in range(3))
     f = to_blocks(np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z),
                   geom.block)
     mass = MassOperator(basis, geom)
-    b = gs.gather_scatter(mass.apply_local(f), count=False)
-    if components == 3:
-        b = np.stack([b, b, b])
+    b = aligned_empty(f.shape if components == 1 else (components, f.size))
+    rows = b.reshape(components, -1)
+    gs.gather_scatter(mass.apply_local(f), count=False, out=rows[0])
+    rows[1:] = rows[0]
     return b
 
 
@@ -216,10 +218,11 @@ def estimate_bytes(config: RunConfig) -> int:
     """Resident bytes of a built problem and its solve, from the config alone.
 
     Setup and the operator run in element batches, so their temporaries
-    are a fixed cost; what grows with the mesh is the stored geometric
-    factors, the mesh, the plan and the vectors.  A batch field holds
-    batch_size(q) q^3 <= WORKING_SET_WORDS words, so the allowance of 24
-    such fields bounds the temporaries of one block.
+    and the operator's workspace are a fixed cost; what grows with the
+    mesh is the stored geometric factors, the mesh, the plan and the
+    vectors.  A batch field holds batch_size(q) q^3 <= WORKING_SET_WORDS
+    words, so an allowance of 24 + 7 such fields bounds the temporaries of
+    one block and the workspace.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
     # coordinates (3); the numbering's map and multiplicity, the plan's
@@ -227,13 +230,14 @@ def estimate_bytes(config: RunConfig) -> int:
     # and per component the right-hand side, the six PCG vectors, the
     # A_L u output and the global-length sums (about 8).  The factors and
     # the local vectors are stored in the same full blocks, with no
-    # padding.  Setup's metric terms take about 24 batch fields, more
-    # than the serial apply, whose batches read and write the local
-    # vectors in place.
+    # padding.  Setup's metric terms take about 24 batch fields while they
+    # are computed.  The operator keeps its workspace, 7 batch fields for
+    # the stiffness and 2 for the mass, for the problem's lifetime; its
+    # batches read and write the local vectors in place.
     p1 = config.p + 1
     node_words = 3 + 5 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
-    return 8 * (config.E * per_element + 24 * WORKING_SET_WORDS)
+    return 8 * (config.E * per_element + (24 + 7) * WORKING_SET_WORDS)
 
 
 def mem_available_bytes() -> int | None:
@@ -329,7 +333,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         applier = SystemApplier(op, gs)
         trial = bp_trial
     else:
-        w = np.empty_like(b)         # one output for every apply
+        w = aligned_empty(b.shape)   # one output for every apply
         trial = bk_trial
     gc_was_enabled = gc.isenabled()
     gc.disable()

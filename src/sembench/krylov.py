@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GatherScatter
+from .tensors import LINE_WORDS, aligned_empty
 
 # The smallest normal float64, for pcg's underflow test.
 TINY = sys.float_info.min
@@ -34,13 +35,16 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
     """Inverse of the assembled, masked operator diagonal.
 
     Masked (Dirichlet) slots get 1.0; they never see a nonzero residual.
+    The diagonal is assembled into the result, which starts on a 64-byte
+    line, and inverted there.
     """
-    d = gs.gather_scatter(op.diagonal(), count=False)
+    diag = op.diagonal()
+    minv = gs.gather_scatter(diag, count=False, out=aligned_empty(diag.shape))
     live = gs.mask > 0.0
-    if np.any(live & (d <= 0.0)):
+    if np.any(live & (minv <= 0.0)):
         raise DivergenceError("assembled diagonal not positive on free nodes")
-    minv = np.ones_like(d)
-    minv[live] = 1.0 / d[live]
+    np.divide(1.0, minv, out=minv, where=live)
+    minv[~live] = 1.0
     return minv
 
 
@@ -49,9 +53,11 @@ class SystemApplier:
 
     A system apply writes A_L u into `out` with op.apply_local and then
     runs one in-place gather_scatter on it, which sums and masks.  The
-    applier owns no buffer, so a call with `out` allocates only the
-    gather-scatter's one bincount output.  The simulated ranks set the
-    plan's partitions, sum order and message count; they run no threads.
+    applier owns no buffer and the operator applies in its own workspace,
+    so a call with `out` allocates only the gather-scatter's one bincount
+    output; like its operator, an applier runs one call at a time.  The
+    simulated ranks set the plan's partitions, sum order and message
+    count; they run no threads.
     `phases` accumulates operator and gather-scatter seconds over the
     applier's lifetime.
 
@@ -101,9 +107,11 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
         record_energy: bool = False, diagnostics: bool = False):
     """Run diagonally preconditioned CG from x0 = 0.
 
-    The solve allocates its vectors (x, r, z, p, w and one scratch) once
+    The solve allocates its vectors (x, r, z, p, w and one scratch) once,
+    as the rows of one aligned array whose rows start on 64-byte lines,
     and updates them in place, so an iteration allocates nothing
-    vector-sized as long as apply_a honours `out`.  Because x0 = 0, nothing
+    vector-sized as long as apply_a honours `out`.  The returned x is a
+    view of that array, which it keeps alive.  Because x0 = 0, nothing
     is copied to start: b is read as r0, z0 = minv b is written straight
     into p, and the first step writes x = alpha p + 0 (so a -0.0 product
     gives +0.0, as from a zeroed x) and r = b - alpha w in place, with no
@@ -144,7 +152,9 @@ def pcg(apply_a, gs: GatherScatter, b, max_iters: int = 100,
     t0 = time.perf_counter()
     # Unfilled: each vector is written before it is read; tmp holds the
     # products of the later steps' x and r updates.
-    x, r, z, p, w, tmp = (np.empty(b.shape) for _ in range(6))
+    row = -(-b.size // LINE_WORDS) * LINE_WORDS
+    x, r, z, p, w, tmp = (v[:b.size].reshape(b.shape)
+                          for v in aligned_empty((6, row)))
     np.multiply(minv, b, out=p)           # z0 = minv r0, used only as p0
     t1 = time.perf_counter()
     rho = gs.local_dot(b, p)

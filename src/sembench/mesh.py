@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import MAX_P, Basis1D
 from .quadrature import gauss_lobatto_legendre
-from .tensors import batch_size, contract_dir
+from .tensors import aligned_empty, batch_size, contract_dir
 
 MAX_K = 21
 
@@ -227,6 +227,7 @@ class GeomFactors:
     reads each metric slot as one contiguous (q, q, q, B) block.  Exactly
     8 q^3 stored reals per element.  q, block and E are read from the
     shapes.  Local vectors are stored in the same blocks.
+    compute_geometric_factors starts each array on a 64-byte line.
     """
 
     G: np.ndarray
@@ -284,8 +285,8 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     floor = 1e-14 * abs(hx * hy * hz)
 
     block = storage_block(block or batch_size(q), E)
-    G = np.empty((E // block, 6) + (q,) * 3 + (block,))
-    mass_diag, jac_det = (np.empty((E // block,) + (q,) * 3 + (block,))
+    G = aligned_empty((E // block, 6) + (q,) * 3 + (block,))
+    mass_diag, jac_det = (aligned_empty((E // block,) + (q,) * 3 + (block,))
                           for _ in range(2))
     for i in range(E // block):
         b0 = i * block

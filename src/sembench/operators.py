@@ -36,17 +36,32 @@ runs over the same blocks.  The output is
 bitwise-identical to per-element application, which the verify suite
 checks.
 
+Each operator owns one workspace, carved at construction out of one
+64-byte-aligned arena (tensors.aligned_empty) into the fields its
+dataflow writes: seven fields of q^3 B words for the stiffness (the
+gradient, the metric stage's three outputs and its scratch), reused
+stage by stage (four, the metric stage's, for interpfirst off
+collocation), and two for the mass off collocation, between which its
+interpolations ping-pong.  Every contraction and metric product writes
+into a field through out=, and every block, component and call reuses
+them, so an apply allocates nothing field-sized, and an operator runs one
+apply at a time.  interpfirst's contractions and eo_contract_dir's
+temporaries still allocate.
+
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import Basis1D, even_odd_split
 from .mesh import GeomFactors
-from .tensors import OpCounters, contract_dir, eo_contract_dir
+from .tensors import (LINE_WORDS, OpCounters, aligned_empty, contract_dir,
+                      eo_contract_dir)
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
 
@@ -162,7 +177,7 @@ class _LocalOperator:
     _diagonal_block(i), block i of the diagonal.  Local vectors are in the
     blocked layout of geom.block elements, (..., E/B, p1, p1, p1, B)
     flattened (see mesh), and every batch is one whole block, a view of u
-    and of out.
+    and of out.  Subclasses carve their workspace with _fields.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -192,11 +207,25 @@ class _LocalOperator:
             self._j, self._d = basis.J_hat, basis.D_hat
             self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
+    def _fields(self, count, *shapes):
+        """Carve `count` workspace fields out of one aligned arena.
+
+        Each field holds max(q, p1)^3 B words, rounded up to whole lines
+        so that every field starts on one.  Returns, for each shape of the
+        three direction axes, the list of all fields viewed as shape + (B,).
+        """
+        B = self.geom.block
+        words = max(self.basis.q, self.basis.p1) ** 3 * B
+        arena = aligned_empty((count, -(-words // LINE_WORDS) * LINE_WORDS))
+        return [[f[:math.prod(s) * B].reshape(s + (B,)) for f in arena]
+                for s in shapes]
+
     def apply_local(self, u, out=None):
         """Apply the unassembled operator block by block, in place.
 
         A call checks only the length of u; the block view's shape is
-        fixed at construction.
+        fixed at construction.  The operator's workspace is shared by its
+        calls, so one operator runs one apply at a time.
 
         Args:
             u: local vector in the layout of geom.block, shape (n_local,)
@@ -265,6 +294,14 @@ class StiffnessOperator(_LocalOperator):
             self._grad_t = cls._grad_t_interpfirst
         else:
             self._grad, self._grad_t = cls._grad_sumfact, cls._grad_t_sumfact
+        # The metric stage writes wr, ws, wt into fields 0-2 with field 3
+        # as its scratch, and the gradient ur, us, ut into fields 4-6; the
+        # other stages' intermediates go into fields that are dead while
+        # they run.  interpfirst's contractions allocate their own.
+        n, q = basis.p1, basis.q
+        count = 4 if self._grad is cls._grad_interpfirst else 7
+        self._nnq, self._nqq, self._qqq, self._nnn = self._fields(
+            count, (n, n, q), (n, q, q), (q, q, q), (n, n, n))
 
     def model_flops(self, components: int = 1) -> float:
         if self.basis.collocated:
@@ -276,27 +313,31 @@ class StiffnessOperator(_LocalOperator):
         return bytes_model(self.basis.p, self.basis.q, components, "stiffness")
 
     # Contraction kernels.  U is (n, n, n, B); ct threads the counters.
+    # Each writes into workspace fields, viewed in the shape lists named
+    # by their three direction axes (out= is passed positionally).
 
     def _grad_sumfact(self, U, ct):
         c, J, D = self._contract, self._j, self._d
-        a = c(D, U, 0, ct)
-        a = c(J, a, 1, ct)
-        ur = c(J, a, 2, ct)
-        b = c(J, U, 0, ct)                  # shared between us and ut
-        by = c(J, b, 1, ct)
-        us = c(J, c(D, b, 1, ct), 2, ct)
-        ut = c(D, by, 2, ct)
+        nnq, nqq, qqq = self._nnq, self._nqq, self._qqq
+        a = c(D, U, 0, ct, nnq[0])
+        a = c(J, a, 1, ct, nqq[1])
+        ur = c(J, a, 2, ct, qqq[4])
+        b = c(J, U, 0, ct, nnq[0])          # shared between us and ut
+        by = c(J, b, 1, ct, nqq[1])
+        us = c(J, c(D, b, 1, ct, nqq[2]), 2, ct, qqq[5])
+        ut = c(D, by, 2, ct, qqq[6])
         return ur, us, ut
 
     def _grad_t_sumfact(self, wr, ws, wt, ct, out=None):
         c, JT, DT = self._contract, self._jt, self._dt
-        z1 = c(JT, wr, 2, ct)
-        z1 = c(JT, z1, 1, ct)
+        nnq, nqq = self._nnq, self._nqq
+        z1 = c(JT, wr, 2, ct, nqq[3])
+        z1 = c(JT, z1, 1, ct, nnq[4])
         w = c(DT, z1, 0, ct, out)
-        z2 = c(DT, c(JT, ws, 2, ct), 1, ct)
-        z3 = c(JT, c(DT, wt, 2, ct), 1, ct)
-        shared = z2 + z3                    # one Jx^T pass serves both
-        w += c(JT, shared, 0, ct)
+        z2 = c(DT, c(JT, ws, 2, ct, nqq[3]), 1, ct, nnq[5])
+        z3 = c(JT, c(DT, wt, 2, ct, nqq[3]), 1, ct, nnq[6])
+        shared = np.add(z2, z3, out=z2)     # one Jx^T pass serves both
+        w += c(JT, shared, 0, ct, self._nnn[3])
         if ct is not None:
             ct.add += shared.size + w.size
         return w
@@ -325,31 +366,35 @@ class StiffnessOperator(_LocalOperator):
         return contract_dir(JT, w, 0, ct, out)
 
     def _grad_colloc(self, U, ct):
-        c, D = self._contract, self._d
-        return c(D, U, 0, ct), c(D, U, 1, ct), c(D, U, 2, ct)
+        c, D, nnn = self._contract, self._d, self._nnn
+        return (c(D, U, 0, ct, nnn[4]), c(D, U, 1, ct, nnn[5]),
+                c(D, U, 2, ct, nnn[6]))
 
     def _grad_t_colloc(self, wr, ws, wt, ct, out=None):
-        c, DT = self._contract, self._dt
+        c, DT, nnn = self._contract, self._dt, self._nnn
         w = c(DT, wr, 0, ct, out)
-        w += c(DT, ws, 1, ct)
-        w += c(DT, wt, 2, ct)
+        w += c(DT, ws, 1, ct, nnn[3])
+        w += c(DT, wt, 2, ct, nnn[3])
         if ct is not None:
             ct.add += 2 * w.size
         return w
 
     def _apply_g(self, ur, us, ut, g, ct):
-        # Each row is ga*ur + gb*us + gc*ut, added left to right; the second
-        # and third products go through one scratch buffer per batch.
-        tmp = np.empty_like(ur)
+        # Each row is ga*ur + gb*us + gc*ut, added left to right into
+        # fields 0-2; the second and third products go through field 3.
+        f = self._qqq
+        tmp = f[3]
 
-        def row(ga, gb, gc):
-            w = ga * ur
+        def row(ga, gb, gc, w):
+            np.multiply(ga, ur, out=w)
             w += np.multiply(gb, us, out=tmp)
             w += np.multiply(gc, ut, out=tmp)
             return w
 
         g11, g12, g13, g22, g23, g33 = g
-        wr, ws, wt = row(g11, g12, g13), row(g12, g22, g23), row(g13, g23, g33)
+        wr = row(g11, g12, g13, f[0])
+        ws = row(g12, g22, g23, f[1])
+        wt = row(g13, g23, g33, f[2])
         if ct is not None:
             ct.mul += 9 * ur.size
             ct.add += 6 * ur.size
@@ -401,6 +446,12 @@ class MassOperator(_LocalOperator):
                  strategy: str = "sumfact", instrument: bool = False):
         super().__init__(basis, geom, strategy, instrument)
         self.collocated = basis.collocated
+        if not self.collocated:
+            # The interpolations ping-pong between two workspace fields.
+            n, q = basis.p1, basis.q
+            (self._nnq, self._nqq, self._qqq, self._qqn,
+             self._qnn) = self._fields(2, (n, n, q), (n, q, q), (q, q, q),
+                                       (q, q, n), (q, n, n))
 
     def model_flops(self, components: int = 1) -> float:
         return components * mass_flop_model(self.basis.p, self.basis.q,
@@ -409,12 +460,6 @@ class MassOperator(_LocalOperator):
     def model_bytes(self, components: int = 1):
         return bytes_model(self.basis.p, self.basis.q, components, "mass",
                            self.collocated)
-
-    def _interp(self, U, ct, transpose=False, out=None):
-        J = self._jt if transpose else self._j
-        U = self._contract(J, U, 0, ct)
-        U = self._contract(J, U, 1, ct)
-        return self._contract(J, U, 2, ct, out)
 
     def _element_data(self, i, ct):
         if ct is not None:
@@ -438,6 +483,11 @@ class MassOperator(_LocalOperator):
             ct.mul += d.size
         if self.collocated:
             return np.multiply(U, d, out=out)
-        uq = self._interp(U, ct)
+        c, J, JT = self._contract, self._j, self._jt
+        uq = c(J, U, 0, ct, self._nnq[0])
+        uq = c(J, uq, 1, ct, self._nqq[1])
+        uq = c(J, uq, 2, ct, self._qqq[0])
         uq *= d
-        return self._interp(uq, ct, transpose=True, out=out)
+        v = c(JT, uq, 0, ct, self._qqn[1])
+        v = c(JT, v, 1, ct, self._qnn[0])
+        return c(JT, v, 2, ct, out)

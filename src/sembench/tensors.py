@@ -31,10 +31,18 @@ temporaries stay that small.  Every batched loop (the operators, their
 diagonal and the geometric factors) takes whole blocks as its batches; the
 blocked strategy's geometry is stored in blocks of 4 or 8 elements
 instead.
+
+Every array the timed loop streams through starts on a 64-byte cache line
+(aligned_empty): the geometric factors, the right-hand side, the
+preconditioner, the solve's vectors and each operator's workspace fields.
+numpy and glibc place an array 16 bytes into a line, so each 64-byte
+vector load or store of a GEMM or a three-array ufunc would split two
+lines.  Alignment changes only which loads run, not the bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +57,28 @@ def batch_size(q: int) -> int:
     max(1, WORKING_SET_WORDS // q^3), so that it divides E = 2^k or covers
     it."""
     return 1 << (max(1, WORKING_SET_WORDS // q ** 3).bit_length() - 1)
+
+
+# Bytes of a cache line, and float64 words of one.
+LINE_BYTES = 64
+LINE_WORDS = LINE_BYTES // 8
+
+
+def aligned_empty(shape) -> np.ndarray:
+    """An unfilled C-contiguous float64 array whose data starts on a line.
+
+    Args:
+        shape: int or tuple, as for np.empty.
+
+    Returns:
+        A view into a byte buffer one line longer than the array, which it
+        keeps alive.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    nbytes = 8 * math.prod(shape)
+    raw = np.empty(nbytes + LINE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % LINE_BYTES
+    return raw[start:start + nbytes].view(np.float64).reshape(shape)
 
 
 @dataclass

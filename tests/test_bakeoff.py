@@ -17,9 +17,10 @@ from sembench import bakeoff
 from sembench.bakeoff import (BLOCK_SIZES, BP_TABLE, MODES, ConfigError,
                               RunConfig, build_problem, default_threads,
                               measure_apply_flops, run, sweep)
+from sembench.krylov import SystemApplier, pcg
 from sembench.mesh import compute_geometric_factors
 from sembench.operators import STRATEGIES
-from sembench.tensors import batch_size
+from sembench.tensors import LINE_BYTES, batch_size
 
 
 class TestBpTable:
@@ -110,6 +111,14 @@ class TestProblem:
         assert problem.b.shape[0] == 3
         assert np.array_equal(problem.b[0], problem.b[1])
         assert np.array_equal(problem.b[0], problem.b[2])
+
+    @pytest.mark.parametrize("bp", [1, 4])
+    def test_solve_arrays_start_on_a_line(self, bp):
+        problem = build_problem(RunConfig(bp=bp, p=3, k=3))
+        x, _ = pcg(SystemApplier(problem.op, problem.gs), problem.gs,
+                   problem.b, max_iters=2, minv=problem.minv)
+        for a in (problem.b, problem.minv, x):
+            assert a.ctypes.data % LINE_BYTES == 0
 
     def test_no_free_dof_rejected_in_bp_mode(self):
         # p = 1, k = 2: every node of the 2x1x2 mesh is on the boundary.

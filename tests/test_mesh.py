@@ -230,6 +230,13 @@ class TestBatchedGeomFactors:
                 got = element_major(one, getattr(one, name))
                 assert np.array_equal(got[0], ref[e])
 
+    @pytest.mark.parametrize("block", [1, 4, 32])
+    def test_factors_start_on_a_line(self, block, stack):
+        s = stack(7, "GL", 6)
+        geom = compute_geometric_factors(s.mesh, s.basis, block)
+        for a in (geom.G, geom.mass_diag, geom.jac_det):
+            assert a.ctypes.data % tensors.LINE_BYTES == 0
+
     @pytest.mark.parametrize("q", range(1, 18))
     def test_batch_size_is_a_power_of_two_within_the_working_set(self, q):
         # So it divides E = 2^k or covers it, and one batch field of q^3

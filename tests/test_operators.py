@@ -1,6 +1,7 @@
 """Matrix-free operators: equivalence, cost models, algebraic structure."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, bytes_model,
                                 collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
-from sembench.tensors import batch_size
+from sembench.tensors import LINE_BYTES, aligned_empty, batch_size
 from sembench.verify import (assemble_reference_csr, element_major_apply,
                              per_element_apply)
 
@@ -423,6 +424,68 @@ class TestApplyMechanics:
         op = make_op("stiffness", s)
         with pytest.raises(ValueError):
             op.apply_local(np.zeros(op.n_local + 1))
+
+
+def workspace_fields(op):
+    """Every workspace field view of op: the items of its per-shape lists."""
+    return [f for v in vars(op).values() if isinstance(v, list)
+            for f in v if isinstance(f, np.ndarray)]
+
+
+def off_line(a):
+    """A copy of a whose data starts 8 bytes past a 64-byte line."""
+    b = aligned_empty(a.size + 1)[1:].reshape(a.shape)
+    b[...] = a
+    return b
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("system, kind, strategy, fields", [
+        ("stiffness", "GL", "sumfact", 7), ("stiffness", "GL", "evenodd", 7),
+        ("stiffness", "GL", "interpfirst", 4),
+        ("stiffness", "GLL", "sumfact", 7),
+        ("stiffness", "GLL", "interpfirst", 7),
+        ("mass", "GL", "sumfact", 2), ("mass", "GLL", "sumfact", 0)])
+    def test_only_the_written_fields_each_on_a_line(self, system, kind,
+                                                    strategy, fields, stack):
+        op = make_op(system, stack(3, kind, 3), strategy=strategy)
+        views = workspace_fields(op)
+        assert all(f.ctypes.data % LINE_BYTES == 0 for f in views)
+        assert len({f.ctypes.data for f in views}) == fields
+
+    @pytest.mark.parametrize("bp", [1, 3, 5, 4])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_alignment_changes_no_bit(self, bp, strategy, rng):
+        # BP1, BP3 and BP5 cover GL mass, GL stiffness and the collocated
+        # stiffness; BP4 has three components.
+        problem = build_problem(RunConfig(bp=bp, p=3, k=4, mode="bk",
+                                          strategy=strategy))
+        op = problem.op
+        u = rng.standard_normal(problem.b.shape)
+        on = aligned_empty(u.shape)
+        on[...] = u
+        want = op.apply_local(on, out=aligned_empty(u.shape))
+        u8, w8 = off_line(u), off_line(np.zeros_like(u))
+        assert u8.ctypes.data % LINE_BYTES == 8
+        got = op.apply_local(u8, out=w8)
+        assert got is w8 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("system, kind", [
+        ("stiffness", "GL"), ("stiffness", "GLL"), ("mass", "GL")])
+    def test_second_apply_allocates_no_field(self, system, kind, stack, rng):
+        s = stack(3, kind, 6)                     # 64 elements in one block
+        op = make_op(system, s)
+        u = rng.standard_normal(op.n_local)
+        out = np.empty_like(u)
+        op.apply_local(u, out=out)
+        field = 8 * s.basis.q ** 3 * s.geom.block
+        tracemalloc.start()
+        try:
+            op.apply_local(u, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field
 
 
 class TestInstrumentation:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sembench.basis import even_odd_split, make_basis
-from sembench.tensors import OpCounters, contract_dir, eo_contract_dir
+from sembench.tensors import (LINE_BYTES, OpCounters, aligned_empty,
+                              contract_dir, eo_contract_dir)
 
 
 def element_first_einsum(spec, a, u):
@@ -146,6 +147,17 @@ class TestEvenOddContract:
         factor = make_basis(3, "GL").J_even_odd
         with pytest.raises(ValueError):
             eo_contract_dir(factor, np.zeros((4, 4, 5, 2)), 0)
+
+
+class TestAlignedEmpty:
+    @pytest.mark.parametrize("shape", [7, (1000,), (3, 4, 5),
+                                       (2, 3, 4, 5, 6), (6, 13), (6, 4096)])
+    def test_c_contiguous_float64_on_a_line(self, shape):
+        a = aligned_empty(shape)
+        assert a.shape == ((shape,) if isinstance(shape, int) else shape)
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % LINE_BYTES == 0
 
 
 class TestOpCounters:
