@@ -47,15 +47,12 @@ class MeshError(ValueError):
     pass
 
 
-def _deform_none(x, y, z, amplitude, extents):
+def _deform_none(x, y, z, amplitude):
     return np.zeros_like(x)
 
 
-def _deform_sine(x, y, z, amplitude, extents):
-    (x0, y0, z0), (x1, y1, z1) = extents
-    sx = np.sin(np.pi * (x - x0) / (x1 - x0))
-    sy = np.sin(np.pi * (y - y0) / (y1 - y0))
-    sz = np.sin(np.pi * (z - z0) / (z1 - z0))
+def _deform_sine(x, y, z, amplitude):
+    sx, sy, sz = (np.sin(np.pi * c) for c in (x, y, z))
     return amplitude * sx * sy * sz
 
 
@@ -76,7 +73,7 @@ def box_dims(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class BoxMesh:
-    """A deformed tensor-product hex mesh on an axis-aligned box.
+    """A deformed tensor-product hex mesh on the unit box [0, 1]^3.
 
     elem_coords has shape (E, 3, p1, p1, p1): component c of the coordinate
     of node (iz, iy, ix) of element e is elem_coords[e, c, iz, iy, ix].
@@ -86,7 +83,6 @@ class BoxMesh:
     k: int
     p: int
     dims: tuple
-    extents: tuple
     deformation: str
     amplitude: float
     nodes_1d: np.ndarray
@@ -109,12 +105,6 @@ class BoxMesh:
         """Unique global lattice nodes of the non-periodic box."""
         ex, ey, ez = self.dims
         return (self.p * ex + 1) * (self.p * ey + 1) * (self.p * ez + 1)
-
-    @property
-    def element_widths(self) -> tuple:
-        (x0, y0, z0), (x1, y1, z1) = self.extents
-        ex, ey, ez = self.dims
-        return ((x1 - x0) / ex, (y1 - y0) / ey, (z1 - z0) / ez)
 
 
 def lattice_index(dims: tuple, p: int) -> tuple:
@@ -166,14 +156,13 @@ def from_blocks(u: np.ndarray, block: int, n: int) -> np.ndarray:
                        -1, -4).copy().reshape(lead + (E,) + node)
 
 
-def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-                   deformation: str = "sine", amplitude: float = 0.05) -> BoxMesh:
-    """Build the E = 2^k box mesh of geometry order p.
+def build_box_mesh(k: int, p: int, deformation: str = "sine",
+                   amplitude: float = 0.05) -> BoxMesh:
+    """Build the E = 2^k mesh of the unit box, of geometry order p.
 
     Args:
         k: log2 of the element count, 0 <= k <= 21.
         p: geometry (and field) order, 1 <= p <= MAX_P.
-        extents: ((x0,y0,z0), (x1,y1,z1)) corners of the box.
         deformation: "none" or "sine"; the sine displacement vanishes on
             the boundary, so the domain stays the box.
         amplitude: deformation amplitude.
@@ -194,26 +183,20 @@ def build_box_mesh(k: int, p: int, extents=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
     # One global coordinate lattice per direction; element nodes index
     # into it, so shared faces reference identical floats by construction.
     lattices = []
-    for d in range(3):
-        lo, hi = extents[0][d], extents[1][d]
-        ed = dims[d]
-        h = (hi - lo) / ed
+    for ed in dims:
         lat = np.empty(ed * p + 1)
         for e in range(ed):
-            lat[e * p:(e + 1) * p] = lo + h * (e + 0.5 * (nodes[:p] + 1.0))
-        lat[-1] = hi
+            lat[e * p:(e + 1) * p] = (e + 0.5 * (nodes[:p] + 1.0)) / ed
+        lat[-1] = 1.0
         lattices.append(lat)
 
     # Gather per-element coordinates, deformed before they are broadcast.
     gx, gy, gz = lattice_index(dims, p)
     x, y, z = lattices[0][gx], lattices[1][gy], lattices[2][gz]
-    delta = DEFORMATIONS[deformation](x, y, z, amplitude, extents)
+    delta = DEFORMATIONS[deformation](x, y, z, amplitude)
     delta = np.broadcast_to(delta, (len(x), p1, p1, p1))
-    widths = np.array([extents[1][d] - extents[0][d] for d in range(3)])
-    coords = np.stack([x + widths[0] * delta,
-                       y + widths[1] * delta,
-                       z + widths[2] * delta], axis=1)
-    return BoxMesh(k, p, dims, extents, deformation, amplitude, nodes, coords)
+    coords = np.stack([x + delta, y + delta, z + delta], axis=1)
+    return BoxMesh(k, p, dims, deformation, amplitude, nodes, coords)
 
 
 @dataclass(frozen=True)
@@ -281,8 +264,7 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     q, E = basis.q, mesh.E
     w = basis.quad.weights
     w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :])[..., None]
-    hx, hy, hz = mesh.element_widths
-    floor = 1e-14 * abs(hx * hy * hz)
+    floor = 1e-14 / E
 
     block = storage_block(block or batch_size(q), E)
     G = aligned_empty((E // block, 6) + (q,) * 3 + (block,))

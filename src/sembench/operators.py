@@ -15,12 +15,12 @@ Four interchangeable contraction strategies are provided:
                factored form (about half the multiplies).
 * blocked:     sumfact on a geometry stored in blocks of 4 or 8 elements.
 
-With collocated GLL quadrature (q = p + 1) J_hat is the identity, and every
-strategy runs the same six-contraction dataflow instead: ur, us, ut are the
+With collocated GLL quadrature (q = p + 1) J_hat is the identity and the
+quadrature grid's derivative matrix is D_hat, and every strategy runs
+interpfirst's dataflow with its J contractions skipped: ur, us, ut are the
 three D contractions of u, and w = D_x^T wr + D_y^T ws + D_z^T wt.  evenodd
-keeps its factored D.  The dense output equals the interpfirst dataflow's
-bitwise, since that adds the transposed terms in the same order and its
-identity contractions are exact.
+keeps its factored D.  Skipping an exact identity contraction leaves the
+bits as they are.
 
 Every strategy applies a batch of elements per contraction, as one
 (p1, p1, p1, B) field with the element index innermost, so every 1D
@@ -38,15 +38,13 @@ checks.
 
 Each operator owns one workspace, carved at construction out of one
 64-byte-aligned arena (tensors.aligned_empty) into the fields its
-dataflow writes: seven fields of q^3 B words for the stiffness (the
+dataflow writes: seven fields of q^3 B words for every stiffness (the
 gradient, the metric stage's three outputs and its scratch), reused
-stage by stage (four, the metric stage's, for interpfirst off
-collocation), and two for the mass off collocation, between which its
+stage by stage, and two for the mass off collocation, between which its
 interpolations ping-pong.  Every contraction and metric product writes
 into a field through out=, and every block, component and call reuses
 them, so an apply allocates nothing field-sized, and an operator runs one
-apply at a time.  interpfirst's contractions and eo_contract_dir's
-temporaries still allocate.
+apply at a time.  Only eo_contract_dir's temporaries still allocate.
 
 Instrumented counters record FMAs, adds, multiplies, and modeled memory
 words; closed-form flop/byte models are provided for comparison.
@@ -286,22 +284,27 @@ class StiffnessOperator(_LocalOperator):
         # Plain functions, not bound methods: a bound method kept on the
         # instance is a reference cycle, which would keep the operator and
         # its geometric factors alive until the cyclic collector runs.
+        # At collocation every strategy runs interpfirst's dataflow with its
+        # J contractions skipped, on the nodes' own D (factored for evenodd).
         cls = StiffnessOperator
-        if basis.collocated:
-            self._grad, self._grad_t = cls._grad_colloc, cls._grad_t_colloc
-        elif strategy == "interpfirst":
+        self._interp = not basis.collocated
+        if basis.collocated or strategy == "interpfirst":
             self._grad = cls._grad_interpfirst
             self._grad_t = cls._grad_t_interpfirst
         else:
             self._grad, self._grad_t = cls._grad_sumfact, cls._grad_t_sumfact
+        if basis.collocated:
+            self._dq, self._dqt = self._d, self._dt
+        else:
+            self._dq = basis.deriv_at_quad
+            self._dqt = self._dq.T
         # The metric stage writes wr, ws, wt into fields 0-2 with field 3
         # as its scratch, and the gradient ur, us, ut into fields 4-6; the
         # other stages' intermediates go into fields that are dead while
-        # they run.  interpfirst's contractions allocate their own.
+        # they run.
         n, q = basis.p1, basis.q
-        count = 4 if self._grad is cls._grad_interpfirst else 7
         self._nnq, self._nqq, self._qqq, self._nnn = self._fields(
-            count, (n, n, q), (n, q, q), (q, q, q), (n, n, n))
+            7, (n, n, q), (n, q, q), (q, q, q), (n, n, n))
 
     def model_flops(self, components: int = 1) -> float:
         if self.basis.collocated:
@@ -343,41 +346,28 @@ class StiffnessOperator(_LocalOperator):
         return w
 
     def _grad_interpfirst(self, U, ct):
-        J = self.basis.J_hat
-        Dq = self.basis.deriv_at_quad
-        uq = contract_dir(J, U, 0, ct)
-        uq = contract_dir(J, uq, 1, ct)
-        uq = contract_dir(J, uq, 2, ct)
-        ur = contract_dir(Dq, uq, 0, ct)
-        us = contract_dir(Dq, uq, 1, ct)
-        ut = contract_dir(Dq, uq, 2, ct)
-        return ur, us, ut
+        c, Dq, qqq = self._contract, self._dq, self._qqq
+        if self._interp:
+            J = self._j
+            U = c(J, U, 0, ct, self._nnq[0])
+            U = c(J, U, 1, ct, self._nqq[1])
+            U = c(J, U, 2, ct, qqq[3])
+        return (c(Dq, U, 0, ct, qqq[4]), c(Dq, U, 1, ct, qqq[5]),
+                c(Dq, U, 2, ct, qqq[6]))
 
     def _grad_t_interpfirst(self, wr, ws, wt, ct, out=None):
-        JT = self.basis.J_hat.T
-        DqT = self.basis.deriv_at_quad.T
-        vq = contract_dir(DqT, wr, 0, ct)
-        vq += contract_dir(DqT, ws, 1, ct)
-        vq += contract_dir(DqT, wt, 2, ct)
+        c, DqT, qqq = self._contract, self._dqt, self._qqq
+        v = c(DqT, wr, 0, ct, qqq[4] if self._interp else out)
+        v += c(DqT, ws, 1, ct, qqq[3])
+        v += c(DqT, wt, 2, ct, qqq[3])
         if ct is not None:
-            ct.add += 2 * vq.size
-        w = contract_dir(JT, vq, 2, ct)
-        w = contract_dir(JT, w, 1, ct)
-        return contract_dir(JT, w, 0, ct, out)
-
-    def _grad_colloc(self, U, ct):
-        c, D, nnn = self._contract, self._d, self._nnn
-        return (c(D, U, 0, ct, nnn[4]), c(D, U, 1, ct, nnn[5]),
-                c(D, U, 2, ct, nnn[6]))
-
-    def _grad_t_colloc(self, wr, ws, wt, ct, out=None):
-        c, DT, nnn = self._contract, self._dt, self._nnn
-        w = c(DT, wr, 0, ct, out)
-        w += c(DT, ws, 1, ct, nnn[3])
-        w += c(DT, wt, 2, ct, nnn[3])
-        if ct is not None:
-            ct.add += 2 * w.size
-        return w
+            ct.add += 2 * v.size
+        if not self._interp:
+            return v
+        JT = self._jt
+        w = c(JT, v, 2, ct, self._nqq[5])
+        w = c(JT, w, 1, ct, self._nnq[6])
+        return c(JT, w, 0, ct, out)
 
     def _apply_g(self, ur, us, ut, g, ct):
         # Each row is ga*ur + gb*us + gc*ut, added left to right into

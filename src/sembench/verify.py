@@ -26,10 +26,6 @@ from .operators import STRATEGY_RTOL, MassOperator, StiffnessOperator
 from .quadrature import MAX_POINTS, gauss_legendre, gauss_lobatto_legendre
 from .tensors import eo_contract_dir
 
-CHECKS = ("csr-equivalence", "strategy-equivalence", "quadrature-exactness",
-          "even-odd", "qtq-multiplicity")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -201,8 +197,9 @@ def element_major_apply(op, u: np.ndarray) -> np.ndarray:
 class SumfactDataflow(StiffnessOperator):
     """The generic sumfact dataflow, J contractions included, at any q.
 
-    At GLL collocation every strategy runs the six-contraction collocated
-    dataflow, so this is the independent reference they are held to there.
+    At GLL collocation every strategy runs interpfirst's dataflow with its
+    J contractions skipped, so this is the independent reference they are
+    held to there.
     """
 
     def __init__(self, basis, geom, strategy="sumfact"):
@@ -378,22 +375,19 @@ def check_qtq_multiplicity(cases=((0, 1), (1, 2), (3, 3), (6, 3)),
                        f"copies of each node {copies}")
 
 
-_LIGHT_ARGS = {
-    # verify defaults keep each suite under a few seconds
-    "csr-equivalence": dict(pairs=((2, 3), (2, 4), (3, 4), (3, 5)), ks=(3,)),
-    "strategy-equivalence": dict(p_list=range(1, 8), n_inputs=5),
-    "quadrature-exactness": {},
-    "even-odd": {},
-    "qtq-multiplicity": {},
+# Each suite and the light arguments that keep it under a few seconds.
+_SUITES = {
+    "csr-equivalence": (check_csr_equivalence,
+                        dict(pairs=((2, 3), (2, 4), (3, 4), (3, 5)),
+                             ks=(3,))),
+    "strategy-equivalence": (check_strategy_equivalence,
+                             dict(p_list=range(1, 8), n_inputs=5)),
+    "quadrature-exactness": (check_quadrature_exactness, {}),
+    "even-odd": (check_even_odd, {}),
+    "qtq-multiplicity": (check_qtq_multiplicity, {}),
 }
 
-_SUITES = {
-    "csr-equivalence": check_csr_equivalence,
-    "strategy-equivalence": check_strategy_equivalence,
-    "quadrature-exactness": check_quadrature_exactness,
-    "even-odd": check_even_odd,
-    "qtq-multiplicity": check_qtq_multiplicity,
-}
+CHECKS = tuple(_SUITES)
 
 
 def run_suites(names=None, overrides=None) -> list:
@@ -405,8 +399,9 @@ def run_suites(names=None, overrides=None) -> list:
         if name not in _SUITES:
             raise ValueError(
                 f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
-        kwargs = dict(_LIGHT_ARGS[name])
+        check, light_args = _SUITES[name]
+        kwargs = dict(light_args)
         if overrides:
             kwargs.update(overrides.get(name, {}))
-        results.append(_SUITES[name](**kwargs))
+        results.append(check(**kwargs))
     return results

@@ -16,7 +16,7 @@ from sembench.operators import (MassOperator, STRATEGIES, STRATEGY_RTOL,
                                 StiffnessOperator, bytes_model,
                                 collocated_flop_model, flop_model,
                                 mass_flop_model, single_contraction_flops)
-from sembench.tensors import LINE_BYTES, aligned_empty, batch_size
+from sembench.tensors import LINE_BYTES, aligned_empty, batch_size, contract_dir
 from sembench.verify import (assemble_reference_csr, element_major_apply,
                              per_element_apply)
 
@@ -281,19 +281,28 @@ class TestStrategies:
 class TestCollocatedStiffness:
     @pytest.mark.parametrize("p", range(1, 8))
     def test_dense_dataflow_bitwise_equals_interpfirst(self, p, stack, rng):
-        # The collocated dataflow must add the transposed terms in the
-        # interpfirst order; its identity contractions are exact.
+        # Skipping interpfirst's J contractions at collocation moves no bit:
+        # the same operator with them run gives the same gradient and sum.
         s = stack(p, "GLL", 2)
-        op = make_op("stiffness", s)
+        op, full = make_op("stiffness", s), make_op("stiffness", s)
+        full._interp = True
         U = rng.standard_normal((p + 1, p + 1, p + 1, s.mesh.E))
-        g = s.geom.G[0]
-        grads = op._grad_colloc(U, None)
-        ref_grads = op._grad_interpfirst(U, None)
-        for got, ref in zip(grads, ref_grads):
+        grads = op._grad_interpfirst(U, None)
+        for got, ref in zip(grads, full._grad_interpfirst(U, None)):
             assert np.array_equal(got, ref)
-        wr, ws, wt = op._apply_g(*grads, g, None)
-        assert np.array_equal(op._grad_t_colloc(wr, ws, wt, None),
-                              op._grad_t_interpfirst(wr, ws, wt, None))
+        wr, ws, wt = op._apply_g(*grads, s.geom.G[0], None)
+        assert np.array_equal(op._grad_t_interpfirst(wr, ws, wt, None),
+                              full._grad_t_interpfirst(wr, ws, wt, None))
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_skipped_interpolations_are_exact(self, p, rng):
+        # At collocation the stiffness skips interpfirst's J contractions
+        # and differentiates with D_hat: both must be exact there.
+        basis = make_basis(p, "GLL")
+        U = rng.standard_normal((p + 1, p + 1, p + 1, 3))
+        for d in range(3):
+            assert np.array_equal(contract_dir(basis.J_hat, U, d), U)
+        assert np.array_equal(basis.deriv_at_quad, basis.D_hat)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_strategy_runs_six_contractions(self, strategy, stack,
@@ -442,7 +451,7 @@ def off_line(a):
 class TestWorkspace:
     @pytest.mark.parametrize("system, kind, strategy, fields", [
         ("stiffness", "GL", "sumfact", 7), ("stiffness", "GL", "evenodd", 7),
-        ("stiffness", "GL", "interpfirst", 4),
+        ("stiffness", "GL", "interpfirst", 7),
         ("stiffness", "GLL", "sumfact", 7),
         ("stiffness", "GLL", "interpfirst", 7),
         ("mass", "GL", "sumfact", 2), ("mass", "GLL", "sumfact", 0)])
@@ -470,11 +479,15 @@ class TestWorkspace:
         got = op.apply_local(u8, out=w8)
         assert got is w8 and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("system, kind", [
-        ("stiffness", "GL"), ("stiffness", "GLL"), ("mass", "GL")])
-    def test_second_apply_allocates_no_field(self, system, kind, stack, rng):
+    @pytest.mark.parametrize("system, kind, strategy", [
+        ("stiffness", "GL", "sumfact"), ("stiffness", "GLL", "sumfact"),
+        ("mass", "GL", "sumfact"), ("stiffness", "GL", "interpfirst")],
+        ids=["stiffness-GL", "stiffness-GLL", "mass-GL",
+             "stiffness-GL-interpfirst"])
+    def test_second_apply_allocates_no_field(self, system, kind, strategy,
+                                             stack, rng):
         s = stack(3, kind, 6)                     # 64 elements in one block
-        op = make_op(system, s)
+        op = make_op(system, s, strategy=strategy)
         u = rng.standard_normal(op.n_local)
         out = np.empty_like(u)
         op.apply_local(u, out=out)

@@ -73,16 +73,17 @@ class TestFaultSensitivity:
         assert "differs" in result.detail
 
     def test_collocated_dataflow_fault_is_detected(self, monkeypatch):
-        # At GLL every strategy runs the collocated dataflow, so all of them
+        # At GLL every strategy runs interpfirst's dataflow, so all of them
         # agree on a fault in it; only the generic sumfact dataflow sees it.
-        grad_t = StiffnessOperator._grad_t_colloc
+        grad_t = StiffnessOperator._grad_t_interpfirst
 
         def skewed(self, wr, ws, wt, ct, out=None):
             w = grad_t(self, wr, ws, wt, ct, out)
-            w *= 1.0 + 1e-9
+            if self.basis.collocated:
+                w *= 1.0 + 1e-9
             return w
 
-        monkeypatch.setattr(StiffnessOperator, "_grad_t_colloc", skewed)
+        monkeypatch.setattr(StiffnessOperator, "_grad_t_interpfirst", skewed)
         args = dict(p_list=[3], k=2, n_inputs=2)
         assert check_strategy_equivalence(kinds=("GL",), **args).passed
         result = check_strategy_equivalence(kinds=("GLL",), **args)

@@ -5,7 +5,11 @@ bytes (so the sign of a zero counts), residual histories, diagnostics, the
 right-hand side, the preconditioner, gather-scatter and system-apply
 outputs, and the histories of bakeoff.run with threads=2 (recorded only:
 every apply is serial).  The grid is BP1-6 x p in {1, 2, 4, 7} x ranks in
-{1, 3} at k = 4, ten arrays a point, 480 in all.
+{1, 3} at k = 4, ten arrays a point, 480 in all, every one with the
+default sumfact strategy.  A second grid covers the other strategies:
+BP3-6 x p in {1, 2, 4, 7} x interpfirst, evenodd and blocked at ranks = 1
+and k = 4, four arrays a point (a seeded local apply, x and the residual
+history of pcg, and the preconditioner).
 
 Run it against a checkout's own sources, for example
 
@@ -13,10 +17,11 @@ Run it against a checkout's own sources, for example
     PYTHONPATH=/path/to/other/checkout/src python tools/bitwise_digest.py
 
 and compare the last lines: one digest over the ranks=1 half of the grid,
-one over the ranks=3 half, then the total.  -v also prints a digest per
-point, to find where two commits part.  The script calls only pcg, run,
-build_problem and the gather-scatter's public methods, with arguments they
-have long taken, so it runs on older commits too.
+one over the ranks=3 half, the total, then the digest of the strategies
+grid.  -v also prints a digest per point, to find where two commits part.
+The script calls only pcg, run, build_problem, the operator's apply_local
+and the gather-scatter's public methods, with arguments they have long
+taken, so it runs on older commits too.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ BPS = (1, 2, 3, 4, 5, 6)
 PS = (1, 2, 4, 7)
 RANKS = (1, 3)
 K = 4
+STRATEGY_BPS = (3, 4, 5, 6)
+STRATEGIES = ("interpfirst", "evenodd", "blocked")
 
 
 def point_arrays(bp: int, p: int, ranks: int) -> list[np.ndarray]:
@@ -69,6 +76,25 @@ def point_arrays(bp: int, p: int, ranks: int) -> list[np.ndarray]:
     ]
 
 
+def strategy_arrays(bp: int, p: int, strategy: str) -> list[np.ndarray]:
+    """The four arrays hashed for one (bp, p, strategy) point."""
+    problem = build_problem(RunConfig(bp=bp, p=p, k=K, strategy=strategy))
+    gs, b, minv = problem.gs, problem.b, problem.minv
+    u = np.random.default_rng(1000 * bp + 10 * p).standard_normal(b.shape)
+    x, solve = pcg(SystemApplier(problem.op, gs), gs, b, max_iters=12,
+                   minv=minv)
+    return [problem.op.apply_local(u), x, solve.residual_history, minv]
+
+
+def _update(digest, arrays) -> int:
+    """Hash each array's shape and bytes into digest; return the count."""
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        digest.update(repr(a.shape).encode())
+        digest.update(a.tobytes())
+    return len(arrays)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -81,11 +107,7 @@ def main(argv=None) -> int:
         for p in PS:
             for ranks in RANKS:
                 point = hashlib.sha256()
-                for a in point_arrays(bp, p, ranks):
-                    a = np.ascontiguousarray(a, dtype=np.float64)
-                    point.update(repr(a.shape).encode())
-                    point.update(a.tobytes())
-                    count += 1
+                count += _update(point, point_arrays(bp, p, ranks))
                 total.update(point.digest())
                 by_ranks[ranks].update(point.digest())
                 if args.verbose:
@@ -94,6 +116,17 @@ def main(argv=None) -> int:
     for ranks, digest in by_ranks.items():
         print(f"ranks={ranks} points sha256 {digest.hexdigest()}")
     print(f"{count} arrays sha256 {total.hexdigest()}")
+    strategies = hashlib.sha256()
+    count = 0
+    for bp in STRATEGY_BPS:
+        for p in PS:
+            for strategy in STRATEGIES:
+                point = hashlib.sha256()
+                count += _update(point, strategy_arrays(bp, p, strategy))
+                strategies.update(point.digest())
+                if args.verbose:
+                    print(f"bp{bp} p={p} {strategy} {point.hexdigest()}")
+    print(f"strategies {count} arrays sha256 {strategies.hexdigest()}")
     return 0
 
 
