@@ -30,9 +30,9 @@ import numpy as np
 from .assembly import GatherScatter, build_gather_scatter
 from .basis import MAX_P, Basis1D, make_basis
 from .krylov import PcgRun, SystemApplier, make_preconditioner, pcg
-from .mesh import (FACTORS_PER_POINT, MAX_K, BoxMesh, GeomFactors,
-                   build_box_mesh, compute_geometric_factors, storage_block,
-                   to_blocks)
+from .mesh import (FACTORS_PER_POINT, GEOM_FIELDS, MAX_K, BoxMesh,
+                   GeomFactors, build_box_mesh, compute_geometric_factors,
+                   storage_block)
 from .operators import STRATEGIES, MassOperator, StiffnessOperator
 from .tensors import WORKING_SET_WORDS, aligned_empty
 
@@ -201,15 +201,24 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
     f(x, y, z) = sin(pi x) sin(pi y) sin(pi z) sampled at the nodes, in the
     layout of geom.block; vector problems repeat it identically per
     component, as the rows of one (3, n_local) array.  b starts on a
-    64-byte line.  gs is not checked against that layout.
+    64-byte line.  f is sampled block by block into b's first row, through
+    one batch field of scratch, and the mass apply and the gather-scatter
+    run in place on that row.  gs is not checked against that layout.
     """
-    x, y, z = (mesh.elem_coords[:, c] for c in range(3))
-    f = to_blocks(np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z),
-                  geom.block)
     mass = MassOperator(basis, geom)
-    b = aligned_empty(f.shape if components == 1 else (components, f.size))
+    n, B = basis.p1, geom.block
+    b = aligned_empty(mass.n_local if components == 1
+                      else (components, mass.n_local))
     rows = b.reshape(components, -1)
-    gs.gather_scatter(mass.apply_local(f), count=False, out=rows[0])
+    coords = mesh.elem_coords.reshape((-1, B) + mesh.elem_coords.shape[1:])
+    s = aligned_empty((n, n, n, B))
+    for u, c in zip(rows[0].reshape(-1, n, n, n, B), coords):
+        x, y, z = c.transpose(1, 2, 3, 4, 0)
+        np.sin(np.multiply(np.pi, x, out=u), out=u)
+        u *= np.sin(np.multiply(np.pi, y, out=s), out=s)
+        u *= np.sin(np.multiply(np.pi, z, out=s), out=s)
+    mass.apply_local(rows[0], out=rows[0])
+    gs.gather_scatter(rows[0], count=False, out=rows[0])
     rows[1:] = rows[0]
     return b
 
@@ -217,12 +226,11 @@ def build_rhs(mesh: BoxMesh, basis: Basis1D, geom: GeomFactors,
 def estimate_bytes(config: RunConfig) -> int:
     """Resident bytes of a built problem and its solve, from the config alone.
 
-    Setup and the operator run in element batches, so their temporaries
-    and the operator's workspace are a fixed cost; what grows with the
-    mesh is the stored geometric factors, the mesh, the plan and the
-    vectors.  A batch field holds batch_size(q) q^3 <= WORKING_SET_WORDS
-    words, so an allowance of 24 + 7 such fields bounds the temporaries of
-    one block and the workspace.
+    Setup and the operator run in element batches, in fixed arenas, so
+    those are a fixed cost; what grows with the mesh is the stored
+    geometric factors, the mesh, the plan and the vectors.  A batch field
+    holds batch_size(q) q^3 <= WORKING_SET_WORDS words, so the allowance is
+    the geometry's GEOM_FIELDS fields plus the operator's 7.
     """
     # Words per local node (E p1^3 of them) besides the factors: the mesh
     # coordinates (3); the numbering's map and multiplicity, the plan's
@@ -230,14 +238,14 @@ def estimate_bytes(config: RunConfig) -> int:
     # and per component the right-hand side, the six PCG vectors, the
     # A_L u output and the global-length sums (about 8).  The factors and
     # the local vectors are stored in the same full blocks, with no
-    # padding.  Setup's metric terms take about 24 batch fields while they
-    # are computed.  The operator keeps its workspace, 7 batch fields for
-    # the stiffness and 2 for the mass, for the problem's lifetime; its
-    # batches read and write the local vectors in place.
+    # padding.  Setup's scratch peaks in compute_geometric_factors' arena
+    # of GEOM_FIELDS batch fields.  The operator keeps its workspace, 7
+    # batch fields for the stiffness and 2 for the mass, for the problem's
+    # lifetime; its applies and its diagonal run in it, in place.
     p1 = config.p + 1
     node_words = 3 + 5 + 8 * config.spec.components
     per_element = FACTORS_PER_POINT * config.q ** 3 + node_words * p1 ** 3
-    return 8 * (config.E * per_element + (24 + 7) * WORKING_SET_WORDS)
+    return 8 * (config.E * per_element + (GEOM_FIELDS + 7) * WORKING_SET_WORDS)
 
 
 def mem_available_bytes() -> int | None:

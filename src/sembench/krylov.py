@@ -35,11 +35,11 @@ def make_preconditioner(op, gs: GatherScatter) -> np.ndarray:
     """Inverse of the assembled, masked operator diagonal.
 
     Masked (Dirichlet) slots get 1.0; they never see a nonzero residual.
-    The diagonal is assembled into the result, which starts on a 64-byte
-    line, and inverted there.
+    The operator's diagonal, which starts on a 64-byte line, is assembled
+    and inverted in place.
     """
-    diag = op.diagonal()
-    minv = gs.gather_scatter(diag, count=False, out=aligned_empty(diag.shape))
+    minv = op.diagonal()
+    gs.gather_scatter(minv, count=False, out=minv)
     live = gs.mask > 0.0
     if np.any(live & (minv <= 0.0)):
         raise DivergenceError("assembled diagonal not positive on free nodes")

@@ -12,8 +12,9 @@ rho_i rho_j rho_k J, and the Jacobian determinant J.  That is 8 q^3 reals per
 element; the global tensor-product layout of the element array is never
 exploited downstream.  They are computed and stored in blocks of
 batch_size(q) elements (4 or 8 for blocked), element index innermost, the
-layout of the operator batches that read them (see GeomFactors), so setup
-holds the stored factors plus one block of temporaries.
+layout of the operator batches that read them (see GeomFactors).  Every
+block is computed in one aligned arena of GEOM_FIELDS batch fields, carved
+once per call, so setup holds the stored factors plus that arena.
 
 E is a power of two and so is every block, so a block either divides E or
 is capped at E (storage_block); every block is full.  A blocked array is
@@ -32,7 +33,7 @@ import numpy as np
 
 from .basis import MAX_P, Basis1D
 from .quadrature import gauss_lobatto_legendre
-from .tensors import aligned_empty, batch_size, contract_dir
+from .tensors import aligned_empty, aligned_fields, batch_size, contract_dir
 
 MAX_K = 21
 
@@ -41,6 +42,9 @@ FACTORS_PER_POINT = 8
 
 # G entry order: (11, 12, 13, 22, 23, 33).
 G_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
+
+# Batch fields of compute_geometric_factors' arena (see there).
+GEOM_FIELDS = 26
 
 
 class MeshError(ValueError):
@@ -195,7 +199,9 @@ def build_box_mesh(k: int, p: int, deformation: str = "sine",
     x, y, z = lattices[0][gx], lattices[1][gy], lattices[2][gz]
     delta = DEFORMATIONS[deformation](x, y, z, amplitude)
     delta = np.broadcast_to(delta, (len(x), p1, p1, p1))
-    coords = np.stack([x + delta, y + delta, z + delta], axis=1)
+    coords = np.empty((len(x), 3, p1, p1, p1))
+    for j, c in enumerate((x, y, z)):
+        np.add(c, delta, out=coords[:, j])
     return BoxMesh(k, p, dims, deformation, amplitude, nodes, coords)
 
 
@@ -251,7 +257,8 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     Elements are stored and processed in blocks of
     storage_block(block, E) elements (block defaults to batch_size(q)),
     one contraction chain per reference direction and coordinate of a
-    block.
+    block.  Every block runs in one aligned arena of GEOM_FIELDS batch
+    fields, and its results are written straight into the outputs.
 
     Raises:
         MeshError: if any quadrature point has a non-positive or nearly
@@ -261,7 +268,8 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     """
     if basis.p != mesh.p:
         raise MeshError("basis order must match mesh geometry order")
-    q, E = basis.q, mesh.E
+    q, n, E = basis.q, basis.p1, mesh.E
+    J, D = basis.J_hat, basis.D_hat
     w = basis.quad.weights
     w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :])[..., None]
     floor = 1e-14 / E
@@ -270,28 +278,48 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
     G = aligned_empty((E // block, 6) + (q,) * 3 + (block,))
     mass_diag, jac_det = (aligned_empty((E // block,) + (q,) * 3 + (block,))
                           for _ in range(2))
+    # Every block reuses one arena of GEOM_FIELDS batch fields: the three
+    # coordinates (0-2), four chain partials (3-6), the nine Jacobian
+    # entries jac[m][l] = d x_l / d r_m (7-15), their nine cofactors
+    # (16-24) and one scratch.
+    nnn, nnq, nqq, qqq = aligned_fields(GEOM_FIELDS, block, max(q, n),
+                                        (n, n, n), (n, n, q), (n, q, q),
+                                        (q, q, q))
+    jac, cof = ([qqq[j:j + 3], qqq[j + 3:j + 6], qqq[j + 6:j + 9]]
+                for j in (7, 16))
+    tmp = qqq[25]
     for i in range(E // block):
         b0 = i * block
         # Coordinate-major and element-innermost, so each coordinate is a
         # contiguous (p1, p1, p1, B) batch field.  One chain per coordinate
-        # keeps every GEMM the size of an apply's: a chain over all three
-        # crosses OpenBLAS's threading threshold, and its threads ran setup
-        # 2x slower on a busy host.
-        coords = np.ascontiguousarray(
-            mesh.elem_coords[b0:b0 + block].transpose(1, 2, 3, 4, 0))
-        # dxdr[m][l] = d x_l / d r_m at every quadrature point.
-        dxdr = [[None] * 3 for _ in range(3)]
+        # and direction keeps every GEMM the size of an apply's: a chain
+        # over all three crosses OpenBLAS's threading threshold, and its
+        # threads ran setup 2x slower on a busy host.  The chains share
+        # their x and y partials: d/dr is D_x J_y J_z, d/ds J_x D_y J_z
+        # and d/dt J_x J_y D_z.
+        for l, c in enumerate(nnn[:3]):
+            np.copyto(c, mesh.elem_coords[b0:b0 + block, l]
+                      .transpose(1, 2, 3, 0))
+            dx = contract_dir(D, c, 0, out=nnq[3])
+            jx = contract_dir(J, c, 0, out=nnq[4])
+            dr = contract_dir(J, dx, 1, out=nqq[5])
+            ds = contract_dir(D, jx, 1, out=nqq[3])
+            dt = contract_dir(J, jx, 1, out=nqq[6])
+            contract_dir(J, dr, 2, out=jac[0][l])
+            contract_dir(J, ds, 2, out=jac[1][l])
+            contract_dir(D, dt, 2, out=jac[2][l])
+
+        # Closed-form adjugate: d r_m / d x_l = cof[m][l] / det.
         for m in range(3):
-            ops = [basis.J_hat] * 3
-            ops[m] = basis.D_hat
+            m1, m2 = (m + 1) % 3, (m + 2) % 3
             for l in range(3):
-                t = contract_dir(ops[0], coords[l], 0)
-                t = contract_dir(ops[1], t, 1)
-                dxdr[m][l] = contract_dir(ops[2], t, 2)
-        (xr, yr, zr), (xs, ys, zs), (xt, yt, zt) = dxdr
-        det = (xr * (ys * zt - yt * zs)
-               - xs * (yr * zt - yt * zr)
-               + xt * (yr * zs - ys * zr))
+                l1, l2 = (l + 1) % 3, (l + 2) % 3
+                f = np.multiply(jac[m1][l1], jac[m2][l2], out=cof[m][l])
+                f -= np.multiply(jac[m1][l2], jac[m2][l1], out=tmp)
+        # Expanded along the first column: xr c00 + xs c10 + xt c20.
+        det = np.multiply(jac[0][0], cof[0][0], out=jac_det[i])
+        det += np.multiply(jac[1][0], cof[1][0], out=tmp)
+        det += np.multiply(jac[2][0], cof[2][0], out=tmp)
 
         bad = det <= floor
         if np.any(bad):
@@ -302,25 +330,14 @@ def compute_geometric_factors(mesh: BoxMesh, basis: Basis1D,
                 f"({iz},{iy},{ix}): jacobian determinant "
                 f"{det[iz, iy, ix, e]:.3e}")
 
-        # Closed-form adjugate rows: drdx[m][l] = d r_m / d x_l.
-        inv_det = 1.0 / det
-        drdx = [
-            [(ys * zt - yt * zs) * inv_det, (xt * zs - xs * zt) * inv_det,
-             (xs * yt - xt * ys) * inv_det],
-            [(yt * zr - yr * zt) * inv_det, (xr * zt - xt * zr) * inv_det,
-             (xt * yr - xr * yt) * inv_det],
-            [(yr * zs - ys * zr) * inv_det, (xs * zr - xr * zs) * inv_det,
-             (xr * ys - xs * yr) * inv_det],
-        ]
-
-        # The Jacobian entries are not needed past here; dropping them
-        # before the G products lowers the batch's peak memory.
-        del dxdr, xr, yr, zr, xs, ys, zs, xt, yt, zt, inv_det
+        inv_det = np.divide(1.0, det, out=tmp)
+        for row in cof:
+            for f in row:
+                f *= inv_det
         wj = np.multiply(w3, det, out=mass_diag[i])
-        jac_det[i] = det
         for (m, mp), slot in G_INDEX.items():
-            acc = drdx[m][0] * drdx[mp][0]
-            acc += drdx[m][1] * drdx[mp][1]
-            acc += drdx[m][2] * drdx[mp][2]
-            np.multiply(acc, wj, out=G[i, slot])
+            acc = np.multiply(cof[m][0], cof[mp][0], out=G[i, slot])
+            acc += np.multiply(cof[m][1], cof[mp][1], out=tmp)
+            acc += np.multiply(cof[m][2], cof[mp][2], out=tmp)
+            acc *= wj
     return GeomFactors(G, mass_diag, jac_det)

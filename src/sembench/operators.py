@@ -32,12 +32,12 @@ with, either capped at E.  Local vectors are stored in the same blocks
 [i], read in place; the result is written in place into out, and each
 factor slot is read as one contiguous (q, q, q, B) block.  apply_local
 runs every block in turn, on the calling thread.  The operator diagonal
-runs over the same blocks.  The output is
+runs over the same blocks, in the same workspace.  The output is
 bitwise-identical to per-element application, which the verify suite
 checks.
 
 Each operator owns one workspace, carved at construction out of one
-64-byte-aligned arena (tensors.aligned_empty) into the fields its
+64-byte-aligned arena (tensors.aligned_fields) into the fields its
 dataflow writes: seven fields of q^3 B words for every stiffness (the
 gradient, the metric stage's three outputs and its scratch), reused
 stage by stage, and two for the mass off collocation, between which its
@@ -52,13 +52,11 @@ words; closed-form flop/byte models are provided for comparison.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .basis import Basis1D, even_odd_split
 from .mesh import GeomFactors
-from .tensors import (LINE_WORDS, OpCounters, aligned_empty, contract_dir,
+from .tensors import (OpCounters, aligned_empty, aligned_fields, contract_dir,
                       eo_contract_dir)
 
 STRATEGIES = ("sumfact", "interpfirst", "evenodd", "blocked")
@@ -172,10 +170,12 @@ class _LocalOperator:
     factors of block i as (..., q, q, q, B) arrays and counts their reads;
     _apply_block(U, data, ct, out), which applies the operator to one batch
     U of shape (p1, p1, p1, B) and writes the result into out; and
-    _diagonal_block(i), block i of the diagonal.  Local vectors are in the
+    _diagonal_blocks(out), which writes every block of the diagonal into
+    out, viewed as blocks, through the workspace.  Local vectors are in the
     blocked layout of geom.block elements, (..., E/B, p1, p1, p1, B)
     flattened (see mesh), and every batch is one whole block, a view of u
-    and of out.  Subclasses carve their workspace with _fields.
+    and of out.  Subclasses carve their workspace with
+    tensors.aligned_fields, in fields of max(q, p1)^3 B words.
     """
 
     def __init__(self, basis: Basis1D, geom: GeomFactors,
@@ -205,25 +205,14 @@ class _LocalOperator:
             self._j, self._d = basis.J_hat, basis.D_hat
             self._jt, self._dt = basis.J_hat.T, basis.D_hat.T
 
-    def _fields(self, count, *shapes):
-        """Carve `count` workspace fields out of one aligned arena.
-
-        Each field holds max(q, p1)^3 B words, rounded up to whole lines
-        so that every field starts on one.  Returns, for each shape of the
-        three direction axes, the list of all fields viewed as shape + (B,).
-        """
-        B = self.geom.block
-        words = max(self.basis.q, self.basis.p1) ** 3 * B
-        arena = aligned_empty((count, -(-words // LINE_WORDS) * LINE_WORDS))
-        return [[f[:math.prod(s) * B].reshape(s + (B,)) for f in arena]
-                for s in shapes]
-
     def apply_local(self, u, out=None):
         """Apply the unassembled operator block by block, in place.
 
         A call checks only the length of u; the block view's shape is
         fixed at construction.  The operator's workspace is shared by its
-        calls, so one operator runs one apply at a time.
+        calls, so one operator runs one apply at a time.  out may be u
+        itself: every dataflow reads a block of u only in its first
+        stage, before the block's last contraction writes out.
 
         Args:
             u: local vector in the layout of geom.block, shape (n_local,)
@@ -257,12 +246,12 @@ class _LocalOperator:
     def diagonal(self) -> np.ndarray:
         """Per-element diagonal of the local operator (unassembled).
 
-        Computed one storage block at a time, like the apply, and written
-        into the local layout, which has the same blocks.
+        Computed one storage block at a time, like the apply, in the
+        operator's workspace, and written straight into a new local
+        vector (which has the same blocks) that starts on a 64-byte line.
         """
-        out = np.empty(self._view)
-        for i in self._blocks:
-            out[i] = self._diagonal_block(i)
+        out = aligned_empty(self._view)
+        self._diagonal_blocks(out)
         return out.reshape(-1)
 
 
@@ -303,8 +292,10 @@ class StiffnessOperator(_LocalOperator):
         # other stages' intermediates go into fields that are dead while
         # they run.
         n, q = basis.p1, basis.q
-        self._nnq, self._nqq, self._qqq, self._nnn = self._fields(
-            7, (n, n, q), (n, q, q), (q, q, q), (n, n, n))
+        (self._nnq, self._nqq, self._qqq, self._nnn, self._qqn,
+         self._qnn) = aligned_fields(7, geom.block, max(n, q), (n, n, q),
+                                     (n, q, q), (q, q, q), (n, n, n),
+                                     (q, q, n), (q, n, n))
 
     def model_flops(self, components: int = 1) -> float:
         if self.basis.collocated:
@@ -399,28 +390,25 @@ class StiffnessOperator(_LocalOperator):
             ct.g_read_words += 6 * self.basis.q ** 3 * self.geom.block
         return self.geom.G[i]
 
-    def _diagonal_block(self, i):
+    def _diagonal_blocks(self, out):
         # diag(A^e) at node (c,b,a) sums the metric entries contracted with
-        # squared (or cross-multiplied) rows of J_hat and D_hat.
+        # squared (or cross-multiplied) rows of J_hat and D_hat: G11 pairs
+        # with D in x, G22 in y, G33 in z, and the cross terms count twice.
         J, D = self.basis.J_hat, self.basis.D_hat
         pj, pd, px = (np.ascontiguousarray((a * b).T)
                       for a, b in ((J, J), (D, D), (J, D)))
-        g = self.geom.G[i]
-
-        def term(mx, my, mz, slot, factor):
-            t = contract_dir(mx, g[slot], 0)
-            t = contract_dir(my, t, 1)
-            t = contract_dir(mz, t, 2)
-            t *= factor
-            return t
-
-        d = term(pd, pj, pj, 0, 1.0)      # G11 pairs with D in x
-        d += term(pj, pd, pj, 3, 1.0)     # G22
-        d += term(pj, pj, pd, 5, 1.0)     # G33
-        d += term(px, px, pj, 1, 2.0)     # G12 cross term
-        d += term(px, pj, px, 2, 2.0)     # G13
-        d += term(pj, px, px, 4, 2.0)     # G23
-        return d
+        terms = ((pd, pj, pj, 0), (pj, pd, pj, 3), (pj, pj, pd, 5),
+                 (px, px, pj, 1), (px, pj, px, 2), (pj, px, px, 4))
+        for i in self._blocks:
+            g, d = self.geom.G[i], out[i]
+            for n, (mx, my, mz, slot) in enumerate(terms):
+                t = contract_dir(mx, g[slot], 0, out=self._qqn[0])
+                t = contract_dir(my, t, 1, out=self._qnn[1])
+                t = contract_dir(mz, t, 2, out=self._nnn[2] if n else d)
+                if n >= 3:
+                    t *= 2.0
+                if n:
+                    d += t
 
 
 class MassOperator(_LocalOperator):
@@ -440,8 +428,9 @@ class MassOperator(_LocalOperator):
             # The interpolations ping-pong between two workspace fields.
             n, q = basis.p1, basis.q
             (self._nnq, self._nqq, self._qqq, self._qqn,
-             self._qnn) = self._fields(2, (n, n, q), (n, q, q), (q, q, q),
-                                       (q, q, n), (q, n, n))
+             self._qnn) = aligned_fields(2, geom.block, max(n, q),
+                                         (n, n, q), (n, q, q), (q, q, q),
+                                         (q, q, n), (q, n, n))
 
     def model_flops(self, components: int = 1) -> float:
         return components * mass_flop_model(self.basis.p, self.basis.q,
@@ -456,17 +445,18 @@ class MassOperator(_LocalOperator):
             ct.read_words += self.basis.q ** 3 * self.geom.block
         return self.geom.mass_diag[i]
 
-    def _diagonal_block(self, i):
+    def _diagonal_blocks(self, out):
         # The J3-squared contraction of the weights, which is the stored
         # mass_diag itself when collocated.
-        d = self.geom.mass_diag[i]
         if self.collocated:
-            return d
+            np.copyto(out, self.geom.mass_diag)
+            return
         J = self.basis.J_hat
         pj = np.ascontiguousarray((J * J).T)
-        d = contract_dir(pj, d, 0)
-        d = contract_dir(pj, d, 1)
-        return contract_dir(pj, d, 2)
+        for i in self._blocks:
+            d = contract_dir(pj, self.geom.mass_diag[i], 0, out=self._qqn[0])
+            d = contract_dir(pj, d, 1, out=self._qnn[1])
+            contract_dir(pj, d, 2, out=out[i])
 
     def _apply_block(self, U, d, ct, out=None):
         if ct is not None:

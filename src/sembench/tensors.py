@@ -26,11 +26,11 @@ element `array_equal` check is the guard.
 
 The geometric factors and the local vectors are stored in blocks of
 batch_size(q) elements by default, a power of two capped at E (see mesh),
-so one field of a block holds at most WORKING_SET_WORDS words and setup
-temporaries stay that small.  Every batched loop (the operators, their
-diagonal and the geometric factors) takes whole blocks as its batches; the
-blocked strategy's geometry is stored in blocks of 4 or 8 elements
-instead.
+so one field of a block holds at most WORKING_SET_WORDS words, and so
+does each field of the fixed arenas (aligned_fields) that setup and the
+operators carve.  Every batched loop (the operators, their diagonal and
+the geometric factors) takes whole blocks as its batches; the blocked
+strategy's geometry is stored in blocks of 4 or 8 elements instead.
 
 Every array the timed loop streams through starts on a 64-byte cache line
 (aligned_empty): the geometric factors, the right-hand side, the
@@ -79,6 +79,19 @@ def aligned_empty(shape) -> np.ndarray:
     raw = np.empty(nbytes + LINE_BYTES, dtype=np.uint8)
     start = -raw.ctypes.data % LINE_BYTES
     return raw[start:start + nbytes].view(np.float64).reshape(shape)
+
+
+def aligned_fields(count: int, block: int, n: int, *shapes) -> list:
+    """Carve `count` batch fields of `block` elements out of one arena.
+
+    Each field holds n^3 block words, rounded up to whole lines so that
+    every field starts on one.  Returns, for each shape of the three
+    direction axes, the list of all fields viewed as shape + (block,).
+    """
+    words = n ** 3 * block
+    arena = aligned_empty((count, -(-words // LINE_WORDS) * LINE_WORDS))
+    return [[f[:math.prod(s) * block].reshape(s + (block,)) for f in arena]
+            for s in shapes]
 
 
 @dataclass

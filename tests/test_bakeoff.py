@@ -17,8 +17,10 @@ from sembench import bakeoff
 from sembench.bakeoff import (BLOCK_SIZES, BP_TABLE, MODES, ConfigError,
                               RunConfig, build_problem, default_threads,
                               measure_apply_flops, run, sweep)
+from sembench.assembly import build_gather_scatter
+from sembench.basis import make_basis
 from sembench.krylov import SystemApplier, pcg
-from sembench.mesh import compute_geometric_factors
+from sembench.mesh import build_box_mesh, compute_geometric_factors
 from sembench.operators import STRATEGIES
 from sembench.tensors import LINE_BYTES, batch_size
 
@@ -105,6 +107,27 @@ class TestProblem:
         assert np.allclose(back, b, atol=1e-14, rtol=0)
         assert np.array_equal(b[gs.mask == 0.0],
                               np.zeros(int(np.sum(gs.mask == 0.0))))
+
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    def test_rhs_holds_b_and_a_fixed_scratch(self, kind, components):
+        # f is sampled into b block by block and applied in place, so the
+        # build holds b, the gather-scatter's sums (one per global node)
+        # and a few batch fields: the mass workspace and one scratch.
+        basis = make_basis(3, kind)
+        mesh = build_box_mesh(8, 3)               # 256 elements
+        geom = compute_geometric_factors(mesh, basis, 8)
+        gs = build_gather_scatter(mesh, bc="dirichlet", block=8)
+        field = 8 * basis.q ** 3 * geom.block
+        tracemalloc.start()
+        try:
+            b = bakeoff.build_rhs(mesh, basis, geom, gs, components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sums = 8 * (gs.numbering.n_global + 1)
+        assert b.nbytes > 16 * field
+        assert peak <= b.nbytes + sums + 3 * field + 16384
 
     def test_vector_rhs_repeats_component(self):
         problem = build_problem(RunConfig(bp=4, p=2, k=1))

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from sembench import tensors
 from sembench.bakeoff import RunConfig
 from sembench.basis import make_basis
-from sembench.mesh import (FACTORS_PER_POINT, BoxMesh, GeomFactors,
-                           MeshError, box_dims, from_blocks,
-                           to_blocks, build_box_mesh,
+from sembench.mesh import (FACTORS_PER_POINT, G_INDEX, GEOM_FIELDS, BoxMesh,
+                           GeomFactors, MeshError, box_dims, from_blocks,
+                           storage_block, to_blocks, build_box_mesh,
                            compute_geometric_factors)
+from sembench.tensors import contract_dir
 
 from conftest import element_major
 
@@ -308,3 +309,98 @@ class TestBatchedGeomFactors:
         monkeypatch.setattr(tensors, "WORKING_SET_WORDS", 4 * 4 ** 3)
         with pytest.raises(MeshError, match="inverted element 27 "):
             compute_geometric_factors(mesh, basis)
+
+
+def direct_geometric_factors(mesh, basis, block):
+    """The factors by the direct formulation, as (G, mass_diag, jac_det).
+
+    Per block: nine separate three-contraction chains for the Jacobian,
+    the determinant expanded along its first row, the adjugate entries
+    written out, and every intermediate a new array.
+    """
+    q, E = basis.q, mesh.E
+    w = basis.quad.weights
+    w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :])[..., None]
+    block = storage_block(block, E)
+    G = np.empty((E // block, 6) + (q,) * 3 + (block,))
+    mass_diag = np.empty((E // block,) + (q,) * 3 + (block,))
+    jac_det = np.empty_like(mass_diag)
+    for i in range(E // block):
+        coords = np.ascontiguousarray(
+            mesh.elem_coords[i * block:(i + 1) * block]
+            .transpose(1, 2, 3, 4, 0))
+        dxdr = [[None] * 3 for _ in range(3)]
+        for m in range(3):
+            ops = [basis.J_hat] * 3
+            ops[m] = basis.D_hat
+            for l in range(3):
+                t = contract_dir(ops[0], coords[l], 0)
+                t = contract_dir(ops[1], t, 1)
+                dxdr[m][l] = contract_dir(ops[2], t, 2)
+        (xr, yr, zr), (xs, ys, zs), (xt, yt, zt) = dxdr
+        det = (xr * (ys * zt - yt * zs)
+               - xs * (yr * zt - yt * zr)
+               + xt * (yr * zs - ys * zr))
+        inv_det = 1.0 / det
+        drdx = [
+            [(ys * zt - yt * zs) * inv_det, (xt * zs - xs * zt) * inv_det,
+             (xs * yt - xt * ys) * inv_det],
+            [(yt * zr - yr * zt) * inv_det, (xr * zt - xt * zr) * inv_det,
+             (xt * yr - xr * yt) * inv_det],
+            [(yr * zs - ys * zr) * inv_det, (xs * zr - xr * zs) * inv_det,
+             (xr * ys - xs * yr) * inv_det],
+        ]
+        wj = w3 * det
+        mass_diag[i], jac_det[i] = wj, det
+        for (m, mp), slot in G_INDEX.items():
+            acc = drdx[m][0] * drdx[mp][0]
+            acc += drdx[m][1] * drdx[mp][1]
+            acc += drdx[m][2] * drdx[mp][2]
+            G[i, slot] = acc * wj
+    return G, mass_diag, jac_det
+
+
+class TestArenaGeomFactors:
+    """The arena build against the direct formulation, and its footprint."""
+
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_bytes_equal_the_direct_formulation(self, kind, p):
+        basis = make_basis(p, kind)
+        default = tensors.batch_size(basis.q)
+        # The default block on a mesh of 4 blocks (the arena reused from
+        # block to block), block 4, and block 1 (the one-element x path).
+        cases = [((4 * default).bit_length() - 1, None), (3, 4), (3, 1)]
+        for k, block in cases:
+            mesh = build_box_mesh(k, p)
+            geom = compute_geometric_factors(mesh, basis, block)
+            if block is None:
+                assert geom.E // geom.block == 4
+            want = direct_geometric_factors(mesh, basis, block or default)
+            got = (geom.G, geom.mass_diag, geom.jac_det)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @staticmethod
+    def extra_peak(mesh, basis, block):
+        """Peak traced bytes of one build beyond its three outputs."""
+        tracemalloc.start()
+        try:
+            geom = compute_geometric_factors(mesh, basis, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - (geom.G.nbytes + geom.mass_diag.nbytes
+                       + geom.jac_det.nbytes)
+
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    def test_allocation_does_not_grow_with_the_blocks(self, kind):
+        basis = make_basis(3, kind)
+        field = 8 * basis.q ** 3 * 64
+        one, sixteen = (self.extra_peak(build_box_mesh(k, 3), basis, 64)
+                        for k in (6, 10))
+        # Nothing a block allocates outlives it or piles up: the same
+        # peak on 1 block as on 16, within a small fraction of a field.
+        assert abs(sixteen - one) < field // 16
+        # The arena and less than two fields of numpy's buffers besides.
+        assert GEOM_FIELDS * field <= one < (GEOM_FIELDS + 2) * field

@@ -501,6 +501,45 @@ class TestWorkspace:
         assert peak < field
 
 
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", ["GL", "GLL"])
+    @pytest.mark.parametrize("system", ["stiffness", "mass"])
+    def test_apply_in_place_is_bitwise_the_apply(self, system, kind,
+                                                 strategy, components,
+                                                 stack, rng):
+        s = stack(3, kind, 6)                     # 64 elements
+        if strategy == "blocked":                 # 16 blocks of 4
+            op = blocked_ops(system, s)[0]
+        else:
+            op = make_op(system, s, strategy=strategy)
+        u = rng.standard_normal((components, op.n_local))
+        if components == 1:
+            u = u[0]
+        want = op.apply_local(u)
+        got = op.apply_local(u, out=u)
+        assert got is u and np.array_equal(u, want)
+
+    @pytest.mark.parametrize("system, kind", [
+        ("stiffness", "GL"), ("stiffness", "GLL"), ("mass", "GL"),
+        ("mass", "GLL")])
+    def test_diagonal_is_aligned_and_allocates_no_field(self, system, kind,
+                                                        stack):
+        s = stack(3, kind, 6)                     # 64 elements in one block
+        op = make_op(system, s)
+        first = op.diagonal()
+        assert first.ctypes.data % LINE_BYTES == 0
+        field = 8 * s.basis.q ** 3 * s.geom.block
+        tracemalloc.start()
+        try:
+            d = op.diagonal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(d, first)
+        assert peak - d.nbytes < field
+
+
 class TestInstrumentation:
     def test_stiffness_word_counts(self, stack, rng):
         s = stack(3, "GL", 2)

@@ -9,7 +9,11 @@ every apply is serial).  The grid is BP1-6 x p in {1, 2, 4, 7} x ranks in
 default sumfact strategy.  A second grid covers the other strategies:
 BP3-6 x p in {1, 2, 4, 7} x interpfirst, evenodd and blocked at ranks = 1
 and k = 4, four arrays a point (a seeded local apply, x and the residual
-history of pcg, and the preconditioner).
+history of pcg, and the preconditioner).  At k = 4 every q <= 12 is one
+storage block, so a third grid covers setup over several: BP1, BP3 and
+BP5 x p in {1, 2, 3, 5, 7}, each at the smallest k that gives at least
+four default storage blocks, six arrays a point (the element coordinates,
+the three geometric factors, b and the preconditioner).
 
 Run it against a checkout's own sources, for example
 
@@ -17,8 +21,9 @@ Run it against a checkout's own sources, for example
     PYTHONPATH=/path/to/other/checkout/src python tools/bitwise_digest.py
 
 and compare the last lines: one digest over the ranks=1 half of the grid,
-one over the ranks=3 half, the total, then the digest of the strategies
-grid.  -v also prints a digest per point, to find where two commits part.
+one over the ranks=3 half, the total, then the digests of the strategies
+grid and of the setup grid.  -v also prints a digest per point, to find
+where two commits part.
 The script calls only pcg, run, build_problem, the operator's apply_local
 and the gather-scatter's public methods, with arguments they have long
 taken, so it runs on older commits too.
@@ -33,6 +38,7 @@ import numpy as np
 
 from sembench.bakeoff import RunConfig, build_problem, run
 from sembench.krylov import SystemApplier, pcg
+from sembench.tensors import batch_size
 
 BPS = (1, 2, 3, 4, 5, 6)
 PS = (1, 2, 4, 7)
@@ -40,6 +46,8 @@ RANKS = (1, 3)
 K = 4
 STRATEGY_BPS = (3, 4, 5, 6)
 STRATEGIES = ("interpfirst", "evenodd", "blocked")
+SETUP_BPS = (1, 3, 5)
+SETUP_PS = (1, 2, 3, 5, 7)
 
 
 def point_arrays(bp: int, p: int, ranks: int) -> list[np.ndarray]:
@@ -86,6 +94,16 @@ def strategy_arrays(bp: int, p: int, strategy: str) -> list[np.ndarray]:
     return [problem.op.apply_local(u), x, solve.residual_history, minv]
 
 
+def setup_arrays(bp: int, p: int) -> list[np.ndarray]:
+    """The six arrays hashed for one (bp, p) point of the setup grid."""
+    q = RunConfig(bp=bp, p=p, k=0).q
+    k = (4 * batch_size(q)).bit_length() - 1     # E = 4 default blocks
+    problem = build_problem(RunConfig(bp=bp, p=p, k=k))
+    geom = problem.geom
+    return [problem.mesh.elem_coords, geom.G, geom.mass_diag, geom.jac_det,
+            problem.b, problem.minv]
+
+
 def _update(digest, arrays) -> int:
     """Hash each array's shape and bytes into digest; return the count."""
     for a in arrays:
@@ -127,6 +145,16 @@ def main(argv=None) -> int:
                 if args.verbose:
                     print(f"bp{bp} p={p} {strategy} {point.hexdigest()}")
     print(f"strategies {count} arrays sha256 {strategies.hexdigest()}")
+    setup = hashlib.sha256()
+    count = 0
+    for bp in SETUP_BPS:
+        for p in SETUP_PS:
+            point = hashlib.sha256()
+            count += _update(point, setup_arrays(bp, p))
+            setup.update(point.digest())
+            if args.verbose:
+                print(f"bp{bp} p={p} setup {point.hexdigest()}")
+    print(f"setup {count} arrays sha256 {setup.hexdigest()}")
     return 0
 
 
